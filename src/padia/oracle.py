@@ -216,8 +216,10 @@ def full_evolve(full: FullInstance, schedule: Schedule, steps: int) -> float:
     n = full.n_items
     # H(s) = c0 + s * c1 with both pieces dense; evaluating the derivative as
     # c0 @ psi + s * (c1 @ psi) avoids rebuilding N x N matrices every stage.
-    c0 = full_hamiltonian(full, 0.0)
-    c1 = full_hamiltonian(full, 1.0) - c0
+    # Both are cast to complex once: a float64 @ complex128 matvec would
+    # upcast the whole N x N matrix on every call.
+    c0 = full_hamiltonian(full, 0.0).astype(complex)
+    c1 = full_hamiltonian(full, 1.0).astype(complex) - c0
 
     def deriv(s: float, psi: np.ndarray) -> np.ndarray:
         return -1j * (c0 @ psi + s * (c1 @ psi))

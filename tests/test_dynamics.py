@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 from padia.dynamics import (
+    _CHUNK_STEPS,
     NormDriftExceeded,
     RepeatStats,
     Schedule,
+    _chunk_stage_values,
     default_step_count,
     draw_repeat_stats,
     evolve,
@@ -25,6 +27,7 @@ from padia.dynamics import (
     make_local_schedule,
     make_partial_schedule,
     run_round,
+    schedule_stage_values,
     simulate_until_success,
 )
 from padia.model import ReducedState, evolution_window, initial_state, make_instance
@@ -43,6 +46,105 @@ def local_total_time_closed_form(n, m, epsilon=1.0):
 def ground_state(instance, s):
     c_alpha, c_beta = eigenvector_components(instance, s, 0)
     return ReducedState(complex(c_alpha), complex(c_beta))
+
+
+def scalar_rk4(instance, schedule, steps, initial):
+    """Reference: one classical RK4 step at a time in plain Python complex
+    arithmetic, h_bb = (1-s)a, h_aa = 1 - h_bb, h_ab = -(1-s)sqrt(ab).
+    Returns the final amplitudes and the norm drift."""
+    a = instance.a
+    sqrt_ab = math.sqrt(instance.a * instance.b)
+    s_nodes, s_mids = (v.tolist() for v in schedule_stage_values(schedule, steps))
+    dt = schedule.total_time / steps
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    x, y = complex(initial.amp_alpha), complex(initial.amp_beta)
+    for n in range(steps):
+        om = 1.0 - s_nodes[n]
+        hbb = om * a
+        haa = 1.0 - hbb
+        hab = -om * sqrt_ab
+        k1x = -1j * (haa * x + hab * y)
+        k1y = -1j * (hab * x + hbb * y)
+
+        om = 1.0 - s_mids[n]
+        hbb = om * a
+        haa = 1.0 - hbb
+        hab = -om * sqrt_ab
+        x2 = x + half * k1x
+        y2 = y + half * k1y
+        k2x = -1j * (haa * x2 + hab * y2)
+        k2y = -1j * (hab * x2 + hbb * y2)
+        x3 = x + half * k2x
+        y3 = y + half * k2y
+        k3x = -1j * (haa * x3 + hab * y3)
+        k3y = -1j * (hab * x3 + hbb * y3)
+
+        om = 1.0 - s_nodes[n + 1]
+        hbb = om * a
+        haa = 1.0 - hbb
+        hab = -om * sqrt_ab
+        x4 = x + dt * k3x
+        y4 = y + dt * k3y
+        k4x = -1j * (haa * x4 + hab * y4)
+        k4y = -1j * (hab * x4 + hbb * y4)
+
+        x = x + sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
+        y = y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
+    return x, y, abs(math.sqrt(abs(x) ** 2 + abs(y) ** 2) - 1.0)
+
+
+def next_prime(n):
+    while True:
+        n += 1
+        if all(n % d for d in range(2, math.isqrt(n) + 1)):
+            return n
+
+
+# Step counts around the chunk boundaries of the vectorised integrator.
+CHUNK_EDGE_STEPS = (
+    10,
+    11,
+    _CHUNK_STEPS - 1,
+    _CHUNK_STEPS,
+    _CHUNK_STEPS + 1,
+    next_prime(2 * _CHUNK_STEPS),
+    16_000,
+)
+# Every case runs at this step size, so the 10-step runs stay within the
+# norm-drift limit and the long ones still sweep a sizeable duration.
+CASE_DT = 0.05
+
+
+def comparison_case(kind, steps):
+    """(instance, schedule, initial state) for one schedule kind, lasting
+    CASE_DT * steps.
+
+    M/N = 1/4 keeps the local-adiabatic sweep rate within a factor 4 of its
+    mean, so its 10-step run stays within the norm-drift limit too.
+    """
+    inst = make_instance(64, 16)
+    win = evolution_window(inst)
+    total = CASE_DT * steps
+    if kind == "partial":
+        sched = make_partial_schedule(inst, total / 0.5)  # sqrt(N)/M = 1/2
+    elif kind == "global_linear":
+        sched = make_global_schedule(inst, total / 4.0)  # N/M = 4
+    elif kind == "local_adiabatic":
+        epsilon = local_total_time_closed_form(64, 16) / total
+        sched = make_local_schedule(inst, epsilon, 10_001)
+    elif kind == "frozen":
+        sched = Schedule(kind="partial", total_time=total, sample=lambda t: win.s_minus + 0.0 * t)
+    else:
+        forward = make_partial_schedule(inst, total / 0.5)
+        sched = Schedule(
+            kind="partial", total_time=total, sample=lambda t: forward.sample(total - t)
+        )
+    psi0 = ground_state(inst, win.s_plus) if kind == "reversed" else initial_state(inst)
+    return inst, sched, psi0
+
+
+SCHEDULE_KINDS = ("partial", "global_linear", "local_adiabatic", "frozen", "reversed")
 
 
 class TestPartialSchedule:
@@ -217,6 +319,27 @@ class TestEvolve:
         )
         f_rev = evolve(inst, backward, steps, ground_state(inst, win.s_plus)).ground_fidelity
         assert f_fwd == pytest.approx(f_rev, abs=1e-6)
+
+    @pytest.mark.parametrize("steps", CHUNK_EDGE_STEPS)
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    def test_matches_scalar_rk4(self, kind, steps):
+        inst, sched, psi0 = comparison_case(kind, steps)
+        out = evolve(inst, sched, steps, psi0)
+        x, y, drift = scalar_rk4(inst, sched, steps, psi0)
+        assert abs(out.final_state.amp_alpha - x) <= 1e-12
+        assert abs(out.final_state.amp_beta - y) <= 1e-12
+        assert abs(out.norm_drift - drift) <= 1e-12
+
+    @pytest.mark.parametrize("steps", CHUNK_EDGE_STEPS)
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    def test_chunk_stage_values_are_bit_identical(self, kind, steps):
+        _, sched, _ = comparison_case(kind, steps)
+        s_nodes, s_mids = schedule_stage_values(sched, steps)
+        for start in range(0, steps, _CHUNK_STEPS):
+            stop = min(start + _CHUNK_STEPS, steps)
+            chunk_nodes, chunk_mids = _chunk_stage_values(sched, steps, start, stop)
+            assert np.array_equal(chunk_nodes, s_nodes[start : stop + 1])
+            assert np.array_equal(chunk_mids, s_mids[start:stop])
 
     def test_norm_drift_exceeded_on_coarse_grid(self):
         inst = make_instance(64, 1)
