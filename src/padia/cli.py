@@ -3,15 +3,19 @@
 Exit codes are a stable contract for CI: 0 when everything passed, 1 when a
 bound check, certification, or integration failed, 2 on usage errors.
 Tables are emitted as CSV (default) or JSON; JSON documents put the rows
-under ``records`` and, for sweeps, the power-law fit under ``fit``.
+under ``records`` and, for sweeps, the power-law fit under ``fit``.  Every
+table is built and written column-wise; an ``--out`` regular file is
+replaced atomically.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import stat
 import sys
 from typing import Sequence
 
@@ -33,13 +37,14 @@ from .oracle import (
     certify_reduction,
     make_full_instance,
 )
-from .spectrum import bound_report, spectral_point
+from .spectrum import bound_report, spectral_columns
 from .sweeps import (
     DEFAULT_LOCAL_KNOTS,
     bound_reports_to_rows,
-    rows_to_csv,
+    columns_to_csv,
+    columns_to_json,
+    rows_to_columns,
     run_parallel,
-    spectral_points_to_rows,
     sweep,
     sweep_records_to_rows,
 )
@@ -112,21 +117,46 @@ def _resolve_workers(args: argparse.Namespace) -> int:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write to stdout, or to ``out_path``.
+
+    A regular file (or a path that does not exist yet) is replaced
+    atomically: the text goes to a temporary file beside the target, which
+    takes the target's permission bits and is then renamed over it, so a
+    failed write never leaves a truncated table.  Anything else (a device
+    such as ``/dev/stdout``, a FIFO, a process-substitution pipe) is opened
+    and written in place.
+    """
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    target = os.path.realpath(out_path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
+        return
+    directory, name = os.path.split(target)
+    tmp_path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp_path, "x", encoding="utf-8") as handle:
+            handle.write(text)
+        if mode is not None:
+            os.chmod(tmp_path, stat.S_IMODE(mode))
+        os.replace(tmp_path, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp_path)
+        raise
 
 
-def _emit_table(rows: list[dict], args: argparse.Namespace, extra: dict | None = None) -> None:
+def _emit_table(columns: dict, args: argparse.Namespace, extra: dict | None = None) -> None:
     if args.output == "json":
-        payload: dict = {"records": rows}
-        if extra:
-            payload.update(extra)
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(columns_to_json(columns, extra), args.out)
     else:
-        _emit(rows_to_csv(rows), args.out)
+        _emit(columns_to_csv(columns), args.out)
 
 
 def _divisors(n: int) -> list[int]:
@@ -161,9 +191,8 @@ def _build_schedule(instance, args):
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     instance = make_instance(args.n, args.m)
-    grid = np.linspace(0.0, 1.0, args.points)
-    points = [spectral_point(instance, float(s)) for s in grid]
-    _emit_table(spectral_points_to_rows(points), args)
+    columns = spectral_columns(instance, np.linspace(0.0, 1.0, args.points))
+    _emit_table(columns, args)
     return 0
 
 
@@ -178,7 +207,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     rows = bound_reports_to_rows(
         [(n, m, rep) for (n, m), rep in zip(cases, reports)]
     )
-    _emit_table(rows, args)
+    _emit_table(rows_to_columns(rows), args)
     violations = [
         (n, m, rep.failures) for (n, m), rep in zip(cases, reports) if not rep.all_bounds_hold
     ]
@@ -243,11 +272,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "r_squared": fit.r_squared,
         "axis": fit.axis,
     }
-    rows = sweep_records_to_rows(records)
+    columns = rows_to_columns(sweep_records_to_rows(records))
     if args.output == "json":
-        _emit_table(rows, args, extra={"fit": fit_payload})
+        _emit_table(columns, args, extra={"fit": fit_payload})
     else:
-        _emit_table(rows, args)
+        _emit_table(columns, args)
         print(
             f"fit [{fit.axis}]: slope={fit.slope:.6f} intercept={fit.intercept:.6f} "
             f"r_squared={fit.r_squared:.6f}",

@@ -268,7 +268,8 @@ def evolve(
     them in order by pairwise products and applies the product to the state.
 
     Raises NormDriftExceeded when the final norm strays from 1 by more than
-    NORM_DRIFT_LIMIT, the signature of an insufficient step count.
+    NORM_DRIFT_LIMIT, overflows or is NaN, the signature of an insufficient
+    step count.
     """
     if steps < 10:
         raise ValueError(f"need at least 10 steps, got {steps}")
@@ -282,9 +283,12 @@ def evolve(
         s_nodes, s_mids = _chunk_stage_values(schedule, steps, start, stop)
         r = _ordered_product(_step_matrices(instance.a, sqrt_ab, s_nodes, s_mids, dt))
         x, y = complex(r[0, 0] * x + r[0, 1] * y), complex(r[1, 0] * x + r[1, 1] * y)
-    norm = math.sqrt(abs(x) ** 2 + abs(y) ** 2)
+    try:
+        norm = math.sqrt(abs(x) ** 2 + abs(y) ** 2)
+    except OverflowError:  # the squares of a blown-up state overflow
+        norm = math.inf
     drift = abs(norm - 1.0)
-    if drift > NORM_DRIFT_LIMIT:
+    if not drift <= NORM_DRIFT_LIMIT:  # NaN fails this test too
         raise NormDriftExceeded(
             f"norm drifted by {drift:.3e} after {steps} steps over duration "
             f"{schedule.total_time:g}; increase steps"

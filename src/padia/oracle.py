@@ -234,7 +234,7 @@ def full_evolve(full: FullInstance, schedule: Schedule, steps: int) -> float:
         k4 = deriv(s_nodes[i + 1], psi + dt * k3)
         psi = psi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     drift = abs(float(np.linalg.norm(psi)) - 1.0)
-    if drift > NORM_DRIFT_LIMIT:
+    if not drift <= NORM_DRIFT_LIMIT:  # NaN fails this test too
         raise NormDriftExceeded(
             f"norm drifted by {drift:.3e} after {steps} steps over duration "
             f"{schedule.total_time:g}; increase steps"

@@ -10,6 +10,11 @@ identical, cancellation-free form
 
 The same care is applied to the eigenvector denominators 1-E and 1-s-E,
 which are rewritten so no difference of nearly equal quantities occurs.
+
+``spectral_point`` evaluates one s; ``spectral_columns`` evaluates a whole s
+grid as numpy columns with the same formulas in the same order, so every
+value is bit-identical to the scalar route.  Points where the formulas
+degenerate are filled from the scalar overlaps.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ __all__ = [
     "overlap_psi",
     "overlap_beta",
     "spectral_point",
+    "spectral_columns",
     "adiabatic_success_probability",
     "one_round_time",
     "expected_total_time",
@@ -93,6 +99,12 @@ def _check_s(s: float) -> None:
         raise ValueError(f"s must lie in [0, 1], got {s}")
 
 
+def _gap_array(instance: SearchInstance, s: np.ndarray) -> np.ndarray:
+    """``gap`` on an array of s values, elementwise bit-identical to it."""
+    u = 1.0 - 2.0 * s
+    return np.sqrt(u * u + 4.0 * s * (1.0 - s) * instance.b)
+
+
 def gap(instance: SearchInstance, s: float) -> float:
     """Spectral gap E(1,s) - E(0,s), in the cancellation-free form."""
     _check_s(s)
@@ -117,9 +129,7 @@ def min_gap(instance: SearchInstance, verify_points: int | None = None) -> tuple
     if verify_points is not None:
         if verify_points < 2:
             raise ValueError("verify_points must be at least 2")
-        grid = np.linspace(0.0, 1.0, verify_points)
-        u = 1.0 - 2.0 * grid
-        gaps = np.sqrt(u * u + 4.0 * grid * (1.0 - grid) * instance.b)
+        gaps = _gap_array(instance, np.linspace(0.0, 1.0, verify_points))
         smallest = float(gaps.min())
         if smallest < g_min - 1e-12:
             raise RuntimeError(
@@ -257,6 +267,51 @@ def spectral_point(instance: SearchInstance, s: float) -> SpectralPoint:
         ov_psi_0=overlap_psi(instance, s, 0),
         ov_beta_0=overlap_beta(instance, s, 0),
     )
+
+
+def spectral_columns(instance: SearchInstance, s_values) -> dict[str, np.ndarray]:
+    """``spectral_point`` over a 1-D grid of s values, as numpy columns.
+
+    Returns one float64 array per ``SpectralPoint`` field, keyed and ordered
+    by field name.  Every value is bit-identical to ``spectral_point``: the
+    formulas and their order of operations are the same, and the points
+    where the scalar code takes its fallback route (s in {0, 1}, a = 0, or a
+    denominator below _DENOMINATOR_FLOOR) are filled from the scalar
+    ``overlap_psi``/``overlap_beta``.  An s outside [0, 1] (or NaN) raises
+    ValueError, as ``spectral_point`` does.
+    """
+    s = np.array(s_values, dtype=np.float64)
+    if s.ndim != 1:
+        raise ValueError(f"s values must form a 1-D grid, got shape {s.shape}")
+    outside = ~((s >= 0.0) & (s <= 1.0))
+    if outside.any():
+        _check_s(float(s[np.argmax(outside)]))
+    a, b = instance.a, instance.b
+    g = _gap_array(instance, s)
+    e0 = 0.5 * (1.0 - g)
+    e1 = 0.5 * (1.0 + g)
+    # The k = 0 formula route of overlap_psi/overlap_beta, elementwise; the
+    # degenerate points it produces here are overwritten below.
+    with np.errstate(all="ignore"):
+        one_minus_s = 1.0 - s
+        u = 1.0 - 2.0 * s
+        d_e = e1  # 1 - E(0,s) = (1 + g)/2
+        small = 2.0 * s * one_minus_s * b / (g + np.abs(u))
+        d_se = np.where(u >= 0.0, 0.5 * (u + g), small)
+        ov_psi = 1.0 / (one_minus_s * one_minus_s * (a / (d_e * d_e) + b / (d_se * d_se)))
+        ratio = d_se / d_e
+        ov_beta = b / (ratio * ratio * a + b)
+    fallback = (
+        (a == 0.0)
+        | (s <= 0.0)
+        | (s >= 1.0)
+        | (np.minimum(np.abs(d_e), np.abs(d_se)) < _DENOMINATOR_FLOOR)
+    )
+    for i in np.flatnonzero(fallback):
+        s_i = float(s[i])
+        ov_psi[i] = overlap_psi(instance, s_i, 0)
+        ov_beta[i] = overlap_beta(instance, s_i, 0)
+    return {"s": s, "e0": e0, "e1": e1, "gap": g, "ov_psi_0": ov_psi, "ov_beta_0": ov_beta}
 
 
 def adiabatic_success_probability(instance: SearchInstance) -> float:

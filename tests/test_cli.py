@@ -2,11 +2,22 @@
 
 import csv
 import json
+import os
+import stat
+import threading
 
+import numpy as np
 import pytest
 
 from padia import cli
-from padia.spectrum import BoundReport
+from padia.model import make_instance
+from padia.spectrum import BoundReport, bound_report, spectral_point
+from padia.sweeps import (
+    bound_reports_to_rows,
+    spectral_points_to_rows,
+    sweep,
+    sweep_records_to_rows,
+)
 
 
 def run_cli(args):
@@ -16,6 +27,23 @@ def run_cli(args):
 def read_csv(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def reference_table(rows, fmt, extra=None):
+    """A table as the row-by-row writers rendered it before the column writers."""
+    if fmt == "json":
+        return json.dumps({"records": rows, **(extra or {})}, indent=2) + "\n"
+
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+    header = list(rows[0])
+    lines = [",".join(header)] + [",".join(cell(row[k]) for k in header) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 class TestSpectrumCommand:
@@ -49,6 +77,105 @@ class TestSpectrumCommand:
     def test_invalid_instance_is_usage_error(self, capsys):
         assert run_cli(["spectrum", "--n", "4", "--m", "9"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestTableBytes:
+    """Every table matches the scalar, row-by-row rendering byte for byte."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n, m, points", [
+        (2, 1, 2), (2, 2, 5), (7, 7, 11), (64, 1, 2), (64, 1, 101), (2**60, 1, 33),
+    ])
+    def test_spectrum(self, n, m, points, fmt, capsys):
+        inst = make_instance(n, m)
+        grid = np.linspace(0.0, 1.0, points)
+        rows = spectral_points_to_rows(spectral_point(inst, float(s)) for s in grid)
+        assert run_cli(["spectrum", "--n", str(n), "--m", str(m), "--points", str(points),
+                        "--output", fmt]) == 0
+        assert capsys.readouterr().out == reference_table(rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bounds(self, fmt, capsys):
+        cases = [(n, m) for n in (4, 16, 64) for m in range(1, n + 1) if n % m == 0]
+        rows = bound_reports_to_rows(
+            [(n, m, bound_report(make_instance(n, m))) for n, m in cases]
+        )
+        assert run_cli(["bounds", "--n-list", "4,16,64", "--m-rule", "all-divisors",
+                        "--output", fmt]) == 0
+        assert capsys.readouterr().out == reference_table(rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_with_fit(self, fmt, capsys):
+        grid = [64, 128, 256, 512, 1024]
+        records, fit = sweep("n", 1, grid)
+        fit_payload = {"slope": fit.slope, "intercept": fit.intercept,
+                       "r_squared": fit.r_squared, "axis": fit.axis}
+        extra = {"fit": fit_payload} if fmt == "json" else None
+        assert run_cli(["sweep", "--axis", "n", "--fixed", "1", "--grid",
+                        ",".join(map(str, grid)), "--output", fmt]) == 0
+        assert capsys.readouterr().out == reference_table(
+            sweep_records_to_rows(records), fmt, extra
+        )
+
+
+class TestAtomicOut:
+    def test_failed_run_keeps_existing_file(self, tmp_path):
+        out = tmp_path / "table.csv"
+        out.write_text("previous\n")
+        assert run_cli(["spectrum", "--n", "4", "--m", "9", "--out", str(out)]) == 2
+        assert out.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["table.csv"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "table.csv"
+        out.write_text("previous\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            run_cli(["spectrum", "--n", "4", "--m", "1", "--out", str(out)])
+        assert out.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["table.csv"]
+
+    def test_success_replaces_file(self, tmp_path, capsys):
+        out = tmp_path / "table.json"
+        out.write_text("previous\n")
+        args = ["spectrum", "--n", "16", "--m", "2", "--points", "9", "--output", "json"]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        assert run_cli(args) == 0
+        assert out.read_text() == capsys.readouterr().out
+        assert os.listdir(tmp_path) == ["table.json"]
+
+    def test_replacement_keeps_permission_bits(self, tmp_path):
+        out = tmp_path / "table.csv"
+        out.write_text("previous\n")
+        os.chmod(out, 0o640)
+        assert run_cli(["spectrum", "--n", "4", "--m", "1", "--out", str(out)]) == 0
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o640
+        assert out.read_text().startswith("s,")
+
+    def test_device_is_written_in_place(self):
+        assert run_cli(["spectrum", "--n", "4", "--m", "1", "--out", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_is_written_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "table.pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        args = ["spectrum", "--n", "16", "--m", "2", "--points", "9"]
+        try:
+            assert run_cli(args + ["--out", str(fifo)]) == 0
+        finally:
+            reader.join(timeout=10)
+        assert run_cli(args) == 0
+        assert received == [capsys.readouterr().out]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["table.pipe"]
 
 
 class TestBoundsCommand:
@@ -105,6 +232,13 @@ class TestEvolveCommand:
 
     def test_norm_drift_exit_code(self, capsys):
         assert run_cli(["evolve", "--n", "64", "--m", "1", "--c", "64",
+                        "--steps", "10"]) == 1
+        assert "norm drifted" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_nan_state_exit_code(self, capsys):
+        assert run_cli(["evolve", "--n", "64", "--m", "1", "--c", "1e9",
                         "--steps", "10"]) == 1
         assert "norm drifted" in capsys.readouterr().err
 

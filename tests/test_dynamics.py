@@ -347,6 +347,16 @@ class TestEvolve:
         with pytest.raises(NormDriftExceeded):
             evolve(inst, sched, 10, initial_state(inst))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("c", [1e6, 1e9])
+    def test_blown_up_state_raises_norm_drift(self, c):
+        # 1e6: the squared amplitudes overflow; 1e9: the state turns NaN.
+        inst = make_instance(64, 1)
+        sched = make_partial_schedule(inst, c)
+        with pytest.raises(NormDriftExceeded):
+            evolve(inst, sched, 10, initial_state(inst))
+
     def test_validations(self):
         inst = make_instance(4, 1)
         sched = make_partial_schedule(inst, 1.0)

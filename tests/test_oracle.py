@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from padia.dynamics import make_partial_schedule, run_round
+from padia.dynamics import NormDriftExceeded, make_partial_schedule, run_round
 from padia.model import NonEmptyMarkedSetRequired, make_instance
 from padia.oracle import (
     CapacityExceeded,
@@ -158,3 +158,11 @@ class TestFullEvolve:
         sched = make_partial_schedule(full.reduced(), 1.0)
         with pytest.raises(CapacityExceeded):
             full_evolve(full, sched, 1000)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_nan_state_raises_norm_drift(self):
+        full = make_full_instance(16, [0])
+        sched = make_partial_schedule(full.reduced(), 1e9)
+        with pytest.raises(NormDriftExceeded):
+            full_evolve(full, sched, 10)

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from padia.model import evolution_window, make_instance
 from padia.oracle import dense_spectrum, make_full_instance, marked_vector, uniform_vector
+from padia import spectrum
 from padia.spectrum import (
+    SpectralPoint,
     adiabatic_success_probability,
     bound_report,
     eigenvalues,
@@ -25,6 +27,7 @@ from padia.spectrum import (
     one_round_time,
     overlap_beta,
     overlap_psi,
+    spectral_columns,
     spectral_point,
 )
 
@@ -150,6 +153,11 @@ class TestMinGap:
         with pytest.raises(ValueError):
             min_gap(make_instance(4, 1), verify_points=1)
 
+    def test_scan_uses_the_array_gap(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "_gap_array", lambda instance, s: s * 0.0)
+        with pytest.raises(RuntimeError):
+            min_gap(make_instance(1024, 4), verify_points=11)
+
 
 class TestEigenvectors:
     def test_hand_solved_ground_state(self):
@@ -239,6 +247,54 @@ class TestOverlaps:
         assert point.gap == pytest.approx(0.1, abs=1e-15)
         assert point.e0 + point.e1 == pytest.approx(1.0, abs=1e-14)
         assert point.ov_psi_0 == pytest.approx(point.ov_beta_0, rel=1e-9)
+
+
+@st.composite
+def edge_instances(draw):
+    """Instances weighted towards the extremes: b down to 2^-60 and M = N."""
+    n = draw(st.one_of(
+        st.integers(min_value=2, max_value=64),
+        st.integers(min_value=2, max_value=N_MAX),
+        st.sampled_from([2**40, 2**60]),
+    ))
+    m = draw(st.one_of(st.just(1), st.just(n), st.integers(min_value=1, max_value=n)))
+    return make_instance(n, m)
+
+
+# s values where the formula route is at its edges: the endpoints, the
+# smallest subnormal and normal numbers, and the neighbours of 1/2 and 1.
+EDGE_S = [0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-300,
+          math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0)]
+
+
+def same_bits(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+class TestSpectralColumns:
+    @given(edge_instances(), st.integers(min_value=2, max_value=200),
+           st.lists(unit_interval, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_spectral_point(self, inst, points, extra):
+        window = evolution_window(inst)
+        grid = np.concatenate(
+            [np.linspace(0.0, 1.0, points), [window.s_minus, window.s_plus], EDGE_S, extra]
+        )
+        columns = spectral_columns(inst, grid)
+        assert list(columns) == list(SpectralPoint.__dataclass_fields__)
+        for i, s in enumerate(grid):
+            point = spectral_point(inst, float(s))
+            for field, column in columns.items():
+                assert same_bits(getattr(point, field), column[i]), (field, s)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, -math.inf, math.nan])
+    def test_rejects_s_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match="s must lie in"):
+            spectral_columns(make_instance(4, 1), [0.5, bad])
+
+    def test_rejects_non_flat_grid(self):
+        with pytest.raises(ValueError):
+            spectral_columns(make_instance(4, 1), [[0.5]])
 
 
 class TestRoundQuantities:

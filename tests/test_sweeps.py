@@ -5,19 +5,91 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padia.model import make_instance
 from padia.spectrum import adiabatic_success_probability, one_round_time
 from padia.sweeps import (
     SWEEP_CSV_HEADER,
     DegenerateFit,
+    columns_to_csv,
+    columns_to_json,
     fit_loglog,
     make_sweep_record,
+    rows_to_columns,
     rows_to_csv,
     run_parallel,
     sweep,
     sweep_records_to_rows,
 )
+
+
+def reference_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def reference_csv(rows) -> str:
+    """The row-by-row, cell-by-cell CSV loop the column writer replaced."""
+    if not rows:
+        return ""
+    header = list(rows[0].keys())
+    lines = [",".join(header)]
+    lines.extend(",".join(reference_cell(row[key]) for key in header) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(rows, extra=None) -> str:
+    payload = {"records": rows}
+    if extra:
+        payload.update(extra)
+    return json.dumps(payload, indent=2) + "\n"
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                  2.2250738585072014e-308, 1e-310, 1.7976931348623157e308]
+any_floats = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-2**70, max_value=2**70), any_floats,
+    st.text(max_size=5),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+cells = st.one_of(json_scalars, st.lists(json_scalars, max_size=2),
+                  st.dictionaries(st.text(max_size=3), json_scalars, max_size=2))
+keys = st.one_of(st.text(max_size=6), st.sampled_from(["%", "%r", "100%s", 'q"t', "\u00e9"]))
+COLUMN_KINDS = {
+    "float": any_floats,
+    "finite": st.floats(allow_nan=False, allow_infinity=False),
+    "mixed": cells,
+}
+
+
+@st.composite
+def tables(draw):
+    """(columns, rows): the same table column-wise and as row dicts."""
+    names = draw(st.lists(keys, min_size=1, max_size=5, unique=True))
+    n_rows = draw(st.sampled_from([0, 1, draw(st.integers(min_value=2, max_value=12))]))
+    columns = {}
+    for name in names:
+        values = COLUMN_KINDS[draw(st.sampled_from(sorted(COLUMN_KINDS)))]
+        columns[name] = draw(st.lists(values, min_size=n_rows, max_size=n_rows))
+    rows = [{name: columns[name][i] for name in names} for i in range(n_rows)]
+    return columns, rows
+
+
+extras = st.dictionaries(keys.filter(lambda k: k != "records"), json_values, max_size=3)
 
 
 class TestFitLogLog:
@@ -152,3 +224,47 @@ class TestEmission:
 
     def test_empty_rows(self):
         assert rows_to_csv([]) == ""
+
+    @given(tables())
+    @settings(max_examples=300, deadline=None)
+    def test_csv_writer_matches_row_loop(self, table):
+        columns, rows = table
+        assert columns_to_csv(columns) == reference_csv(rows)
+        assert rows_to_csv(rows) == reference_csv(rows)
+
+    @given(tables(), extras)
+    @settings(max_examples=300, deadline=None)
+    def test_json_writer_matches_json_dumps(self, table, extra):
+        columns, rows = table
+        assert columns_to_json(columns, extra) == reference_json(rows, extra)
+        assert columns_to_json(rows_to_columns(rows)) == reference_json(rows)
+
+    @given(st.lists(any_floats, max_size=12), st.lists(any_floats, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_numpy_columns_match_python_floats(self, xs, ys):
+        n = min(len(xs), len(ys))
+        columns = {"x": np.array(xs[:n]), "y": np.array(ys[:n])}
+        rows = [{"x": x, "y": y} for x, y in zip(xs[:n], ys[:n])]
+        assert columns_to_csv(columns) == reference_csv(rows)
+        assert columns_to_json(columns) == reference_json(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [{"s": -0.0, "flag": True, "n": 3, "label": "x", "none": None}],
+        [{"v": math.nan, "w": 5e-324}, {"v": math.inf, "w": -math.inf}],
+    ])
+    def test_small_tables(self, rows):
+        extra = {"fit": {"slope": -0.5, "axis": "log t vs log n"}}
+        assert columns_to_csv(rows_to_columns(rows)) == reference_csv(rows)
+        assert columns_to_json(rows_to_columns(rows), extra) == reference_json(rows, extra)
+
+    def test_sweep_table_with_fit(self):
+        records, fit = sweep("n", 1, [64, 128, 256, 512, 1024])
+        rows = sweep_records_to_rows(records)
+        extra = {"fit": {"slope": fit.slope, "intercept": fit.intercept,
+                         "r_squared": fit.r_squared, "axis": fit.axis}}
+        assert columns_to_json(rows_to_columns(rows), extra) == reference_json(rows, extra)
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError):
+            columns_to_csv({"a": [1.0, 2.0], "b": [1.0]})
