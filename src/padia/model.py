@@ -12,6 +12,7 @@ data and the exact 2x2 restriction everything else consumes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
@@ -91,10 +92,19 @@ class ReducedState:
 def make_instance(n_items: int, n_marked: int) -> SearchInstance:
     """Validate (N, M) and derive the squared overlaps a = (N-M)/N, b = M/N.
 
-    The marked set must be nonempty (1 <= M <= N) and there must be at least
-    two items.  Integers up to 2**63 - 1 are handled exactly; a and b are the
-    correctly rounded ratios.
+    Both must be integers (any ``numbers.Integral`` except ``bool``; numpy
+    integers are taken as Python ints), the marked set must be nonempty
+    (1 <= M <= N) and there must be at least two items.  Integers up to
+    2**63 - 1 are handled exactly; a and b are the correctly rounded ratios.
     """
+    for name, value in (("N", n_items), ("M", n_marked)):
+        # A plain int skips the ABC check, the slow part of this test.
+        if type(value) is not int and (
+            isinstance(value, bool) or not isinstance(value, numbers.Integral)
+        ):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    # Python ints keep the ratios below correctly rounded for numpy integers.
+    n_items, n_marked = int(n_items), int(n_marked)
     if n_marked == 0:
         raise NonEmptyMarkedSetRequired("the marked set must not be empty (need M >= 1)")
     if n_items < 2:

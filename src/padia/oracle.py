@@ -4,11 +4,27 @@ Everything here works with the explicit N x N Hamiltonian
 
     H(s)[x, y] = delta_xy - (1-s)/N - s * [x in S][y in S] / M
 
-built from an explicit marked set S, diagonalizes or evolves it without using
-the subspace structure, and compares against the closed-form module.  This is
-deliberately brute force: the point is certification at desk scale, not
-performance, so capacities are capped (N <= 4096 for diagonalization,
-N <= 512 for dynamics).
+built from an explicit marked set S, and solves or evolves it without using
+the subspace structure:
+
+* ``dense_spectrum`` runs a full eigendecomposition and checks every
+  eigenpair's residual.
+* ``certify_reduction`` takes all eigenvalues from an eigenvalues-only
+  LAPACK solve and the ground vector from one step of shifted inverse
+  iteration on H(s), started from a fixed positive pseudo-random vector
+  rather than from |Psi> or |beta>.  The vector is accepted only when its
+  residual, divided by the dense gap, bounds its angle to the true ground
+  vector below _RESIDUAL_TOL.  Nothing in either solve knows that the
+  interesting dynamics lives in a plane, so comparing them with the
+  closed-form module is still an independent check.
+* ``full_evolve`` integrates the N-dimensional Schroedinger equation with
+  the same RK4 as the reduced model.  H(s) is real, so the state is kept as
+  two real rows (its real and imaginary parts) and each RK4 stage is one
+  real product with the dense matrices.
+
+This is deliberately brute force: the point is certification at desk scale,
+so capacities are capped (N <= 4096 for diagonalization, N <= 512 for
+dynamics).
 """
 
 from __future__ import annotations
@@ -21,7 +37,7 @@ import numpy as np
 
 from .dynamics import NORM_DRIFT_LIMIT, NormDriftExceeded, Schedule, schedule_stage_values
 from .model import NonEmptyMarkedSetRequired, SearchInstance, make_instance
-from .spectrum import eigenvalues, gap, overlap_beta, overlap_psi
+from .spectrum import spectral_columns
 
 __all__ = [
     "DIAGONALIZATION_CAP",
@@ -40,9 +56,21 @@ __all__ = [
 DIAGONALIZATION_CAP = 4096
 DYNAMICS_CAP = 512
 
-# Worst acceptable eigen-residual ||H v - e v|| relative to ||H||; LAPACK
-# lands orders of magnitude below this at the capped sizes.
+# Worst acceptable eigen-residual ||H v - e v|| relative to ||H|| for
+# dense_spectrum, and worst acceptable residual-over-gap bound on the angle
+# of certify's ground vector; both land orders of magnitude below this at
+# the capped sizes.
 _RESIDUAL_TOL = 1e-9
+
+# Inverse iteration solves (H - (e0 - _INVERSE_SHIFT) I) x = x0.  The
+# spectrum lies in [0, 1], so an absolute shift serves every instance: one
+# solve leaves the excited components of x0 at about _INVERSE_SHIFT / gap of
+# the ground one, while a shift near 1e-15 lets LU meet an exactly singular
+# pivot on small instances.
+_INVERSE_SHIFT = 1e-14
+
+# Seed of the inverse-iteration start vector (see _start_vector).
+_START_SEED = 2010
 
 
 class CapacityExceeded(ValueError):
@@ -146,18 +174,55 @@ def dense_spectrum(full: FullInstance, s: float) -> DenseSpectrum:
     )
 
 
-def _stacked_eigh(full: FullInstance, s_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh over a whole s grid at once, chunked to bound memory."""
+def _start_vector(n_items: int) -> np.ndarray:
+    """The fixed, strictly positive pseudo-random start of inverse iteration.
+
+    H(s) has no positive off-diagonal entry, so by Perron-Frobenius its
+    ground vector is nonnegative and a strictly positive start overlaps it.
+    Being neither |Psi> nor |beta>, the start also carries components
+    outside their span, so the solve cannot inherit the reduction.
+    """
+    return np.random.default_rng(_START_SEED).uniform(1.0, 2.0, n_items)
+
+
+def _stacked_ground(full: FullInstance, s_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues (ascending) and the unit ground vector of H(s) over an
+    s grid, chunked to bound memory.
+
+    The eigenvalues come from an eigenvalues-only solve of the stacked dense
+    matrices, the ground vectors from one shifted inverse-iteration solve per
+    s.  Raises ConvergenceFailure when LAPACK fails or when a ground vector's
+    residual ||H x - e0 x|| divided by the dense gap e1 - e0, which bounds
+    the sine of its angle to the true ground vector, exceeds _RESIDUAL_TOL.
+    """
     n = full.n_items
     values = np.empty((len(s_grid), n))
     ground = np.empty((len(s_grid), n))
+    start_vector = _start_vector(n)[:, None]
     chunk = max(1, int(2_000_000 // (n * n)))
     for start in range(0, len(s_grid), chunk):
         block = s_grid[start : start + chunk]
         stack = np.stack([full_hamiltonian(full, float(s)) for s in block])
-        w, v = np.linalg.eigh(stack)
+        diagonal = stack.reshape(len(block), n * n)[:, :: n + 1]  # a view
+        h_diagonal = diagonal.copy()
+        try:
+            w = np.linalg.eigvalsh(stack)
+            diagonal -= (w[:, 0] - _INVERSE_SHIFT)[:, None]
+            x = np.linalg.solve(stack, start_vector)[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"dense solve failed for N={n}: {exc}") from exc
+        diagonal[...] = h_diagonal
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        residual = np.linalg.norm((stack @ x[..., None])[..., 0] - w[:, :1] * x, axis=1)
+        angle_bound = residual / (w[:, 1] - w[:, 0])
+        if not np.all(angle_bound <= _RESIDUAL_TOL):  # NaN fails this test too
+            worst = int(np.argmax(np.nan_to_num(angle_bound, nan=np.inf)))
+            raise ConvergenceFailure(
+                f"ground vector for N={n} at s={float(block[worst])}: residual/gap "
+                f"{angle_bound[worst]:.3e} exceeds {_RESIDUAL_TOL:.0e}"
+            )
         values[start : start + len(block)] = w
-        ground[start : start + len(block)] = v[:, :, 0]
+        ground[start : start + len(block)] = x
     return values, ground
 
 
@@ -170,34 +235,17 @@ def certify_reduction(full: FullInstance, s_grid: Sequence[float]) -> float:
     s_values = np.asarray(list(s_grid), dtype=float)
     if s_values.size == 0:
         raise ValueError("s_grid must not be empty")
-    reduced = full.reduced()
-    psi = uniform_vector(full)
-    beta = marked_vector(full)
-    values, ground = _stacked_eigh(full, s_values)
-    worst = 0.0
-    for i, s in enumerate(s_values):
-        s = float(s)
-        e0, e1 = eigenvalues(reduced, s)
-        v0 = ground[i]
-        dense_quartet = (
-            values[i, 0],
-            values[i, 1],
-            values[i, 1] - values[i, 0],
-            float(psi @ v0) ** 2,
-            float(beta @ v0) ** 2,
-        )
-        closed_quartet = (
-            e0,
-            e1,
-            gap(reduced, s),
-            overlap_psi(reduced, s, 0),
-            overlap_beta(reduced, s, 0),
-        )
-        worst = max(
-            worst,
-            max(abs(d - c) for d, c in zip(dense_quartet, closed_quartet)),
-        )
-    return worst
+    closed = spectral_columns(full.reduced(), s_values)
+    values, ground = _stacked_ground(full, s_values)
+    dense = np.stack([
+        values[:, 0],
+        values[:, 1],
+        values[:, 1] - values[:, 0],
+        (ground @ uniform_vector(full)) ** 2,
+        (ground @ marked_vector(full)) ** 2,
+    ])
+    closed_form = np.stack([closed[k] for k in ("e0", "e1", "gap", "ov_psi_0", "ov_beta_0")])
+    return float(np.max(np.abs(dense - closed_form)))
 
 
 def full_evolve(full: FullInstance, schedule: Schedule, steps: int) -> float:
@@ -214,30 +262,39 @@ def full_evolve(full: FullInstance, schedule: Schedule, steps: int) -> float:
     if steps < 10:
         raise ValueError(f"need at least 10 steps, got {steps}")
     n = full.n_items
-    # H(s) = c0 + s * c1 with both pieces dense; evaluating the derivative as
-    # c0 @ psi + s * (c1 @ psi) avoids rebuilding N x N matrices every stage.
-    # Both are cast to complex once: a float64 @ complex128 matvec would
-    # upcast the whole N x N matrix on every call.
-    c0 = full_hamiltonian(full, 0.0).astype(complex)
-    c1 = full_hamiltonian(full, 1.0).astype(complex) - c0
+    # H(s) = c0 + s * c1 is real, so the state is kept as the real rows
+    # X = (Re psi, Im psi), and -i H psi becomes dX/dt = (H Im psi, -H Re psi).
+    # With Y = (Im psi, -Re psi) that is Y H(s) = [Y | s Y] @ [c0 ; c1] (H is
+    # symmetric), one real product per stage; [Y | s Y] is filled in place.
+    c0 = full_hamiltonian(full, 0.0)
+    c01 = np.vstack([c0, full_hamiltonian(full, 1.0) - c0])
+    row_sign = np.array([[1.0], [-1.0]])
+    stacked = np.empty((2, 2 * n))
+    y, sy = stacked[:, :n], stacked[:, n:]
 
-    def deriv(s: float, psi: np.ndarray) -> np.ndarray:
-        return -1j * (c0 @ psi + s * (c1 @ psi))
+    def deriv(s: float, x: np.ndarray) -> np.ndarray:
+        np.multiply(x[::-1], row_sign, out=y)
+        np.multiply(y, s, out=sy)
+        return stacked @ c01
 
     s_nodes, s_mids = schedule_stage_values(schedule, steps)
+    nodes, mids = s_nodes.tolist(), s_mids.tolist()
     dt = schedule.total_time / steps
-    psi = uniform_vector(full).astype(complex)
-    for i in range(steps):
-        k1 = deriv(s_nodes[i], psi)
-        k2 = deriv(s_mids[i], psi + 0.5 * dt * k1)
-        k3 = deriv(s_mids[i], psi + 0.5 * dt * k2)
-        k4 = deriv(s_nodes[i + 1], psi + dt * k3)
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    drift = abs(float(np.linalg.norm(psi)) - 1.0)
+    x = np.zeros((2, n))
+    x[0] = uniform_vector(full)
+    # A blown-up state overflows to inf/NaN; the norm guard reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            k1 = deriv(nodes[i], x)
+            k2 = deriv(mids[i], x + 0.5 * dt * k1)
+            k3 = deriv(mids[i], x + 0.5 * dt * k2)
+            k4 = deriv(nodes[i + 1], x + dt * k3)
+            x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        drift = abs(float(np.linalg.norm(x)) - 1.0)
     if not drift <= NORM_DRIFT_LIMIT:  # NaN fails this test too
         raise NormDriftExceeded(
             f"norm drifted by {drift:.3e} after {steps} steps over duration "
             f"{schedule.total_time:g}; increase steps"
         )
     marked = sorted(full.marked_set)
-    return float(np.sum(np.abs(psi[marked]) ** 2))
+    return float(np.sum(x[:, marked] ** 2))

@@ -14,7 +14,8 @@ which are rewritten so no difference of nearly equal quantities occurs.
 ``spectral_point`` evaluates one s; ``spectral_columns`` evaluates a whole s
 grid as numpy columns with the same formulas in the same order, so every
 value is bit-identical to the scalar route.  Points where the formulas
-degenerate are filled from the scalar overlaps.
+degenerate are filled from the scalar overlaps, or, when every item is
+marked, from the constant 1.0 the scalar route returns there.
 """
 
 from __future__ import annotations
@@ -274,11 +275,12 @@ def spectral_columns(instance: SearchInstance, s_values) -> dict[str, np.ndarray
 
     Returns one float64 array per ``SpectralPoint`` field, keyed and ordered
     by field name.  Every value is bit-identical to ``spectral_point``: the
-    formulas and their order of operations are the same, and the points
-    where the scalar code takes its fallback route (s in {0, 1}, a = 0, or a
-    denominator below _DENOMINATOR_FLOOR) are filled from the scalar
-    ``overlap_psi``/``overlap_beta``.  An s outside [0, 1] (or NaN) raises
-    ValueError, as ``spectral_point`` does.
+    formulas and their order of operations are the same.  When every item
+    is marked (a = 0) both overlaps are the constant 1.0 the scalar fallback
+    returns; the other points where the scalar code takes its fallback route
+    (s in {0, 1}, or a denominator below _DENOMINATOR_FLOOR) are filled from
+    the scalar ``overlap_psi``/``overlap_beta``.  An s outside [0, 1] (or
+    NaN) raises ValueError, as ``spectral_point`` does.
     """
     s = np.array(s_values, dtype=np.float64)
     if s.ndim != 1:
@@ -301,16 +303,21 @@ def spectral_columns(instance: SearchInstance, s_values) -> dict[str, np.ndarray
         ov_psi = 1.0 / (one_minus_s * one_minus_s * (a / (d_e * d_e) + b / (d_se * d_se)))
         ratio = d_se / d_e
         ov_beta = b / (ratio * ratio * a + b)
-    fallback = (
-        (a == 0.0)
-        | (s <= 0.0)
-        | (s >= 1.0)
-        | (np.minimum(np.abs(d_e), np.abs(d_se)) < _DENOMINATOR_FLOOR)
-    )
-    for i in np.flatnonzero(fallback):
-        s_i = float(s[i])
-        ov_psi[i] = overlap_psi(instance, s_i, 0)
-        ov_beta[i] = overlap_beta(instance, s_i, 0)
+    if a == 0.0:
+        # Every item is marked, so Psi = beta is the ground state at every s;
+        # the scalar route (_direct_eigenvector) returns exactly 1.0 for both.
+        ov_psi.fill(1.0)
+        ov_beta.fill(1.0)
+    else:
+        fallback = (
+            (s <= 0.0)
+            | (s >= 1.0)
+            | (np.minimum(np.abs(d_e), np.abs(d_se)) < _DENOMINATOR_FLOOR)
+        )
+        for i in np.flatnonzero(fallback):
+            s_i = float(s[i])
+            ov_psi[i] = overlap_psi(instance, s_i, 0)
+            ov_beta[i] = overlap_beta(instance, s_i, 0)
     return {"s": s, "e0": e0, "e1": e1, "gap": g, "ov_psi_0": ov_psi, "ov_beta_0": ov_beta}
 
 

@@ -4,6 +4,8 @@ import csv
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -241,6 +243,22 @@ class TestEvolveCommand:
         assert run_cli(["evolve", "--n", "64", "--m", "1", "--c", "1e9",
                         "--steps", "10"]) == 1
         assert "norm drifted" in capsys.readouterr().err
+
+    def test_blown_up_run_prints_only_the_error(self):
+        # numpy warnings go to the real stderr of a fresh process, which the
+        # in-process capture above would not show.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "padia", "evolve", "--n", "64", "--m", "1",
+             "--c", "1e9", "--steps", "10"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 1
+        assert result.stderr == (
+            "error: norm drifted by nan after 10 steps over duration 8e+09; increase steps\n"
+        )
 
     def test_rejects_bad_numeric_flag(self):
         with pytest.raises(SystemExit) as exc:

@@ -357,6 +357,13 @@ class TestEvolve:
         with pytest.raises(NormDriftExceeded):
             evolve(inst, sched, 10, initial_state(inst))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [1e6, 1e9])
+    def test_blown_up_state_warns_nothing(self, c):
+        inst = make_instance(64, 1)
+        with pytest.raises(NormDriftExceeded):
+            evolve(inst, make_partial_schedule(inst, c), 10, initial_state(inst))
+
     def test_validations(self):
         inst = make_instance(4, 1)
         sched = make_partial_schedule(inst, 1.0)

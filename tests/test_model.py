@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +55,26 @@ class TestMakeInstance:
     def test_negative_marked_rejected(self):
         with pytest.raises(ValueError):
             make_instance(4, -1)
+
+    @given(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.booleans(),
+        st.text(max_size=3),
+        st.none(),
+    ), st.booleans())
+    def test_non_integer_sizes_rejected(self, bad, as_marked):
+        args = (8, bad) if as_marked else (bad, 1)
+        with pytest.raises(ValueError, match="must be an integer"):
+            make_instance(*args)
+
+    @given(st.integers(min_value=2, max_value=3 * 2**62), st.data())
+    def test_integer_types_accepted(self, n, data):
+        m = data.draw(st.integers(min_value=1, max_value=n))
+        inst = make_instance(n, m)
+        assert (inst.n_items, inst.n_marked) == (n, m)
+        assert make_instance(np.uint64(n), np.uint64(m)) == inst
+        if n < 2**63:
+            assert make_instance(np.int64(n), np.int8(1)) == make_instance(n, 1)
 
     @given(instances())
     def test_ratios_reproducible_and_complementary(self, inst):

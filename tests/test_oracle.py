@@ -1,13 +1,25 @@
 """Dense full-space Hamiltonian, diagonalization, and dynamics cross-checks."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padia.dynamics import NormDriftExceeded, make_partial_schedule, run_round
+from padia.dynamics import (
+    NormDriftExceeded,
+    make_global_schedule,
+    make_partial_schedule,
+    run_round,
+    schedule_stage_values,
+)
 from padia.model import NonEmptyMarkedSetRequired, make_instance
 from padia.oracle import (
     CapacityExceeded,
     ConvergenceFailure,
+    _stacked_ground,
+    _start_vector,
     certify_reduction,
     dense_spectrum,
     full_evolve,
@@ -115,6 +127,59 @@ class TestDenseSpectrum:
             dense_spectrum(make_full_instance(4, {0}), 0.5)
 
 
+@st.composite
+def full_instances(draw):
+    """Dense instances up to N = 256, weighted towards M = 1 and M = N, with
+    the marked block rotated to any position."""
+    n = draw(st.integers(min_value=2, max_value=256))
+    m = draw(st.one_of(st.just(1), st.just(n), st.integers(min_value=1, max_value=n)))
+    shift = draw(st.integers(min_value=0, max_value=n - 1))
+    return make_full_instance(n, {(shift + k) % n for k in range(m)})
+
+
+class TestStackedGround:
+    @given(full_instances(), st.one_of(st.sampled_from([0.0, 1.0, 0.5]),
+                                       st.floats(min_value=0.0, max_value=1.0)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_eigendecomposition(self, full, s):
+        values, ground = _stacked_ground(full, np.array([s]))
+        w, v = np.linalg.eigh(full_hamiltonian(full, s))
+        assert np.allclose(values[0], w, rtol=0.0, atol=1e-12)
+        assert np.linalg.norm(ground[0]) == pytest.approx(1.0, abs=1e-14)
+        for state in (uniform_vector(full), marked_vector(full)):
+            assert (ground[0] @ state) ** 2 == pytest.approx((v[:, 0] @ state) ** 2, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 17, 256, 4096])
+    def test_start_vector_is_positive_and_leaves_the_plane(self, n):
+        start = _start_vector(n)
+        assert np.all(start > 0.0)
+        for m in sorted({1, math.isqrt(n), n // 2, n - 1, n}):
+            full = make_full_instance(n, range(m))
+            plane = np.column_stack([uniform_vector(full), marked_vector(full)])
+            coefficients = np.linalg.lstsq(plane, start, rcond=None)[0]
+            outside = np.linalg.norm(start - plane @ coefficients)
+            assert outside > 0.05 * np.linalg.norm(start)
+
+    @pytest.mark.parametrize("routine", ["eigvalsh", "solve"])
+    def test_lapack_failure_surfaces(self, monkeypatch, routine):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, routine, broken)
+        with pytest.raises(ConvergenceFailure):
+            certify_reduction(make_full_instance(8, {2}), [0.25, 0.5])
+
+    def test_unconverged_vector_is_refused(self, monkeypatch):
+        # A "solve" that returns its right-hand side leaves the start vector,
+        # whose residual is far above tolerance.
+        def no_solve(matrix, rhs):
+            return np.broadcast_to(rhs, matrix.shape[:-1] + rhs.shape[-1:]).copy()
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        with pytest.raises(ConvergenceFailure, match="residual/gap"):
+            certify_reduction(make_full_instance(8, {2}), [0.25, 0.5])
+
+
 class TestCertifyReduction:
     def test_small_instance(self):
         worst = certify_reduction(make_full_instance(4, {3}), np.linspace(0, 1, 21))
@@ -133,7 +198,43 @@ class TestCertifyReduction:
             certify_reduction(make_full_instance(4, {0}), [])
 
 
+def complex_full_evolve(full, schedule, steps):
+    """Reference: the dense RK4 on a complex state, two complex matvecs per
+    stage, as full_evolve computed it before its real two-row layout."""
+    c0 = full_hamiltonian(full, 0.0).astype(complex)
+    c1 = full_hamiltonian(full, 1.0).astype(complex) - c0
+
+    def deriv(s, psi):
+        return -1j * (c0 @ psi + s * (c1 @ psi))
+
+    s_nodes, s_mids = schedule_stage_values(schedule, steps)
+    dt = schedule.total_time / steps
+    psi = uniform_vector(full).astype(complex)
+    for i in range(steps):
+        k1 = deriv(s_nodes[i], psi)
+        k2 = deriv(s_mids[i], psi + 0.5 * dt * k1)
+        k3 = deriv(s_mids[i], psi + 0.5 * dt * k2)
+        k4 = deriv(s_nodes[i + 1], psi + dt * k3)
+        psi = psi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-6
+    return float(np.sum(np.abs(psi[sorted(full.marked_set)]) ** 2))
+
+
 class TestFullEvolve:
+    @pytest.mark.parametrize(
+        "n, marked", [(4, {1}), (64, {3, 17, 40}), (128, range(0, 128, 16))]
+    )
+    @pytest.mark.parametrize(
+        "builder, c", [(make_partial_schedule, 4.0), (make_global_schedule, 1.0)]
+    )
+    def test_matches_complex_reference(self, n, marked, builder, c):
+        full = make_full_instance(n, marked)
+        sched = builder(full.reduced(), c)
+        steps = 1500
+        assert full_evolve(full, sched, steps) == pytest.approx(
+            complex_full_evolve(full, sched, steps), rel=0.0, abs=1e-12
+        )
+
     def test_all_marked(self):
         full = make_full_instance(8, range(8))
         sched = make_partial_schedule(full.reduced(), 1.0)
@@ -158,6 +259,13 @@ class TestFullEvolve:
         sched = make_partial_schedule(full.reduced(), 1.0)
         with pytest.raises(CapacityExceeded):
             full_evolve(full, sched, 1000)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [1e6, 1e9])
+    def test_blown_up_state_warns_nothing(self, c):
+        full = make_full_instance(16, [0])
+        with pytest.raises(NormDriftExceeded):
+            full_evolve(full, make_partial_schedule(full.reduced(), c), 10)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")

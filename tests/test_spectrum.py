@@ -287,6 +287,16 @@ class TestSpectralColumns:
             for field, column in columns.items():
                 assert same_bits(getattr(point, field), column[i]), (field, s)
 
+    def test_all_marked_stays_on_the_array_route(self, monkeypatch):
+        def scalar_route(*args):
+            raise AssertionError("scalar fallback taken")
+
+        monkeypatch.setattr(spectrum, "overlap_psi", scalar_route)
+        monkeypatch.setattr(spectrum, "overlap_beta", scalar_route)
+        columns = spectral_columns(make_instance(8, 8), np.linspace(0.0, 1.0, 1001))
+        assert np.all(columns["ov_psi_0"] == 1.0)
+        assert np.all(columns["ov_beta_0"] == 1.0)
+
     @pytest.mark.parametrize("bad", [-0.1, 1.5, -math.inf, math.nan])
     def test_rejects_s_outside_unit_interval(self, bad):
         with pytest.raises(ValueError, match="s must lie in"):
