@@ -230,6 +230,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         "success_probability": outcome.success_probability,
         "ground_fidelity": outcome.ground_fidelity,
         "norm_drift": outcome.norm_drift,
+        "error_estimate": outcome.error_estimate,
     }
     if args.repeat:
         stats = draw_repeat_stats(
@@ -379,7 +380,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--c", type=_positive_float, default=1.0, help="duration multiplier"
     )
     p_evolve.add_argument(
-        "--steps", type=_positive_int, default=None, help="integration steps (default: 1000/unit time)"
+        "--steps",
+        type=_positive_int,
+        default=None,
+        help="integration steps (default: 64/unit time, at least 100)",
     )
     p_evolve.add_argument(
         "--schedule", choices=("partial", "global", "local"), default="partial"

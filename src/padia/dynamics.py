@@ -7,12 +7,17 @@ measure.  The marked-outcome probability of that measurement is |amp_beta|^2
 of the final state.
 
 The Schroedinger equation i dpsi/dt = H(s(t)) psi (hbar = 1, dimensionless
-time) is integrated with a classical fixed-step fourth-order Runge-Kutta
-scheme.  The equation is linear, so each RK4 step is exactly a 2x2 matrix; the
-steps are evaluated as numpy arrays of those matrices, chunk by chunk, and
-each chunk's matrices are folded by ordered pairwise products.  For a given
-(schedule, steps) every run on the same numpy build gives the same bits; the
-result differs from a step-by-step RK4 loop by rounding only.
+time) is integrated with the fixed-step fourth-order Magnus propagator
+(Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151).  Each step samples
+H at the two Gauss points of the step and takes the closed-form SU(2)
+exponential of the Magnus-4 exponent, so every step is unitary by
+construction.  With tr H = 1 pulled out as one global phase, a step is a
+unit quaternion, held as its Cayley-Klein pair of complex numbers; the steps
+are evaluated as numpy arrays, chunk by chunk, and each chunk's pairs are
+folded by ordered pairwise products.  For a given (schedule, steps) every
+run on the same numpy build gives the same bits.  Unitarity makes the norm drift blind to a coarse grid, so every round
+is integrated a second time with half the steps, and the difference of the
+two, divided by 15, is reported as the error estimate and guarded.
 Two baseline schedules are provided for comparison: a global linear sweep of
 the full interval and a local-adiabatic sweep whose rate tracks the squared
 gap.
@@ -20,6 +25,7 @@ gap.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -37,6 +43,7 @@ from .spectrum import eigenvector_components, min_gap, one_round_time
 
 __all__ = [
     "NORM_DRIFT_LIMIT",
+    "MAX_STEPS",
     "NormDriftExceeded",
     "Schedule",
     "RoundOutcome",
@@ -51,17 +58,35 @@ __all__ = [
     "simulate_until_success",
 ]
 
-# A final-state norm farther than this from 1 means the step count was too
-# coarse for the requested duration.
+# A final-state norm, or a step-halving error estimate, farther than this
+# from 1 or from 0 means the step count was too coarse for the requested
+# duration.
 NORM_DRIFT_LIMIT = 1e-6
+
+# evolve refuses longer runs up front: 10^8 steps, with the half-step run for
+# the error estimate, take of the order of 10 s.
+MAX_STEPS = 10**8
 
 # Steps integrated per vectorised chunk.  Memory stays O(chunk) for any run
 # length, while the numpy call overhead is spread over thousands of steps.
 _CHUNK_STEPS = 8192
 
+# The two-point Gauss-Legendre nodes as fractions of a step, and the
+# coefficient of the Magnus-4 commutator term.
+_GAUSS_LOW = 0.5 - math.sqrt(3.0) / 6.0
+_GAUSS_HIGH = 0.5 + math.sqrt(3.0) / 6.0
+_COMMUTATOR = math.sqrt(3.0) / 12.0
+
+# Below this many Cayley-Klein pairs the fold finishes in plain Python.
+_FOLD_TAIL = 16
+
+# The Cayley-Klein pair of the identity.
+_IDENTITY = (1.0 + 0.0j, 0.0j)
+
 
 class NormDriftExceeded(RuntimeError):
-    """Integration lost unitarity beyond NORM_DRIFT_LIMIT; increase steps."""
+    """Integration lost unitarity, or its error estimate exceeded
+    NORM_DRIFT_LIMIT; increase steps."""
 
 
 @dataclass(frozen=True)
@@ -81,16 +106,19 @@ class Schedule:
 class RoundOutcome:
     """Result of integrating one round.
 
-    success_probability is |amp_beta|^2 of the final state, i.e. the chance a
-    computational-basis measurement lands in the marked set.  ground_fidelity
-    is the squared overlap with the instantaneous ground state at the end of
-    the schedule.
+    success_probability is |amp_beta|^2 of the final state over its squared
+    norm, i.e. the chance a computational-basis measurement lands in the
+    marked set.  ground_fidelity is the squared overlap with the
+    instantaneous ground state at the end of the schedule.  error_estimate is
+    max|amplitude difference| / 15 between the run and a run at half the
+    steps, the step-halving estimate of the error of a fourth-order scheme.
     """
 
     final_state: ReducedState
     success_probability: float
     ground_fidelity: float
     norm_drift: float
+    error_estimate: float
 
 
 @dataclass(frozen=True)
@@ -164,72 +192,13 @@ def make_local_schedule(instance: SearchInstance, epsilon: float, steps: int) ->
 
 
 def default_step_count(total_time: float) -> int:
-    """Fixed-step default: 1000 steps per unit time (the Hamiltonian norm is
-    at most 1), never fewer than 1000."""
-    return max(1000, math.ceil(1000.0 * total_time))
-
-
-def _matmul2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Entrywise products x[..., n] @ y[..., n] of two (2, 2, K) stacks."""
-    return x[:, :1] * y[:1] + x[:, 1:] * y[1:]
-
-
-def _step_matrices(
-    a: float,
-    sqrt_ab: float,
-    s_nodes: np.ndarray,
-    s_mids: np.ndarray,
-    h: float,
-) -> np.ndarray:
-    """The exact RK4 step matrices R_n of the 2x2 reduction, as a (2, 2, K) stack.
-
-    One RK4 step of the linear equation dpsi/dt = A psi, A = -iH, is
-    psi_{n+1} = R_n psi_n with
-
-        R = I + h/6 (A1 + 2 A2 P2 + 2 A2 P3 + A3 P4),
-        P2 = I + h/2 A1,  P3 = I + h/2 A2 P2,  P4 = I + h A2 P3,
-
-    H1, H2, H3 taken at the node, the midpoint and the next node.  H is real,
-    H(s) = [[1 - (1-s)a, -(1-s)sqrt(ab)], [-(1-s)sqrt(ab), (1-s)a]], so
-    expanding in powers of h splits R into real matrix polynomials:
-
-        Re R = I - h^2/6 (H2 H1 + H2^2 + H3 H2) + h^4/24 H3 H2^2 H1,
-        Im R = -h/6 (H1 + 4 H2 + H3) + h^3/12 (H2^2 H1 + H3 H2^2).
-    """
-    e = np.array([[1.0, 0.0], [0.0, 0.0]])[:, :, None]
-    f = np.array([[-a, -sqrt_ab], [-sqrt_ab, a]])[:, :, None]
-    h_nodes = e + f * (1.0 - s_nodes)
-    h1, h3 = h_nodes[..., :-1], h_nodes[..., 1:]
-    h2 = e + f * (1.0 - s_mids)
-    h22 = _matmul2(h2, h2)
-    h221 = _matmul2(h22, h1)
-    out = np.empty(h2.shape, dtype=complex)
-    out.real = (h**4 / 24.0) * _matmul2(h3, h221) - (h * h / 6.0) * (
-        _matmul2(h2, h1) + h22 + _matmul2(h3, h2)
-    )
-    out.real[0, 0] += 1.0
-    out.real[1, 1] += 1.0
-    out.imag = (h**3 / 12.0) * (h221 + _matmul2(h3, h22)) - (h / 6.0) * (h1 + 4.0 * h2 + h3)
-    return out
-
-
-def _ordered_product(r: np.ndarray) -> np.ndarray:
-    """r[..., K-1] @ ... @ r[..., 0] of a (2, 2, K) stack.
-
-    Each pass multiplies neighbours in order, r[..., 1::2] @ r[..., 0::2],
-    and carries an odd last matrix over to the next pass.
-    """
-    while r.shape[-1] > 1:
-        pairs = r.shape[-1] // 2
-        folded = _matmul2(r[..., 1 : 2 * pairs : 2], r[..., 0 : 2 * pairs : 2])
-        if r.shape[-1] % 2:
-            folded = np.concatenate((folded, r[..., -1:]), axis=-1)
-        r = folded
-    return r[..., 0]
+    """Fixed-step default: 64 Magnus steps per unit time (the Hamiltonian
+    norm is at most 1), never fewer than 100."""
+    return max(100, math.ceil(64.0 * total_time))
 
 
 def schedule_stage_values(schedule: Schedule, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample s at the step endpoints and midpoints of a fixed-step run."""
+    """Sample s at the step endpoints and midpoints of a fixed-step RK4 run."""
     times = np.linspace(0.0, schedule.total_time, steps + 1)
     mids = times[:-1] + 0.5 * (schedule.total_time / steps)
     s_nodes = np.asarray(schedule.sample(times), dtype=float)
@@ -237,22 +206,117 @@ def schedule_stage_values(schedule: Schedule, steps: int) -> tuple[np.ndarray, n
     return s_nodes, s_mids
 
 
-def _chunk_stage_values(
+def _chunk_gauss_values(
     schedule: Schedule, steps: int, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """s at nodes start..stop and at the midpoints of the steps between them.
+    """s at the two Gauss points of steps start..stop-1 of a ``steps``-step run.
 
-    Bit for bit the matching slices of schedule_stage_values: linspace places
-    node n at n * (total_time / steps) and pins the last node to total_time.
+    Step n starts at n * dt and samples t = n * dt + (1/2 -/+ sqrt(3)/6) * dt.
     """
     dt = schedule.total_time / steps
-    times = np.arange(start, stop + 1, dtype=float) * dt
-    if stop == steps:
-        times[-1] = schedule.total_time
-    mids = times[:-1] + 0.5 * dt
-    s_nodes = np.asarray(schedule.sample(times), dtype=float)
-    s_mids = np.asarray(schedule.sample(mids), dtype=float)
-    return s_nodes, s_mids
+    times = np.arange(start, stop, dtype=float) * dt
+    s_low = np.asarray(schedule.sample(times + _GAUSS_LOW * dt), dtype=float)
+    s_high = np.asarray(schedule.sample(times + _GAUSS_HIGH * dt), dtype=float)
+    return s_low, s_high
+
+
+def _step_pairs(
+    a: float, sqrt_ab: float, s_low: np.ndarray, s_high: np.ndarray, h: float
+) -> np.ndarray:
+    """The Magnus-4 steps of the 2x2 reduction as a (2, K) complex stack.
+
+    With u = 1 - s, H(s) = I/2 + bx sigma_x + bz sigma_z, bx = -u sqrt(ab),
+    bz = 1/2 - u a, and the commutator of the two Gauss-point Hamiltonians is
+    [H2, H1] = (u1 - u2) sqrt(ab) (-i sigma_y).  The Magnus-4 exponent
+
+        Omega = -i h (H1 + H2)/2 - (sqrt(3) h^2 / 12) [H2, H1]
+              = -i h/2 - i v . sigma,
+        v = (h bx(u_mean), -gamma, h bz(u_mean)),
+        gamma = (sqrt(3) h^2 / 12) (u1 - u2) sqrt(ab),
+
+    so exp(Omega) = e^{-ih/2} (cos theta - i sin(theta)/theta v . sigma),
+    theta = |v|.  The phase e^{-ih/2} is left to the caller.  The rest is
+    the unit quaternion q = (cos theta, sin(theta)/theta v), stored as its
+    Cayley-Klein pair alpha = q0 - i q3, beta = -q2 - i q1, which stands
+    for the matrix [[alpha, beta], [-conj(beta), conj(alpha)]].  The code
+    builds w = -v, so that alpha = cos theta + i s w_z, beta = s w_y + i s w_x
+    with s = sin(theta)/theta.
+    """
+    u_mean = 1.0 - 0.5 * (s_low + s_high)
+    wx = (h * sqrt_ab) * u_mean
+    wy = (_COMMUTATOR * h * h * sqrt_ab) * (s_high - s_low)
+    wz = h * (a * u_mean - 0.5)
+    theta = np.sqrt(wx * wx + wy * wy + wz * wz)
+    scale = np.divide(np.sin(theta), theta, out=np.ones_like(theta), where=theta > 0.0)
+    pairs = np.empty((2, theta.size), dtype=complex)
+    np.cos(theta, out=pairs.real[0])
+    np.multiply(scale, wz, out=pairs.imag[0])
+    np.multiply(scale, wy, out=pairs.real[1])
+    np.multiply(scale, wx, out=pairs.imag[1])
+    return pairs
+
+
+def _pair_product(later: tuple[complex, complex], earlier: tuple[complex, complex]):
+    """The Cayley-Klein pair of the matrix product later @ earlier."""
+    a1, b1 = later
+    a2, b2 = earlier
+    return a1 * a2 - b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate()
+
+
+def _ordered_product(pairs: np.ndarray) -> tuple[complex, complex]:
+    """The pair of U[K-1] @ ... @ U[0] for a (2, K) stack of pairs.
+
+    Each pass multiplies neighbours in order, U[1::2] @ U[0::2], and carries
+    an odd last pair over to the next pass; the last _FOLD_TAIL pairs are
+    multiplied in plain Python, where a numpy pass costs more than it saves.
+    """
+    while pairs.shape[-1] > _FOLD_TAIL:
+        count = pairs.shape[-1]
+        half = count // 2
+        a1, b1 = pairs[:, 1 : 2 * half : 2]
+        a2, b2 = pairs[:, 0 : 2 * half : 2]
+        folded = np.empty((2, half + count % 2), dtype=complex)
+        alpha, beta = folded[:, :half]
+        np.multiply(a1, a2, out=alpha)
+        alpha -= b1 * b2.conj()
+        np.multiply(a1, b2, out=beta)
+        beta += b1 * a2.conj()
+        if count % 2:
+            folded[:, -1] = pairs[:, -1]
+        pairs = folded
+    total = _IDENTITY
+    for pair in zip(*pairs.tolist()):
+        total = _pair_product(pair, total)
+    return total
+
+
+def _propagate(
+    instance: SearchInstance, schedule: Schedule, steps: int, initial: ReducedState
+) -> tuple[complex, complex]:
+    """The state after ``steps`` Magnus-4 steps from ``initial``.
+
+    The steps run in chunks of _CHUNK_STEPS; each chunk's pairs are folded in
+    order and multiplied onto the round's propagator, which is renormalised
+    (it is unitary but for rounding) and applied once, with the global phase
+    e^{-iT/2} of tr H = 1, at the end.
+    """
+    dt = schedule.total_time / steps
+    sqrt_ab = math.sqrt(instance.a * instance.b)
+    total = _IDENTITY
+    for start in range(0, steps, _CHUNK_STEPS):
+        stop = min(start + _CHUNK_STEPS, steps)
+        s_low, s_high = _chunk_gauss_values(schedule, steps, start, stop)
+        chunk = _ordered_product(_step_pairs(instance.a, sqrt_ab, s_low, s_high, dt))
+        alpha, beta = _pair_product(chunk, total)
+        norm = math.hypot(abs(alpha), abs(beta))
+        total = alpha / norm, beta / norm
+    alpha, beta = total
+    phase = cmath.exp(-0.5j * schedule.total_time)
+    x, y = complex(initial.amp_alpha), complex(initial.amp_beta)
+    return (
+        phase * (alpha * x + beta * y),
+        phase * (alpha.conjugate() * y - beta.conjugate() * x),
+    )
 
 
 def evolve(
@@ -263,46 +327,46 @@ def evolve(
 ) -> RoundOutcome:
     """Integrate one round of the given schedule from ``initial``.
 
-    The ``steps`` RK4 steps run in chunks of _CHUNK_STEPS: each chunk samples
-    s at its nodes and midpoints, builds every step's exact RK4 matrix, folds
-    them in order by pairwise products and applies the product to the state.
+    Runs ``steps`` Magnus-4 steps, and ``steps // 2`` more for the error
+    estimate max|amplitude difference| / 15 of step halving.
 
-    Raises NormDriftExceeded when the final norm strays from 1 by more than
-    NORM_DRIFT_LIMIT, overflows or is NaN, the signature of an insufficient
-    step count.
+    Raises ValueError for fewer than 10 or more than MAX_STEPS steps, and
+    NormDriftExceeded when the final norm strays from 1, or the error
+    estimate exceeds, NORM_DRIFT_LIMIT (NaN included): the signature of an
+    insufficient step count.
     """
     if steps < 10:
         raise ValueError(f"need at least 10 steps, got {steps}")
+    if steps > MAX_STEPS:
+        raise ValueError(
+            f"{steps} steps over duration {schedule.total_time:g} exceed the cap of "
+            f"{MAX_STEPS} steps"
+        )
     if abs(initial.norm() - 1.0) > STATE_NORM_TOL:
         raise ValueError("initial state must be normalized")
-    dt = schedule.total_time / steps
-    sqrt_ab = math.sqrt(instance.a * instance.b)
-    x, y = complex(initial.amp_alpha), complex(initial.amp_beta)
-    # A blown-up state overflows to inf/NaN; the norm guard below reports it.
+    # A huge duration can turn the step angles to inf/NaN; the guards below
+    # report it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, steps, _CHUNK_STEPS):
-            stop = min(start + _CHUNK_STEPS, steps)
-            s_nodes, s_mids = _chunk_stage_values(schedule, steps, start, stop)
-            r = _ordered_product(_step_matrices(instance.a, sqrt_ab, s_nodes, s_mids, dt))
-            x, y = complex(r[0, 0] * x + r[0, 1] * y), complex(r[1, 0] * x + r[1, 1] * y)
-    try:
-        norm = math.sqrt(abs(x) ** 2 + abs(y) ** 2)
-    except OverflowError:  # the squares of a blown-up state overflow
-        norm = math.inf
-    drift = abs(norm - 1.0)
-    if not drift <= NORM_DRIFT_LIMIT:  # NaN fails this test too
-        raise NormDriftExceeded(
-            f"norm drifted by {drift:.3e} after {steps} steps over duration "
-            f"{schedule.total_time:g}; increase steps"
-        )
-    s_end = float(s_nodes[-1])
+        x, y = _propagate(instance, schedule, steps, initial)
+        x_half, y_half = _propagate(instance, schedule, steps // 2, initial)
+    error_estimate = max(abs(x - x_half), abs(y - y_half)) / 15.0
+    drift = abs(math.hypot(abs(x), abs(y)) - 1.0)
+    for label, value in (("norm drifted by", drift), ("error estimate is", error_estimate)):
+        if not value <= NORM_DRIFT_LIMIT:  # NaN fails this test too
+            raise NormDriftExceeded(
+                f"{label} {value:.3e} after {steps} steps over duration "
+                f"{schedule.total_time:g}; increase steps"
+            )
+    s_end = float(schedule.sample(schedule.total_time))
     c_alpha, c_beta = eigenvector_components(instance, s_end, 0)
-    fidelity = abs(c_alpha * x + c_beta * y) ** 2
+    p_alpha, p_beta = abs(x) ** 2, abs(y) ** 2
     return RoundOutcome(
         final_state=ReducedState(amp_alpha=x, amp_beta=y),
-        success_probability=abs(y) ** 2,
-        ground_fidelity=fidelity,
+        # The norm is 1 up to rounding; dividing by it keeps p within [0, 1].
+        success_probability=p_beta / (p_alpha + p_beta),
+        ground_fidelity=abs(c_alpha * x + c_beta * y) ** 2,
         norm_drift=drift,
+        error_estimate=error_estimate,
     )
 
 

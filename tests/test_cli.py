@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -233,16 +234,18 @@ class TestEvolveCommand:
         assert json.loads(first)["repeat"]["rounds_used"] >= 1
 
     def test_norm_drift_exit_code(self, capsys):
+        # The unitary propagator keeps the norm; the step-halving estimate
+        # is what refuses this grid.
         assert run_cli(["evolve", "--n", "64", "--m", "1", "--c", "64",
                         "--steps", "10"]) == 1
-        assert "norm drifted" in capsys.readouterr().err
+        assert "error estimate" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nan_state_exit_code(self, capsys):
         assert run_cli(["evolve", "--n", "64", "--m", "1", "--c", "1e9",
                         "--steps", "10"]) == 1
-        assert "norm drifted" in capsys.readouterr().err
+        assert "error estimate" in capsys.readouterr().err
 
     def test_blown_up_run_prints_only_the_error(self):
         # numpy warnings go to the real stderr of a fresh process, which the
@@ -256,8 +259,29 @@ class TestEvolveCommand:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert result.returncode == 1
-        assert result.stderr == (
-            "error: norm drifted by nan after 10 steps over duration 8e+09; increase steps\n"
+        # The estimate's digits depend on libm's sin/cos at angles near 4e8.
+        assert re.fullmatch(
+            r"error: error estimate is \S+ after 10 steps over duration 8e\+09; "
+            r"increase steps\n",
+            result.stderr,
+        )
+
+    def test_reports_error_estimate(self, capsys):
+        assert run_cli(["evolve", "--n", "64", "--m", "1", "--c", "4"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["steps"] == 2048  # 64 per unit time over 32
+        assert 0.0 <= payload["error_estimate"] < 1e-9
+        assert list(payload)[5:9] == [
+            "success_probability", "ground_fidelity", "norm_drift", "error_estimate"
+        ]
+
+    def test_oversized_run_is_usage_error(self, capsys):
+        # The local schedule at N = 2^42 would need over 10^10 steps.
+        assert run_cli(["evolve", "--n", "4398046511104", "--m", "1",
+                        "--schedule", "local"]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: \d+ steps over duration \S+ exceed the cap of 100000000 steps\n", err
         )
 
     def test_rejects_bad_numeric_flag(self):

@@ -1,4 +1,4 @@
-"""Schedules, the fixed-step propagator, and repeat-until-success draws.
+"""Schedules, the fixed-step Magnus-4 propagator, and repeat-until-success draws.
 
 Expected values for the local-adiabatic schedule come from the closed form
 of the sweep-time integral,
@@ -9,17 +9,22 @@ derived by substituting u = 2s - 1 into dt/ds = 1/(eps*(b + a u^2)); a direct
 fine-grid quadrature reproduces it and the tabulated schedule must match.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padia.dynamics import (
     _CHUNK_STEPS,
+    MAX_STEPS,
+    NORM_DRIFT_LIMIT,
     NormDriftExceeded,
     RepeatStats,
     Schedule,
-    _chunk_stage_values,
+    _chunk_gauss_values,
     default_step_count,
     draw_repeat_stats,
     evolve,
@@ -94,6 +99,60 @@ def scalar_rk4(instance, schedule, steps, initial):
     return x, y, abs(math.sqrt(abs(x) ** 2 + abs(y) ** 2) - 1.0)
 
 
+def gauss_stage_values(schedule, steps):
+    """s at the two Gauss points t_n + (1/2 -/+ sqrt(3)/6) dt of every step,
+    the times formed one step at a time in plain Python floats."""
+    dt = schedule.total_time / steps
+    low, high = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
+    times_low = [n * dt + low * dt for n in range(steps)]
+    times_high = [n * dt + high * dt for n in range(steps)]
+    return (
+        np.asarray(schedule.sample(np.array(times_low)), dtype=float),
+        np.asarray(schedule.sample(np.array(times_high)), dtype=float),
+    )
+
+
+def scalar_magnus4(instance, schedule, steps, initial):
+    """Reference: one Magnus-4 step at a time in plain Python complex
+    arithmetic.  Each step forms Omega = -i h (H1 + H2)/2 - sqrt(3) h^2/12
+    [H2, H1] as a 2x2 matrix and exponentiates it by the 2x2 identity
+    exp(Omega) = e^tau (cosh(r) I + sinh(r)/r (Omega - tau I)), tau = tr/2,
+    r^2 = -det(Omega - tau I).  Returns the final amplitudes and the norm
+    drift."""
+    a = instance.a
+    sqrt_ab = math.sqrt(instance.a * instance.b)
+    s_low, s_high = (v.tolist() for v in gauss_stage_values(schedule, steps))
+    h = schedule.total_time / steps
+    comm = math.sqrt(3.0) / 12.0 * h * h
+
+    def hamiltonian(s):
+        om = 1.0 - s
+        return 1.0 - om * a, -om * sqrt_ab, om * a  # h_aa, h_ab, h_bb
+
+    x, y = complex(initial.amp_alpha), complex(initial.amp_beta)
+    for n in range(steps):
+        a1, b1, d1 = hamiltonian(s_low[n])
+        a2, b2, d2 = hamiltonian(s_high[n])
+        # [H2, H1] of two real symmetric matrices is antisymmetric: [[0, k], [-k, 0]].
+        k = a2 * b1 + b2 * d1 - b2 * a1 - d2 * b1
+        o11 = -0.5j * h * (a1 + a2)
+        o22 = -0.5j * h * (d1 + d2)
+        o12 = -0.5j * h * (b1 + b2) - comm * k
+        o21 = -0.5j * h * (b1 + b2) + comm * k
+        tau = 0.5 * (o11 + o22)
+        p11, p22 = o11 - tau, o22 - tau
+        r = cmath.sqrt(-(p11 * p22 - o12 * o21))
+        cosh_r = cmath.cosh(r)
+        sinhc = cmath.sinh(r) / r if r != 0 else 1.0
+        e = cmath.exp(tau)
+        u11 = e * (cosh_r + sinhc * p11)
+        u12 = e * sinhc * o12
+        u21 = e * sinhc * o21
+        u22 = e * (cosh_r + sinhc * p22)
+        x, y = u11 * x + u12 * y, u21 * x + u22 * y
+    return x, y, abs(math.sqrt(abs(x) ** 2 + abs(y) ** 2) - 1.0)
+
+
 def next_prime(n):
     while True:
         n += 1
@@ -116,16 +175,16 @@ CHUNK_EDGE_STEPS = (
 CASE_DT = 0.05
 
 
-def comparison_case(kind, steps):
+def comparison_case(kind, steps, dt=CASE_DT):
     """(instance, schedule, initial state) for one schedule kind, lasting
-    CASE_DT * steps.
+    dt * steps.
 
     M/N = 1/4 keeps the local-adiabatic sweep rate within a factor 4 of its
     mean, so its 10-step run stays within the norm-drift limit too.
     """
     inst = make_instance(64, 16)
     win = evolution_window(inst)
-    total = CASE_DT * steps
+    total = dt * steps
     if kind == "partial":
         sched = make_partial_schedule(inst, total / 0.5)  # sqrt(N)/M = 1/2
     elif kind == "global_linear":
@@ -232,9 +291,10 @@ class TestLocalSchedule:
 
 class TestDefaultSteps:
     def test_floor_and_scaling(self):
-        assert default_step_count(0.5) == 1000
-        assert default_step_count(2.5) == 2500
-        assert default_step_count(2048.0) == 2_048_000
+        assert default_step_count(0.5) == 100
+        assert default_step_count(1.5) == 100
+        assert default_step_count(2.5) == 160
+        assert default_step_count(2048.0) == 131_072
 
 
 class TestEvolve:
@@ -320,12 +380,14 @@ class TestEvolve:
         f_rev = evolve(inst, backward, steps, ground_state(inst, win.s_plus)).ground_fidelity
         assert f_fwd == pytest.approx(f_rev, abs=1e-6)
 
+    # The name is kept from the RK4 integrator; the reference is the
+    # step-by-step Magnus-4 loop.
     @pytest.mark.parametrize("steps", CHUNK_EDGE_STEPS)
     @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
     def test_matches_scalar_rk4(self, kind, steps):
         inst, sched, psi0 = comparison_case(kind, steps)
         out = evolve(inst, sched, steps, psi0)
-        x, y, drift = scalar_rk4(inst, sched, steps, psi0)
+        x, y, drift = scalar_magnus4(inst, sched, steps, psi0)
         assert abs(out.final_state.amp_alpha - x) <= 1e-12
         assert abs(out.final_state.amp_beta - y) <= 1e-12
         assert abs(out.norm_drift - drift) <= 1e-12
@@ -334,12 +396,78 @@ class TestEvolve:
     @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
     def test_chunk_stage_values_are_bit_identical(self, kind, steps):
         _, sched, _ = comparison_case(kind, steps)
-        s_nodes, s_mids = schedule_stage_values(sched, steps)
+        s_low, s_high = gauss_stage_values(sched, steps)
         for start in range(0, steps, _CHUNK_STEPS):
             stop = min(start + _CHUNK_STEPS, steps)
-            chunk_nodes, chunk_mids = _chunk_stage_values(sched, steps, start, stop)
-            assert np.array_equal(chunk_nodes, s_nodes[start : stop + 1])
-            assert np.array_equal(chunk_mids, s_mids[start:stop])
+            chunk_low, chunk_high = _chunk_gauss_values(sched, steps, start, stop)
+            assert np.array_equal(chunk_low, s_low[start:stop])
+            assert np.array_equal(chunk_high, s_high[start:stop])
+
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    def test_agrees_with_rk4_at_fine_steps(self, kind):
+        # Two independent fourth-order integrators at h = 1e-3.
+        steps = 2000
+        inst, sched, psi0 = comparison_case(kind, steps, dt=1e-3)
+        out = evolve(inst, sched, steps, psi0)
+        x, y, _ = scalar_rk4(inst, sched, steps, psi0)
+        assert abs(out.final_state.amp_alpha - x) <= 1e-10
+        assert abs(out.final_state.amp_beta - y) <= 1e-10
+
+    def test_fourth_order_on_partial_schedule(self):
+        inst = make_instance(64, 1)
+        sched = make_partial_schedule(inst, 4.0)  # duration 32
+        psi0 = initial_state(inst)
+        ref = evolve(inst, sched, 4096, psi0).final_state.amp_beta
+        errors = [
+            abs(evolve(inst, sched, steps, psi0).final_state.amp_beta - ref)
+            for steps in (128, 256)
+        ]
+        assert 14.0 <= errors[0] / errors[1] <= 18.0
+
+    @pytest.mark.parametrize(
+        "builder, n, m, c, steps",
+        [
+            (make_partial_schedule, 64, 1, 4.0, 128),
+            (make_partial_schedule, 1024, 16, 16.0, 160),
+            (make_global_schedule, 64, 8, 1.0, 40),
+            (make_global_schedule, 256, 16, 1.0, 300),
+        ],
+    )
+    def test_error_estimate_bounds_true_error(self, builder, n, m, c, steps):
+        # Step halving estimates the error of a fourth-order scheme to within
+        # its higher-order terms; 10% covers them here.
+        inst = make_instance(n, m)
+        sched = builder(inst, c)
+        psi0 = initial_state(inst)
+        out = evolve(inst, sched, steps, psi0)
+        ref = evolve(inst, sched, 16 * steps, psi0).final_state
+        true_error = max(
+            abs(out.final_state.amp_alpha - ref.amp_alpha),
+            abs(out.final_state.amp_beta - ref.amp_beta),
+        )
+        assert 1e-11 < out.error_estimate <= NORM_DRIFT_LIMIT
+        assert true_error <= 1.1 * out.error_estimate
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 2**20),
+        marked=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+        c=st.one_of(
+            st.floats(1e-12, 1e-3), st.floats(1e-3, 4.0), st.sampled_from([1e-12, 1.0])
+        ),
+    )
+    def test_success_probability_within_unit_interval(self, n, marked, c):
+        # M = N pins the state to |beta>, where |amp_beta|^2 alone can round to
+        # 1 + 4e-16.
+        m = max(1, min(n, round(marked * n)))
+        out = run_round(make_instance(n, m), c)
+        assert 0.0 <= out.success_probability <= 1.0
+
+    def test_refuses_oversized_run_before_integrating(self):
+        inst = make_instance(64, 1)
+        sched = make_partial_schedule(inst, 1.0)
+        with pytest.raises(ValueError, match=rf"{MAX_STEPS + 1} steps over duration 8 "):
+            evolve(inst, sched, MAX_STEPS + 1, initial_state(inst))
 
     def test_norm_drift_exceeded_on_coarse_grid(self):
         inst = make_instance(64, 1)

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from padia.dynamics import (
     NormDriftExceeded,
+    evolve,
     make_global_schedule,
     make_partial_schedule,
     run_round,
     schedule_stage_values,
 )
-from padia.model import NonEmptyMarkedSetRequired, make_instance
+from padia.model import NonEmptyMarkedSetRequired, initial_state, make_instance
 from padia.oracle import (
     CapacityExceeded,
     ConvergenceFailure,
@@ -234,6 +235,17 @@ class TestFullEvolve:
         assert full_evolve(full, sched, steps) == pytest.approx(
             complex_full_evolve(full, sched, steps), rel=0.0, abs=1e-12
         )
+
+    def test_coarse_steps_are_split(self):
+        # h = 0.08 over T = 8: plain RK4 is 3.8e-8 off, split in two 2.3e-9.
+        full = make_full_instance(16, range(8))
+        inst = full.reduced()
+        sched = make_global_schedule(inst, 4.0)
+        exact = evolve(inst, sched, 8000, initial_state(inst)).success_probability
+        assert abs(complex_full_evolve(full, sched, 100) - exact) > 1e-8
+        dense = full_evolve(full, sched, 100)
+        assert dense == pytest.approx(complex_full_evolve(full, sched, 200), rel=0.0, abs=1e-12)
+        assert dense == pytest.approx(exact, rel=0.0, abs=5e-9)
 
     def test_all_marked(self):
         full = make_full_instance(8, range(8))
