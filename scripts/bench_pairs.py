@@ -10,6 +10,11 @@ every workload and every end-to-end metric of ``BENCHMARK.json`` the output
 gives each side's median and quartiles over its runs, and the number of pairs
 the change wins (ties count for neither side).  It also gives the failed and
 attempted job counts of each side, and the source hash of each side's runs.
+
+The two runs of a pair must have run the same job list (``jobs_sha256``) for
+the same ``seconds`` under the same Python, numpy, CPU model and BLAS thread
+count; otherwise their difference would not measure the change alone, and
+the script exits with status 2 naming the first field that differs.
 """
 
 from __future__ import annotations
@@ -23,6 +28,16 @@ from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 _NAME = re.compile(r"(?P<workload>\w+)-seed(?P<seed>\d+)-trace0\.json")
+# Fields of a result file that both runs of a pair must share.
+PAIR_FIELDS = (
+    ("jobs_sha256",),
+    ("seconds",),
+    ("environment", "python"),
+    ("environment", "numpy"),
+    ("environment", "cpu_model"),
+    ("environment", "blas_threads"),
+)
+_MISSING = object()
 
 
 def load_runs(directory: Path) -> dict[tuple[str, int], dict]:
@@ -45,11 +60,33 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def _field(run: dict, path: tuple[str, ...]) -> object:
+    for part in path:
+        if not isinstance(run, dict) or part not in run:
+            return _MISSING
+        run = run[part]
+    return run
+
+
+def check_pair(key: tuple[str, int], parent_run: dict, change_run: dict) -> None:
+    """Raise ValueError unless both runs hold every PAIR_FIELDS entry and agree on it."""
+    for path in PAIR_FIELDS:
+        values = [_field(run, path) for run in (parent_run, change_run)]
+        if _MISSING in values or values[0] != values[1]:
+            shown = ["missing" if v is _MISSING else repr(v) for v in values]
+            raise ValueError(
+                f"{key[0]} seed {key[1]}: the parent and change runs differ in "
+                f"{'.'.join(path)} ({shown[0]} against {shown[1]})"
+            )
+
+
 def summarise(parent: dict, change: dict, metrics: list[dict]) -> dict:
     """Per workload and metric: both sides' quartiles and the change's wins."""
     pairs = sorted(set(parent) & set(change))
     if not pairs:
         raise ValueError("no (workload, seed) appears on both sides")
+    for key in pairs:
+        check_pair(key, parent[key], change[key])
     report = {}
     for workload in sorted({w for w, _ in pairs}):
         seeds = [s for w, s in pairs if w == workload]

@@ -22,6 +22,7 @@ __all__ = [
     "EvolutionWindow",
     "ReducedHamiltonian",
     "ReducedState",
+    "require_integer",
     "make_instance",
     "evolution_window",
     "reduced_hamiltonian",
@@ -89,6 +90,17 @@ class ReducedState:
         return math.sqrt(abs(self.amp_alpha) ** 2 + abs(self.amp_beta) ** 2)
 
 
+def require_integer(name: str, value: object) -> int:
+    """``value`` as a Python int; anything but a ``numbers.Integral`` other
+    than ``bool`` raises ValueError naming ``name``."""
+    # A plain int skips the ABC check, the slow part of this test.
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Integral)
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def make_instance(n_items: int, n_marked: int) -> SearchInstance:
     """Validate (N, M) and derive the squared overlaps a = (N-M)/N, b = M/N.
 
@@ -97,14 +109,8 @@ def make_instance(n_items: int, n_marked: int) -> SearchInstance:
     (1 <= M <= N) and there must be at least two items.  Integers up to
     2**63 - 1 are handled exactly; a and b are the correctly rounded ratios.
     """
-    for name, value in (("N", n_items), ("M", n_marked)):
-        # A plain int skips the ABC check, the slow part of this test.
-        if type(value) is not int and (
-            isinstance(value, bool) or not isinstance(value, numbers.Integral)
-        ):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
     # Python ints keep the ratios below correctly rounded for numpy integers.
-    n_items, n_marked = int(n_items), int(n_marked)
+    n_items, n_marked = require_integer("N", n_items), require_integer("M", n_marked)
     if n_marked == 0:
         raise NonEmptyMarkedSetRequired("the marked set must not be empty (need M >= 1)")
     if n_items < 2:

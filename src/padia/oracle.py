@@ -9,14 +9,21 @@ the subspace structure:
 
 * ``dense_spectrum`` runs a full eigendecomposition and checks every
   eigenpair's residual.
-* ``certify_reduction`` takes all eigenvalues from an eigenvalues-only
-  LAPACK solve and the ground vector from one step of shifted inverse
-  iteration on H(s), started from a fixed positive pseudo-random vector
-  rather than from |Psi> or |beta>.  The vector is accepted only when its
-  residual, divided by the dense gap, bounds its angle to the true ground
-  vector below _RESIDUAL_TOL.  Nothing in either solve knows that the
-  interesting dynamics lives in a plane, so comparing them with the
-  closed-form module is still an independent check.
+* ``certify_reduction`` bounds the two lowest eigenvalues of H(s) and finds
+  its ground vector with an a-posteriori certificate.  Lanczos with full
+  reorthogonalisation, started from a fixed positive pseudo-random vector
+  rather than from |Psi> or |beta>, gives Ritz values theta0 <= theta1,
+  which bound lambda1 and lambda2 from above (min-max).  One block Cholesky
+  factorization of A = H + 2 y0 y0^T - (theta1 - delta) I, with y0 the
+  lowest Ritz vector, proves lambda2 >= theta1 - delta: A is a rank-one
+  positive update of H - (theta1 - delta) I, so by Cauchy interlacing A
+  positive definite means lambda2 >= theta1 - delta.  With that gap, Temple's
+  bound gives lambda1 >= theta0 - r0^2 / (theta1 - delta - theta0), where r0
+  is the residual of y0, and r0 / (theta1 - delta - theta0) bounds the sine
+  of the angle between y0 and the true ground vector; it must stay below
+  _RESIDUAL_TOL.  Nothing in either step knows that the interesting dynamics
+  lives in a plane, so comparing them with the closed-form module is still
+  an independent check.
 * ``full_evolve`` integrates the N-dimensional Schroedinger equation with
   classical fixed-step RK4, a different scheme from the reduced model's
   Magnus-4 propagator, so the two integrators check each other.  H(s) is
@@ -37,7 +44,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dynamics import NORM_DRIFT_LIMIT, NormDriftExceeded, Schedule, schedule_stage_values
-from .model import NonEmptyMarkedSetRequired, SearchInstance, make_instance
+from .model import NonEmptyMarkedSetRequired, SearchInstance, make_instance, require_integer
 from .spectrum import spectral_columns
 
 __all__ = [
@@ -63,14 +70,32 @@ DYNAMICS_CAP = 512
 # the capped sizes.
 _RESIDUAL_TOL = 1e-9
 
-# Inverse iteration solves (H - (e0 - _INVERSE_SHIFT) I) x = x0.  The
-# spectrum lies in [0, 1], so an absolute shift serves every instance: one
-# solve leaves the excited components of x0 at about _INVERSE_SHIFT / gap of
-# the ground one, while a shift near 1e-15 lets LU meet an exactly singular
-# pivot on small instances.
-_INVERSE_SHIFT = 1e-14
+# Lanczos on H(s) = I - (rank <= 2) reaches an invariant Krylov space in at
+# most three steps; a run still going after _KRYLOV_CAP steps is refused.
+_KRYLOV_CAP = 8
 
-# Seed of the inverse-iteration start vector (see _start_vector).
+# Lanczos stops one step after the residuals of both lowest Ritz pairs first
+# fall to _KRYLOV_TOL.  A Ritz value is only known to lie within its residual
+# of some eigenvalue: near s = 0 or 1, lambda2 lies about s(1-s)(N-M)/N below
+# the bulk eigenvalue 1, and a Ritz pair that mixes the two can pass the
+# residual test while theta1 still sits above lambda2 by nearly that gap.  The
+# extra step adds the direction that separates them.  The tolerance stays
+# well inside _PD_MARGIN, since the positive-definiteness test refuses a
+# theta1 more than _PD_MARGIN above lambda2.
+_KRYLOV_TOL = 1e-13
+
+# The certified lower bound on lambda2 is theta1 - _PD_MARGIN.  The margin
+# must exceed the rounding of the positive-definiteness test, or an accurate
+# theta1 would be refused: the computed Cholesky factor is exact for A + dA
+# with |dA| <= gamma_{n+1} |L^T| |L| (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., Thm 10.3), and gamma_{4097} = 4.5e-13 at
+# DIAGONALIZATION_CAP, with ||A|| <= 3 here (measured: a margin of 1e-14
+# passes every H(s) tried up to N = 4096).  It must also stay well below the
+# 1e-9 certify tolerance, since the certified interval for lambda2 is
+# [theta1 - _PD_MARGIN, theta1].
+_PD_MARGIN = 1e-11
+
+# Seed of the Lanczos start vector (see _start_vector).
 _START_SEED = 2010
 
 # full_evolve splits a requested step longer than _MAX_RK4_DT into up to
@@ -118,8 +143,13 @@ class DenseSpectrum:
 
 
 def make_full_instance(n_items: int, marked_set: Iterable[int]) -> FullInstance:
-    """Validate the item count and marked indices."""
-    marked = frozenset(int(i) for i in marked_set)
+    """Validate the item count and marked indices.
+
+    N and every index must be integers under ``make_instance``'s rule (any
+    ``numbers.Integral`` except ``bool``); anything else raises ValueError.
+    """
+    n_items = require_integer("N", n_items)
+    marked = frozenset(require_integer("marked index", i) for i in marked_set)
     if n_items < 2:
         raise ValueError(f"need at least 2 items, got N={n_items}")
     if n_items > DIAGONALIZATION_CAP:
@@ -143,16 +173,33 @@ def marked_vector(full: FullInstance) -> np.ndarray:
     return v
 
 
+def _hamiltonians(full: FullInstance, s_values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write H(s) for each s into ``out[i]`` and return ``out``.
+
+    Every entry starts at -(1-s)/N; the marked rows get one template row that
+    subtracts s/M through a 0/1 column mask, so an unmarked column subtracts
+    0.0 and keeps its value bit for bit; then 1 is added on the diagonal.
+    """
+    s_values = np.asarray(s_values, dtype=float)
+    outside = ~((s_values >= 0.0) & (s_values <= 1.0))  # NaN is outside too
+    if np.any(outside):
+        raise ValueError(f"s must lie in [0, 1], got {s_values[np.argmax(outside)]}")
+    n = full.n_items
+    idx = sorted(full.marked_set)
+    fill = -(1.0 - s_values) / n
+    out[...] = fill[:, None, None]
+    mask = np.zeros(n)
+    mask[idx] = 1.0
+    marked_row = fill[:, None] - (s_values / full.n_marked)[:, None] * mask
+    out[:, idx, :] = marked_row[:, None, :]
+    out.reshape(len(s_values), n * n)[:, :: n + 1] += 1.0
+    return out
+
+
 def full_hamiltonian(full: FullInstance, s: float) -> np.ndarray:
     """The dense N x N interpolating Hamiltonian at parameter s."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must lie in [0, 1], got {s}")
     n = full.n_items
-    h = np.full((n, n), -(1.0 - s) / n)
-    idx = sorted(full.marked_set)
-    h[np.ix_(idx, idx)] -= s / full.n_marked
-    h[np.diag_indices(n)] += 1.0
-    return h
+    return _hamiltonians(full, np.array([s], dtype=float), np.empty((1, n, n)))[0]
 
 
 def _fix_sign(vector: np.ndarray) -> np.ndarray:
@@ -186,7 +233,7 @@ def dense_spectrum(full: FullInstance, s: float) -> DenseSpectrum:
 
 
 def _start_vector(n_items: int) -> np.ndarray:
-    """The fixed, strictly positive pseudo-random start of inverse iteration.
+    """The fixed, strictly positive pseudo-random start of the Lanczos run.
 
     H(s) has no positive off-diagonal entry, so by Perron-Frobenius its
     ground vector is nonnegative and a strictly positive start overlaps it.
@@ -196,62 +243,176 @@ def _start_vector(n_items: int) -> np.ndarray:
     return np.random.default_rng(_START_SEED).uniform(1.0, 2.0, n_items)
 
 
-def _stacked_ground(full: FullInstance, s_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues (ascending) and the unit ground vector of H(s) over an
-    s grid, chunked to bound memory.
+def _lanczos(stack: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two lowest Ritz values (ascending) and the unit lowest Ritz vector
+    of every matrix in a stack, by Lanczos with full reorthogonalisation.
 
-    The eigenvalues come from an eigenvalues-only solve of the stacked dense
-    matrices, the ground vectors from one shifted inverse-iteration solve per
-    s.  Raises ConvergenceFailure when LAPACK fails or when a ground vector's
-    residual ||H x - e0 x|| divided by the dense gap e1 - e0, which bounds
-    the sine of its angle to the true ground vector, exceeds _RESIDUAL_TOL.
+    Every matrix runs from the same start vector.  A matrix stops one step
+    after the residuals of both lowest Ritz pairs first fall to _KRYLOV_TOL,
+    or as soon as they do when the Krylov space is exactly invariant or spans
+    the whole space.  Raises ConvergenceFailure when the small tridiagonal
+    eigensolve fails, when a Krylov space breaks down at dimension 1 (one Ritz
+    value only) or when a matrix has not stopped after _KRYLOV_CAP steps.
+    """
+    count, n, _ = stack.shape
+    cap = min(_KRYLOV_CAP, n)
+    basis = np.empty((count, cap, n))
+    basis[:, 0] = start / np.linalg.norm(start)
+    tridiagonal = np.zeros((count, cap, cap))  # eigh reads its lower triangle
+    ritz_values = np.empty((count, 2))
+    ritz_vectors = np.empty((count, n))
+    pending = np.ones(count, dtype=bool)
+    converged_before = np.zeros(count, dtype=bool)
+    for j in range(cap):
+        krylov = basis[:, : j + 1]
+        w = np.matmul(stack, basis[:, j, :, None])
+        # Full reorthogonalisation in two passes; the first pass's last
+        # coefficient is the Rayleigh quotient alpha_j = q_j^T H q_j.
+        coefficients = np.matmul(krylov, w)
+        tridiagonal[:, j, j] = coefficients[:, j, 0]
+        w = w[..., 0] - np.matmul(coefficients[..., 0][:, None], krylov)[:, 0]
+        first_pass = np.linalg.norm(w, axis=1)
+        w -= np.matmul(np.matmul(krylov, w[..., None])[..., 0][:, None], krylov)[:, 0]
+        beta = np.linalg.norm(w, axis=1)
+        # When the second pass removes most of what the first left, the rest
+        # is rounding that need not be orthogonal to the basis: the Krylov
+        # space is invariant (Daniel, Gragg, Kaufman and Stewart, 1976).
+        beta[beta < 0.5 * first_pass] = 0.0
+        if j == 0:
+            if np.any(beta <= _KRYLOV_TOL):
+                raise ConvergenceFailure(
+                    f"Krylov space of dimension 1 for N={n}: the start vector is an "
+                    "eigenvector, so there is no second Ritz value"
+                )
+        else:
+            try:
+                theta, y = np.linalg.eigh(tridiagonal[:, : j + 1, : j + 1])
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceFailure(f"Lanczos tridiagonal eigensolve failed: {exc}") from exc
+            converged = np.all(beta[:, None] * np.abs(y[:, j, :2]) <= _KRYLOV_TOL, axis=1)
+            final = converged_before | (beta == 0.0) | (j + 1 == n)
+            stopped = pending & converged & final
+            converged_before = converged
+            ritz_values[stopped] = theta[stopped, :2]
+            ritz_vectors[stopped] = np.matmul(y[stopped, None, :, 0], krylov[stopped])[:, 0]
+            pending &= ~stopped
+            if not pending.any():
+                return ritz_values, ritz_vectors
+        if j + 1 < cap:
+            tridiagonal[:, j + 1, j] = beta
+            # A matrix that has stopped may divide by a zero norm here; its
+            # later steps are never read.  One that has only converged goes
+            # on from a normalised residual, however small.
+            basis[:, j + 1] = w / np.where(beta > 0.0, beta, 1.0)[:, None]
+    raise ConvergenceFailure(
+        f"Lanczos for N={n} did not reach residual {_KRYLOV_TOL:.0e} in {cap} steps"
+    )
+
+
+def _lowest_pair(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Certified bounds on the two lowest eigenvalues of every symmetric
+    matrix in a stack, and a unit ground vector.  Overwrites the stack.
+
+    Returns ``(upper, lower, ground)``: ``upper`` holds the Ritz values
+    (theta0, theta1), ``lower`` the certified lower bounds on (lambda1,
+    lambda2), and ``ground`` the lowest Ritz vectors, each within angle
+    _RESIDUAL_TOL of the true ground vector.  The certificate:
+
+    * min-max: the Ritz values bound lambda1 <= theta0 and lambda2 <= theta1;
+    * interlacing: A = H + 2 y0 y0^T - (theta1 - _PD_MARGIN) I is a rank-one
+      positive update of H - (theta1 - _PD_MARGIN) I, so lambda1(A) <=
+      lambda2(H) - theta1 + _PD_MARGIN, and A positive definite proves
+      lambda2 >= l = theta1 - _PD_MARGIN.  A succeeding block Cholesky
+      factorization is that proof;
+    * Temple: with r0 = ||H y0 - theta0 y0|| and theta0 < l, lambda1 >=
+      theta0 - r0^2 / (l - theta0), and r0 / (l - theta0) bounds the sine of
+      the angle between y0 and the ground vector.
+
+    Raises ConvergenceFailure when Lanczos fails (see _lanczos), when the
+    angle bound exceeds _RESIDUAL_TOL or l <= theta0, or when the
+    factorization of A fails.
+    """
+    count, n, _ = stack.shape
+    upper, ground = _lanczos(stack, _start_vector(n))
+    residual = np.linalg.norm(
+        np.matmul(stack, ground[:, :, None])[..., 0] - upper[:, :1] * ground, axis=1
+    )
+    separation = upper[:, 1] - _PD_MARGIN - upper[:, 0]
+    angle_bound = residual / separation
+    certified = (separation > 0.0) & (angle_bound <= _RESIDUAL_TOL)  # NaN fails too
+    if not np.all(certified):
+        worst = int(np.argmin(certified))
+        raise ConvergenceFailure(
+            f"ground vector for N={n}: residual {residual[worst]:.3e} over separation "
+            f"{separation[worst]:.3e} does not bound its angle by {_RESIDUAL_TOL:.0e}"
+        )
+    # A = H + 2 y0 y0^T - l I, formed in place, half the rows at a time.
+    half = n // 2
+    for rows in (slice(0, half), slice(half, n)):
+        stack[:, rows] += (2.0 * ground[:, rows, None]) * ground[:, None, :]
+    stack.reshape(count, n * n)[:, :: n + 1] -= (upper[:, 1] - _PD_MARGIN)[:, None]
+    # Block Cholesky: L11 L11^T = A11, W = L11^-1 A12, then the Schur
+    # complement A22 - W^T W must have a Cholesky factor too.
+    a11, a12, a22 = stack[:, :half, :half], stack[:, :half, half:], stack[:, half:, half:]
+    try:
+        l11 = np.linalg.cholesky(a11)
+        w = np.linalg.solve(l11, a12)
+        a22 -= np.matmul(np.swapaxes(w, 1, 2), w)
+        np.linalg.cholesky(a22)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(
+            f"N={n}: H + 2 y0 y0^T - (theta1 - {_PD_MARGIN:.0e}) I is not positive "
+            f"definite, so theta1 is not certified as the second eigenvalue: {exc}"
+        ) from exc
+    lower = np.column_stack([upper[:, 0] - residual * angle_bound, upper[:, 1] - _PD_MARGIN])
+    return upper, lower, ground
+
+
+def _stacked_ground(
+    full: FullInstance, s_grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_lowest_pair`` of H(s) over an s grid, chunked to bound memory.
+
+    Each chunk's Hamiltonians are written into one preallocated buffer.
     """
     n = full.n_items
-    values = np.empty((len(s_grid), n))
+    upper = np.empty((len(s_grid), 2))
+    lower = np.empty((len(s_grid), 2))
     ground = np.empty((len(s_grid), n))
-    start_vector = _start_vector(n)[:, None]
-    chunk = max(1, int(2_000_000 // (n * n)))
+    chunk = min(len(s_grid), max(1, int(2_000_000 // (n * n))))
+    buffer = np.empty((chunk, n, n))
     for start in range(0, len(s_grid), chunk):
-        block = s_grid[start : start + chunk]
-        stack = np.stack([full_hamiltonian(full, float(s)) for s in block])
-        diagonal = stack.reshape(len(block), n * n)[:, :: n + 1]  # a view
-        h_diagonal = diagonal.copy()
+        block = slice(start, start + chunk)
+        s_block = s_grid[block]
+        stack = _hamiltonians(full, s_block, buffer[: len(s_block)])
         try:
-            w = np.linalg.eigvalsh(stack)
-            diagonal -= (w[:, 0] - _INVERSE_SHIFT)[:, None]
-            x = np.linalg.solve(stack, start_vector)[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"dense solve failed for N={n}: {exc}") from exc
-        diagonal[...] = h_diagonal
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        residual = np.linalg.norm((stack @ x[..., None])[..., 0] - w[:, :1] * x, axis=1)
-        angle_bound = residual / (w[:, 1] - w[:, 0])
-        if not np.all(angle_bound <= _RESIDUAL_TOL):  # NaN fails this test too
-            worst = int(np.argmax(np.nan_to_num(angle_bound, nan=np.inf)))
+            upper[block], lower[block], ground[block] = _lowest_pair(stack)
+        except ConvergenceFailure as exc:
             raise ConvergenceFailure(
-                f"ground vector for N={n} at s={float(block[worst])}: residual/gap "
-                f"{angle_bound[worst]:.3e} exceeds {_RESIDUAL_TOL:.0e}"
-            )
-        values[start : start + len(block)] = w
-        ground[start : start + len(block)] = x
-    return values, ground
+                f"{exc} (s in [{s_block.min()}, {s_block.max()}])"
+            ) from exc
+    return upper, lower, ground
 
 
 def certify_reduction(full: FullInstance, s_grid: Sequence[float]) -> float:
     """Worst absolute discrepancy between the dense spectrum and the
     closed-form reduction over the given s grid.
 
-    Compares (E0, E1, gap, |<Psi|E0>|^2, |<beta|E0>|^2) pointwise.
+    Compares (E0, E1, gap, |<Psi|E0>|^2, |<beta|E0>|^2) pointwise, taking
+    E0 and E1 as the certified Ritz values theta0 and theta1 (see the module
+    docstring): the true E0 lies within r0^2 / (theta1 - delta - theta0) of
+    theta0 and the true E1 within delta = _PD_MARGIN of theta1.  Raises
+    ConvergenceFailure when any part of that certificate fails.
     """
     s_values = np.asarray(list(s_grid), dtype=float)
     if s_values.size == 0:
         raise ValueError("s_grid must not be empty")
     closed = spectral_columns(full.reduced(), s_values)
-    values, ground = _stacked_ground(full, s_values)
+    ritz, _, ground = _stacked_ground(full, s_values)
     dense = np.stack([
-        values[:, 0],
-        values[:, 1],
-        values[:, 1] - values[:, 0],
+        ritz[:, 0],
+        ritz[:, 1],
+        ritz[:, 1] - ritz[:, 0],
         (ground @ uniform_vector(full)) ** 2,
         (ground @ marked_vector(full)) ** 2,
     ])

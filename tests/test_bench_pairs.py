@@ -14,15 +14,27 @@ spec.loader.exec_module(bench_pairs)
 METRICS = json.loads(bench_pairs.BENCHMARK.read_text())["end_to_end"]
 
 
-def write_run(directory, workload, seed, wall_s, source, failed=0):
+def write_run(directory, workload, seed, wall_s, source, failed=0, **changed):
     metrics = {m["name"]: 1.0 for m in METRICS}
     metrics["wall_s"] = wall_s
+    environment = {
+        "source_sha256": source, "python": "3.11.7", "numpy": "2.4.6",
+        "cpu_model": "Example CPU", "blas_threads": 1,
+    }
     payload = {
-        "environment": {"source_sha256": source},
+        "seconds": 30.0,
+        "jobs_sha256": "j" + workload,
+        "environment": environment,
         "attempted": 100,
         "failed": failed,
         "metrics": metrics,
     }
+    for name, value in changed.items():
+        target = environment if name in environment else payload
+        if value is None:
+            del target[name]
+        else:
+            target[name] = value
     (directory / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(payload))
 
 
@@ -65,3 +77,30 @@ def test_no_common_pairs_is_an_error(tmp_path, capsys):
 def test_quartiles(values, expected):
     q = bench_pairs.quartiles(values)
     assert (q["q1"], q["median"], q["q3"]) == expected
+
+
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [
+        ("jobs_sha256", "other", "jobs_sha256 ('jrounds' against 'other')"),
+        ("seconds", 20.0, "seconds (30.0 against 20.0)"),
+        ("python", "3.12.1", "environment.python ('3.11.7' against '3.12.1')"),
+        ("numpy", "1.26.4", "environment.numpy ('2.4.6' against '1.26.4')"),
+        ("cpu_model", "Other CPU", "environment.cpu_model ('Example CPU' against 'Other CPU')"),
+        ("blas_threads", 2, "environment.blas_threads (1 against 2)"),
+        ("blas_threads", None, "environment.blas_threads (1 against missing)"),
+    ],
+)
+def test_pair_with_different_settings_is_an_error(tmp_path, capsys, field, value, shown):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    for seed in (1, 2):
+        write_run(parent, "rounds", seed, 2.0, "p")
+    write_run(change, "rounds", 1, 1.0, "c")
+    write_run(change, "rounds", 2, 1.0, "c", **{field: value})
+    out = tmp_path / "o.json"
+    assert bench_pairs.main([str(parent), str(change), "--out", str(out)]) == 2
+    expected = f"error: rounds seed 2: the parent and change runs differ in {shown}\n"
+    assert capsys.readouterr().err == expected
+    assert not out.exists()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padia.dynamics import (
@@ -16,9 +16,12 @@ from padia.dynamics import (
     schedule_stage_values,
 )
 from padia.model import NonEmptyMarkedSetRequired, initial_state, make_instance
+from padia import oracle
 from padia.oracle import (
     CapacityExceeded,
     ConvergenceFailure,
+    _hamiltonians,
+    _lowest_pair,
     _stacked_ground,
     _start_vector,
     certify_reduction,
@@ -53,6 +56,21 @@ class TestFullInstance:
         with pytest.raises(ValueError):
             make_full_instance(1, {0})
 
+    @pytest.mark.parametrize(
+        "n, marked",
+        [(8, [2.7]), (8, [2.0]), (8, [True]), (8, [1, "3"]), (8.0, [1]), (True, [0]),
+         (np.float64(8), [1]), (8, [np.float32(1)])],
+    )
+    def test_non_integers_rejected(self, n, marked):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make_full_instance(n, marked)
+
+    def test_numpy_integers_become_ints(self):
+        full = make_full_instance(np.int64(8), [np.int32(2), np.uint8(5)])
+        assert full == make_full_instance(8, {2, 5})
+        assert type(full.n_items) is int
+        assert all(type(i) is int for i in full.marked_set)
+
 
 class TestFullHamiltonian:
     def test_start_hamiltonian_two_items(self):
@@ -71,8 +89,9 @@ class TestFullHamiltonian:
         full = make_full_instance(6, {0, 4})
         h = full_hamiltonian(full, 0.37)
         assert np.array_equal(h, h.T)
-        with pytest.raises(ValueError):
-            full_hamiltonian(full, -0.2)
+        for s in (-0.2, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                full_hamiltonian(full, s)
 
 
 class TestDenseSpectrum:
@@ -138,17 +157,72 @@ def full_instances(draw):
     return make_full_instance(n, {(shift + k) % n for k in range(m)})
 
 
-class TestStackedGround:
-    @given(full_instances(), st.one_of(st.sampled_from([0.0, 1.0, 0.5]),
-                                       st.floats(min_value=0.0, max_value=1.0)))
+def reference_hamiltonian(full, s):
+    """H(s) built entry block by entry block with an np.ix_ index."""
+    n = full.n_items
+    h = np.full((n, n), -(1.0 - s) / n)
+    idx = sorted(full.marked_set)
+    h[np.ix_(idx, idx)] -= s / full.n_marked
+    h[np.diag_indices(n)] += 1.0
+    return h
+
+
+class TestHamiltonianStack:
+    @given(full_instances(), st.lists(st.one_of(st.sampled_from([0.0, 1.0]),
+                                                st.floats(min_value=0.0, max_value=1.0)),
+                                      min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
+    def test_slices_are_bit_identical(self, full, s_values):
+        n = full.n_items
+        stack = _hamiltonians(full, np.array(s_values), np.full((len(s_values), n, n), np.nan))
+        for h, s in zip(stack, s_values):
+            expected = reference_hamiltonian(full, s).tobytes()
+            assert h.tobytes() == expected
+            assert full_hamiltonian(full, s).tobytes() == expected
+
+    def test_domain(self):
+        full = make_full_instance(4, {1})
+        with pytest.raises(ValueError, match="1.5"):
+            _hamiltonians(full, np.array([0.5, 1.5]), np.empty((2, 4, 4)))
+
+
+def low_rank_hamiltonian(n, lowest, seed):
+    """I minus a rank-two positive matrix with random orthonormal directions:
+    eigenvalues lowest[0], lowest[1], then 1 repeated n - 2 times."""
+    basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, 2)))[0]
+    return np.eye(n) - (basis * (1.0 - np.asarray(lowest))) @ basis.T
+
+
+class TestStackedGround:
+    # Near s = 0 and 1, lambda2 lies about s(1-s)(N-M)/N below the bulk
+    # eigenvalue 1 and Lanczos must separate the two.
+    @given(full_instances(),
+           st.one_of(st.sampled_from([0.0, 1.0, 0.5, 1e-9, 1e-11, 1.0 - 1e-9]),
+                     st.floats(min_value=0.0, max_value=1.0)))
+    @settings(max_examples=60, deadline=None)
+    @example(make_full_instance(3, {0}), 1e-9)
+    @example(make_full_instance(256, range(255)), 1e-9)
+    @example(make_full_instance(4, {0}), 1.0 - 1e-11)
     def test_matches_full_eigendecomposition(self, full, s):
-        values, ground = _stacked_ground(full, np.array([s]))
+        upper, lower, ground = _stacked_ground(full, np.array([s]))
         w, v = np.linalg.eigh(full_hamiltonian(full, s))
-        assert np.allclose(values[0], w, rtol=0.0, atol=1e-12)
+        assert np.allclose(upper[0], w[:2], rtol=0.0, atol=1e-12)
+        # eigh's own rounding may put its values a few ulps outside.
+        slack = 1e-14
+        assert np.all(lower[0] - slack <= w[:2]) and np.all(w[:2] <= upper[0] + slack)
         assert np.linalg.norm(ground[0]) == pytest.approx(1.0, abs=1e-14)
         for state in (uniform_vector(full), marked_vector(full)):
             assert (ground[0] @ state) ** 2 == pytest.approx((v[:, 0] @ state) ** 2, abs=1e-12)
+
+    def test_chunks_match_single_points(self):
+        # N = 512 takes 7 Hamiltonians per chunk, so 9 points span two chunks.
+        full = make_full_instance(512, range(0, 512, 9))
+        grid = np.linspace(0.0, 1.0, 9)
+        upper, lower, ground = _stacked_ground(full, grid)
+        for i in range(len(grid)):
+            single = _stacked_ground(full, grid[i : i + 1])
+            for chunked, alone in zip((upper, lower, ground), single):
+                assert np.allclose(chunked[i], alone[0], rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("n", [3, 4, 17, 256, 4096])
     def test_start_vector_is_positive_and_leaves_the_plane(self, n):
@@ -161,7 +235,15 @@ class TestStackedGround:
             outside = np.linalg.norm(start - plane @ coefficients)
             assert outside > 0.05 * np.linalg.norm(start)
 
-    @pytest.mark.parametrize("routine", ["eigvalsh", "solve"])
+    def test_certifies_a_matrix_without_the_search_structure(self):
+        h = low_rank_hamiltonian(12, (0.2, 0.7), seed=3)
+        upper, lower, ground = _lowest_pair(h[None].copy())
+        w, v = np.linalg.eigh(h)
+        assert np.allclose(upper[0], [0.2, 0.7], rtol=0.0, atol=1e-14)
+        assert np.all(lower[0] <= w[:2] + 1e-14) and np.all(w[:2] <= upper[0] + 1e-14)
+        assert abs(ground[0] @ v[:, 0]) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("routine", ["cholesky", "eigh"])
     def test_lapack_failure_surfaces(self, monkeypatch, routine):
         def broken(*args, **kwargs):
             raise np.linalg.LinAlgError("no convergence")
@@ -171,14 +253,106 @@ class TestStackedGround:
             certify_reduction(make_full_instance(8, {2}), [0.25, 0.5])
 
     def test_unconverged_vector_is_refused(self, monkeypatch):
-        # A "solve" that returns its right-hand side leaves the start vector,
-        # whose residual is far above tolerance.
-        def no_solve(matrix, rhs):
-            return np.broadcast_to(rhs, matrix.shape[:-1] + rhs.shape[-1:]).copy()
-
-        monkeypatch.setattr(np.linalg, "solve", no_solve)
-        with pytest.raises(ConvergenceFailure, match="residual/gap"):
+        # H(s) needs a Krylov space of dimension 3; two steps leave both
+        # Ritz residuals far above tolerance.
+        monkeypatch.setattr(oracle, "_KRYLOV_CAP", 2)
+        with pytest.raises(ConvergenceFailure, match="did not reach residual"):
             certify_reduction(make_full_instance(8, {2}), [0.25, 0.5])
+
+    def test_krylov_space_of_dimension_one_is_refused(self, monkeypatch):
+        # The uniform vector is the ground vector of H(0): Lanczos breaks
+        # down at once, with a single Ritz value.
+        monkeypatch.setattr(oracle, "_start_vector", lambda n: np.ones(n))
+        with pytest.raises(ConvergenceFailure, match="dimension 1"):
+            certify_reduction(make_full_instance(8, {2}), [0.0])
+
+    @pytest.mark.parametrize("n, marked, s", [(16, {3, 9}, 0.5), (256, range(16), 0.3)])
+    def test_missed_ground_state_is_refused(self, monkeypatch, n, marked, s):
+        # A start vector with its ground component projected out, run on an
+        # operator whose ground level is lifted out of reach, so that rounding
+        # cannot bring it back: Lanczos reports (E1, 1) as the lowest pair,
+        # which only the positive-definiteness test can see through.
+        full = make_full_instance(n, marked)
+        true_ground = np.linalg.eigh(full_hamiltonian(full, s))[1][:, 0]
+        start = _start_vector(n)
+        start = start - (start @ true_ground) * true_ground
+        lanczos = oracle._lanczos
+
+        def blind(stack, _):
+            values, vectors = lanczos(stack + 4.0 * np.outer(true_ground, true_ground), start)
+            assert values[0, 1] == pytest.approx(1.0, abs=1e-12)
+            return values, vectors
+
+        monkeypatch.setattr(oracle, "_lanczos", blind)
+        with pytest.raises(ConvergenceFailure, match="not positive definite"):
+            certify_reduction(full, [s])
+
+    def test_lower_bound_is_sharp_beyond_the_margin(self, monkeypatch):
+        # A negative margin claims lambda2 >= theta1 + 1e-13, which is false
+        # by 1e-13: the factorization must see that, at a degenerate (s = 0)
+        # and a generic point.
+        monkeypatch.setattr(oracle, "_PD_MARGIN", -1e-13)
+        for s in (0.0, 0.4):
+            with pytest.raises(ConvergenceFailure, match="not positive definite"):
+                certify_reduction(make_full_instance(64, range(5)), [s])
+
+    def test_schur_complement_uses_the_cholesky_factor(self, monkeypatch):
+        # W = L11^-1 A12 keeps the factorization backward stable; solving
+        # with A11 itself would multiply its rounding by cond(A11).
+        solved_with = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            solved_with.append(a.copy())
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        certify_reduction(make_full_instance(16, {1, 5}), [0.3, 0.6])
+        assert len(solved_with) == 1
+        factor = solved_with[0]
+        assert factor.shape == (2, 8, 8)
+        assert np.all(np.triu(factor, 1) == 0.0) and np.all(np.diagonal(factor, 0, 1, 2) > 0.0)
+
+    def test_unseparated_pair_is_refused(self):
+        # lambda2 - lambda1 = 1e-12 is below the margin: l = theta1 - margin
+        # does not separate theta0, so neither Temple nor the angle bound hold.
+        h = low_rank_hamiltonian(12, (0.0, 1e-12), seed=4)
+        with pytest.raises(ConvergenceFailure, match="does not bound its angle"):
+            _lowest_pair(h[None].copy())
+
+    def test_temple_bound_widens_with_the_residual(self, monkeypatch):
+        # A Ritz vector 1e-10 off the ground vector passes the angle test;
+        # the lower bound on lambda1 = 0 then sits r0^2 / (l - theta0) below.
+        h = low_rank_hamiltonian(12, (0.0, 0.5), seed=5)
+        exact = np.linalg.eigh(h)[1]
+        lanczos = oracle._lanczos
+
+        def tilted(stack, start):
+            values, _ = lanczos(stack, start)
+            return values, (np.cos(1e-10) * exact[:, 0] + np.sin(1e-10) * exact[:, 1])[None]
+
+        monkeypatch.setattr(oracle, "_lanczos", tilted)
+        upper, lower, _ = _lowest_pair(h[None].copy())
+        residual = 1e-10 * 0.5
+        width = upper[0, 0] - lower[0, 0]
+        separation = upper[0, 1] - oracle._PD_MARGIN - upper[0, 0]
+        assert width == pytest.approx(residual**2 / separation, rel=1e-3, abs=0.0)
+
+    def test_inaccurate_ground_vector_is_refused(self, monkeypatch):
+        # A Ritz vector 1e-6 off the ground vector still passes the
+        # positive-definiteness test; its residual over the gap must not.
+        full = make_full_instance(32, {4, 20})
+        exact = np.linalg.eigh(full_hamiltonian(full, 0.5))[1]
+        lanczos = oracle._lanczos
+
+        def tilted(stack, start):
+            values, vectors = lanczos(stack, start)
+            sign = np.sign(vectors[0] @ exact[:, 0])
+            return values, sign * (np.cos(1e-6) * exact[:, 0] + np.sin(1e-6) * exact[:, 1])[None]
+
+        monkeypatch.setattr(oracle, "_lanczos", tilted)
+        with pytest.raises(ConvergenceFailure, match="does not bound its angle"):
+            certify_reduction(full, [0.5])
 
 
 class TestCertifyReduction:
