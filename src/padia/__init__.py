@@ -36,6 +36,7 @@ from .dynamics import (
     make_partial_schedule,
     make_global_schedule,
     make_local_schedule,
+    make_schedule,
     default_step_count,
     evolve,
     run_round,

@@ -25,9 +25,7 @@ from .dynamics import (
     NormDriftExceeded,
     default_step_count,
     evolve,
-    make_global_schedule,
-    make_local_schedule,
-    make_partial_schedule,
+    make_schedule,
     draw_repeat_stats,
 )
 from .model import initial_state, make_instance
@@ -57,6 +55,9 @@ CERTIFY_N_CAP = 1024
 _DEFAULT_BOUNDS_N = [4**k for k in range(1, 13)]  # 2^2 .. 2^24
 _DEFAULT_SWEEP_N = [2**k for k in range(6, 17)]
 _DEFAULT_SWEEP_M = [2**k for k in range(0, 9)]
+
+# The --schedule choices of evolve and sweep, mapped to Schedule.kind.
+_SCHEDULE_KINDS = {"partial": "partial", "global": "global_linear", "local": "local_adiabatic"}
 
 
 def _positive_int(text: str) -> int:
@@ -181,14 +182,6 @@ def _m_values(n: int, rule: str) -> list[int]:
     raise ValueError(f"unknown m-rule {rule!r}")
 
 
-def _build_schedule(instance, args):
-    if args.schedule == "partial":
-        return make_partial_schedule(instance, args.c)
-    if args.schedule == "global":
-        return make_global_schedule(instance, args.c)
-    return make_local_schedule(instance, args.epsilon, args.knots)
-
-
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     instance = make_instance(args.n, args.m)
     columns = spectral_columns(instance, np.linspace(0.0, 1.0, args.points))
@@ -218,7 +211,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     instance = make_instance(args.n, args.m)
-    schedule = _build_schedule(instance, args)
+    schedule = make_schedule(
+        instance, _SCHEDULE_KINDS[args.schedule], args.c, args.epsilon, args.knots
+    )
     steps = args.steps if args.steps is not None else default_step_count(schedule.total_time)
     outcome = evolve(instance, schedule, steps, initial_state(instance))
     payload = {
@@ -252,14 +247,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = args.grid if args.grid is not None else (
         _DEFAULT_SWEEP_N if args.axis == "n" else _DEFAULT_SWEEP_M
     )
-    kind = {"partial": "partial", "global": "global_linear", "local": "local_adiabatic"}[
-        args.schedule
-    ]
     records, fit = sweep(
         axis=args.axis,
         fixed_value=args.fixed,
         grid=grid,
-        schedule_kind=kind,
+        schedule_kind=_SCHEDULE_KINDS[args.schedule],
         time_multiplier=args.c,
         epsilon=args.epsilon,
         steps=args.steps,
@@ -385,9 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="integration steps (default: 64/unit time, at least 100)",
     )
-    p_evolve.add_argument(
-        "--schedule", choices=("partial", "global", "local"), default="partial"
-    )
+    p_evolve.add_argument("--schedule", choices=tuple(_SCHEDULE_KINDS), default="partial")
     p_evolve.add_argument(
         "--epsilon", type=_positive_float, default=1.0, help="local-schedule rate constant"
     )
@@ -419,9 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated grid for the swept axis (>= 5 points)",
     )
-    p_sweep.add_argument(
-        "--schedule", choices=("partial", "global", "local"), default="partial"
-    )
+    p_sweep.add_argument("--schedule", choices=tuple(_SCHEDULE_KINDS), default="partial")
     p_sweep.add_argument("--c", type=_positive_float, default=1.0)
     p_sweep.add_argument("--steps", type=_positive_int, default=None)
     p_sweep.add_argument("--epsilon", type=_positive_float, default=1.0)
@@ -457,9 +445,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--grid needs at least 5 points")
     if args.command == "certify" and args.n_max > CERTIFY_N_CAP:
         parser.error(f"--n-max must be at most {CERTIFY_N_CAP}")
-    if args.command == "evolve" and args.knots < 100:
-        parser.error("--knots must be at least 100")
-    if args.command == "sweep" and args.knots < 100:
+    if args.command in ("evolve", "sweep") and args.knots < 100:
         parser.error("--knots must be at least 100")
 
     try:

@@ -25,13 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .dynamics import (
-    default_step_count,
-    evolve,
-    make_global_schedule,
-    make_local_schedule,
-    make_partial_schedule,
-)
+from .dynamics import default_step_count, evolve, make_schedule
 from .model import SearchInstance, evolution_window, initial_state, make_instance
 from .spectrum import (
     BoundReport,
@@ -139,27 +133,6 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float], axis: str = "x") -> Fit
     return FitResult(slope=slope, intercept=intercept, r_squared=r_squared, axis=axis)
 
 
-def _simulated_success(
-    instance: SearchInstance,
-    schedule_kind: str,
-    time_multiplier: float,
-    epsilon: float,
-    steps: int | None,
-    local_knots: int,
-) -> float:
-    if schedule_kind == "partial":
-        schedule = make_partial_schedule(instance, time_multiplier)
-    elif schedule_kind == "global_linear":
-        schedule = make_global_schedule(instance, time_multiplier)
-    elif schedule_kind == "local_adiabatic":
-        schedule = make_local_schedule(instance, epsilon, local_knots)
-    else:
-        raise ValueError(f"unknown schedule kind {schedule_kind!r}")
-    if steps is None:
-        steps = default_step_count(schedule.total_time)
-    return evolve(instance, schedule, steps, initial_state(instance)).success_probability
-
-
 def make_sweep_record(
     instance: SearchInstance,
     schedule_kind: str = "partial",
@@ -172,23 +145,19 @@ def make_sweep_record(
     """Evaluate one (N, M) grid point."""
     window = evolution_window(instance)
     g_min, _ = min_gap(instance)
-    p_round = adiabatic_success_probability(instance)
-    if schedule_kind == "partial":
+    schedule = make_schedule(instance, schedule_kind, time_multiplier, epsilon, local_knots)
+    if schedule.kind == "partial":
         t_prime = one_round_time(instance)
-        p_adiabatic = p_round
-    elif schedule_kind == "global_linear":
-        t_prime = time_multiplier / (g_min * g_min)
-        p_adiabatic = 1.0
-    elif schedule_kind == "local_adiabatic":
-        t_prime = make_local_schedule(instance, epsilon, local_knots).total_time
-        p_adiabatic = 1.0
+        p_adiabatic = adiabatic_success_probability(instance)
     else:
-        raise ValueError(f"unknown schedule kind {schedule_kind!r}")
-    sim_success = (
-        _simulated_success(instance, schedule_kind, time_multiplier, epsilon, steps, local_knots)
-        if simulate
-        else None
-    )
+        t_prime = schedule.total_time
+        p_adiabatic = 1.0
+    sim_success = None
+    if simulate:
+        if steps is None:
+            steps = default_step_count(schedule.total_time)
+        outcome = evolve(instance, schedule, steps, initial_state(instance))
+        sim_success = outcome.success_probability
     return SweepRecord(
         n_items=instance.n_items,
         n_marked=instance.n_marked,

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface and its exit-code contract."""
 
 import csv
+import hashlib
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import stat
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +121,40 @@ class TestTableBytes:
         assert capsys.readouterr().out == reference_table(
             sweep_records_to_rows(records), fmt, extra
         )
+
+
+class TestTableDigests:
+    """SHA-256 of the published tables.  The closed-form kernel may be
+    reorganised, but not one byte of these tables may move."""
+
+    SCALING = {
+        "expected_time_vs_n.csv":
+            "7aa37041ce3c1e9eb9f8c51839389794494a6e621540f70f6981bf64894dc732",
+        "expected_time_vs_m.csv":
+            "28530440a631872ef09628212b6cdf56fd3a683ce85a31d7bde95f126a84d0c5",
+        "local_baseline_vs_m.csv":
+            "e2b0edd5c3f2189ca4e8b3d83f2f249508167c03b7abb96993915f9534556cb2",
+    }
+    BOUNDS = {
+        "csv": "c58fc18ae91027deb3b2bdfdceadbbbe8919199b1eb945bbc00d2b90ab3300d7",
+        "json": "e6e3f592d48b1fac960c2e7886e1f6a5af31f8511208aa1994547cc74410f97c",
+    }
+
+    def test_reproduce_scaling(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_scaling.py"
+        subprocess.run([sys.executable, str(script), "--outdir", str(tmp_path)],
+                       check=True, capture_output=True)
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.SCALING
+        }
+        assert digests == self.SCALING
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bounds_all_divisors(self, fmt, capsys):
+        assert run_cli(["bounds", "--m-rule", "all-divisors", "--output", fmt]) == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == self.BOUNDS[fmt]
 
 
 class TestAtomicOut:

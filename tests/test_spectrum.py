@@ -6,6 +6,8 @@ large-N behavior is pinned by the cancellation-free identities themselves.
 """
 
 import math
+import sys
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -145,18 +147,12 @@ class TestMinGap:
         assert min_gap(make_instance(50, 50)) == (1.0, 0.5)
 
     def test_power_of_two_with_grid_verification(self):
-        g, s_star = min_gap(make_instance(1024, 4), verify_points=10_001)
+        inst = make_instance(1024, 4)
+        g, s_star = min_gap(inst)
         assert g == pytest.approx(0.0625, abs=1e-15)
         assert s_star == 0.5
-
-    def test_verify_points_validation(self):
-        with pytest.raises(ValueError):
-            min_gap(make_instance(4, 1), verify_points=1)
-
-    def test_scan_uses_the_array_gap(self, monkeypatch):
-        monkeypatch.setattr(spectrum, "_gap_array", lambda instance, s: s * 0.0)
-        with pytest.raises(RuntimeError):
-            min_gap(make_instance(1024, 4), verify_points=11)
+        gaps = np.array([gap(inst, float(s)) for s in np.linspace(0.0, 1.0, 10_001)])
+        assert gaps.min() >= g - 1e-12
 
 
 class TestEigenvectors:
@@ -305,6 +301,73 @@ class TestSpectralColumns:
     def test_rejects_non_flat_grid(self):
         with pytest.raises(ValueError):
             spectral_columns(make_instance(4, 1), [[0.5]])
+
+
+class TestExactEndpoints:
+    """Where the ground state is |beta> the values are exact, not solved for."""
+
+    @given(edge_instances())
+    @settings(max_examples=300)
+    def test_ground_state_is_beta_at_s_one(self, inst):
+        assert eigenvector_components(inst, 1.0, 0) == (0.0, 1.0)
+        c_alpha, c_beta = eigenvector_components(inst, 1.0, 1)
+        assert (c_alpha, c_beta) == (1.0, 0.0) and same_bits(c_beta, 0.0)
+        assert overlap_psi(inst, 1.0, 0) == inst.b
+        assert overlap_beta(inst, 1.0, 0) == 1.0
+        assert overlap_psi(inst, 1.0, 1) == inst.a
+        assert overlap_beta(inst, 1.0, 1) == 0.0
+        columns = spectral_columns(inst, [0.0, 0.5, 1.0])
+        assert columns["ov_psi_0"][2] == inst.b
+        assert columns["ov_beta_0"][2] == 1.0
+
+
+def reference_level(n, m, s, k):
+    """(c_alpha, c_beta, ov_psi, ov_beta) of level k at 80 digits.
+
+    Solves the explicit 2x2 matrix with the textbook discriminant
+    1 - 4s(1-s)a and takes the null vector of H - E from whichever row
+    gives the longer candidate.
+    """
+    with localcontext(Context(prec=80)):
+        a = Decimal(n - m) / n
+        b = Decimal(m) / n
+        s = Decimal(s)
+        t = 1 - s
+        h_aa, h_ab, h_bb = 1 - t * a, -t * (a * b).sqrt(), t * a
+        root = (1 - 4 * s * t * a).sqrt()
+        # E0 * E1 = s(1-s)a gives E0 without the cancellation of (1 - root)/2.
+        e = 2 * s * t * a / (1 + root) if k == 0 else (1 + root) / 2
+        v = max([(-h_ab, h_aa - e), (h_bb - e, -h_ab)], key=lambda w: w[0] ** 2 + w[1] ** 2)
+        norm = (v[0] ** 2 + v[1] ** 2).sqrt()
+        c_alpha, c_beta = v[0] / norm, v[1] / norm
+        if (c_beta if k == 0 else c_alpha) < 0:
+            c_alpha, c_beta = -c_alpha, -c_beta
+        amp = c_alpha * a.sqrt() + c_beta * b.sqrt()
+        return c_alpha, c_beta, amp * amp, c_beta * c_beta
+
+
+def near(center, sign, max_exponent):
+    """s = center + sign * (1 + f) * 2^-e for e in [2, max_exponent]."""
+    return st.builds(
+        lambda e, f: center + sign * math.ldexp(1.0 + f, -e),
+        st.integers(min_value=2, max_value=max_exponent),
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )
+
+
+class TestRelativeAccuracy:
+    @given(edge_instances(),
+           st.one_of(near(0.0, 1.0, 60), near(0.5, -1.0, 60), near(0.5, 1.0, 60),
+                     near(1.0, -1.0, 53)),
+           st.sampled_from([0, 1]))
+    @settings(max_examples=400, deadline=None)
+    def test_against_80_digit_reference(self, inst, s, k):
+        got = (*eigenvector_components(inst, s, k), overlap_psi(inst, s, k),
+               overlap_beta(inst, s, k))
+        ref = reference_level(inst.n_items, inst.n_marked, s, k)
+        for name, x, r in zip(("c_alpha", "c_beta", "ov_psi", "ov_beta"), got, ref):
+            r = float(r)
+            assert abs(x - r) <= 1e-13 * abs(r) + sys.float_info.min, (name, x, r)
 
 
 class TestRoundQuantities:
