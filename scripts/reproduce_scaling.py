@@ -24,7 +24,6 @@ from padia.sweeps import rows_to_csv, sweep, sweep_records_to_rows  # noqa: E402
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results", help="output directory")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     outdir = Path(args.outdir)
@@ -40,7 +39,7 @@ def main() -> int:
                                          schedule_kind="local_adiabatic")),
     ]
     for filename, kwargs in jobs:
-        records, fit = sweep(workers=args.workers, **kwargs)
+        records, fit = sweep(**kwargs)
         path = outdir / filename
         path.write_text(rows_to_csv(sweep_records_to_rows(records)))
         print(f"{filename}: slope={fit.slope:+.4f} r^2={fit.r_squared:.5f} -> {path}")

@@ -102,21 +102,6 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _resolve_workers(args: argparse.Namespace) -> int:
-    if getattr(args, "workers", None) is not None:
-        return args.workers
-    env = os.environ.get("PADIA_WORKERS")
-    if env is None:
-        return 1
-    try:
-        workers = int(env)
-    except ValueError:
-        raise SystemExit(f"error: PADIA_WORKERS must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise SystemExit(f"error: PADIA_WORKERS must be positive, got {workers}")
-    return workers
-
-
 def _emit(text: str, out_path: str | None) -> None:
     """Write to stdout, or to ``out_path``.
 
@@ -190,13 +175,12 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    workers = _resolve_workers(args)
     cases = []
     for n in args.n_list:
         for m in sorted(set(_m_values(n, args.m_rule))):
             cases.append((n, m))
     cases.sort()
-    reports = run_parallel(lambda nm: bound_report(make_instance(*nm)), cases, workers)
+    reports = run_parallel(lambda nm: bound_report(make_instance(*nm)), cases, args.workers)
     rows = bound_reports_to_rows(
         [(n, m, rep) for (n, m), rep in zip(cases, reports)]
     )
@@ -243,7 +227,6 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    workers = _resolve_workers(args)
     grid = args.grid if args.grid is not None else (
         _DEFAULT_SWEEP_N if args.axis == "n" else _DEFAULT_SWEEP_M
     )
@@ -256,7 +239,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         steps=args.steps,
         simulate=args.simulate,
-        workers=workers,
+        workers=args.workers,
         local_knots=args.knots,
     )
     fit_payload = {
@@ -279,7 +262,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    workers = _resolve_workers(args)
     s_grid = np.linspace(0.0, 1.0, args.points)
     cases = []
     n = 2
@@ -293,7 +275,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         full = make_full_instance(n_items, range(m))
         return certify_reduction(full, s_grid)
 
-    errors = run_parallel(job, cases, workers)
+    errors = run_parallel(job, cases, args.workers)
     worst = max(errors)
     worst_case = cases[errors.index(worst)]
     print(
@@ -327,8 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--workers",
         type=_positive_int,
-        default=None,
-        help="worker threads for grid evaluation (default: $PADIA_WORKERS or 1)",
+        default=1,
+        help="worker threads for grid evaluation (default: 1)",
     )
     common.add_argument(
         "--seed", type=_nonnegative_int, default=0, help="seed for any random draws"

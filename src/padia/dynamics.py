@@ -217,15 +217,6 @@ def default_step_count(total_time: float) -> int:
     return max(100, math.ceil(64.0 * total_time))
 
 
-def schedule_stage_values(schedule: Schedule, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample s at the step endpoints and midpoints of a fixed-step RK4 run."""
-    times = np.linspace(0.0, schedule.total_time, steps + 1)
-    mids = times[:-1] + 0.5 * (schedule.total_time / steps)
-    s_nodes = np.asarray(schedule.sample(times), dtype=float)
-    s_mids = np.asarray(schedule.sample(mids), dtype=float)
-    return s_nodes, s_mids
-
-
 def _chunk_gauss_values(
     schedule: Schedule, steps: int, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -10,9 +10,9 @@ the subspace structure:
 * ``dense_spectrum`` runs a full eigendecomposition and checks every
   eigenpair's residual.
 * ``certify_reduction`` bounds the two lowest eigenvalues of H(s) and finds
-  its ground vector with an a-posteriori certificate.  Lanczos with full
-  reorthogonalisation, started from a fixed positive pseudo-random vector
-  rather than from |Psi> or |beta>, gives Ritz values theta0 <= theta1,
+  its ground vector with an a-posteriori certificate.  Rayleigh-Ritz on the
+  Krylov block [x, Hx, H^2 x, H^3 x] of a fixed positive pseudo-random vector
+  x, rather than of |Psi> or |beta>, gives Ritz values theta0 <= theta1,
   which bound lambda1 and lambda2 from above (min-max).  One block Cholesky
   factorization of A = H + 2 y0 y0^T - (theta1 - delta) I, with y0 the
   lowest Ritz vector, proves lambda2 >= theta1 - delta: A is a rank-one
@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import NORM_DRIFT_LIMIT, NormDriftExceeded, Schedule, schedule_stage_values
+from .dynamics import NORM_DRIFT_LIMIT, NormDriftExceeded, Schedule
 from .model import NonEmptyMarkedSetRequired, SearchInstance, make_instance, require_integer
 from .spectrum import spectral_columns
 
@@ -70,19 +70,10 @@ DYNAMICS_CAP = 512
 # the capped sizes.
 _RESIDUAL_TOL = 1e-9
 
-# Lanczos on H(s) = I - (rank <= 2) reaches an invariant Krylov space in at
-# most three steps; a run still going after _KRYLOV_CAP steps is refused.
-_KRYLOV_CAP = 8
-
-# Lanczos stops one step after the residuals of both lowest Ritz pairs first
-# fall to _KRYLOV_TOL.  A Ritz value is only known to lie within its residual
-# of some eigenvalue: near s = 0 or 1, lambda2 lies about s(1-s)(N-M)/N below
-# the bulk eigenvalue 1, and a Ritz pair that mixes the two can pass the
-# residual test while theta1 still sits above lambda2 by nearly that gap.  The
-# extra step adds the direction that separates them.  The tolerance stays
-# well inside _PD_MARGIN, since the positive-definiteness test refuses a
-# theta1 more than _PD_MARGIN above lambda2.
-_KRYLOV_TOL = 1e-13
+# H(s) = I - (rank <= 2), so the Krylov space of any start vector is
+# invariant at dimension 3 or less; a block of _KRYLOV_DIM = 4 Krylov vectors
+# holds it with one spare direction.
+_KRYLOV_DIM = 4
 
 # The certified lower bound on lambda2 is theta1 - _PD_MARGIN.  The margin
 # must exceed the rounding of the positive-definiteness test, or an accurate
@@ -95,7 +86,7 @@ _KRYLOV_TOL = 1e-13
 # [theta1 - _PD_MARGIN, theta1].
 _PD_MARGIN = 1e-11
 
-# Seed of the Lanczos start vector (see _start_vector).
+# Seed of the Krylov start vector (see _start_vector).
 _START_SEED = 2010
 
 # full_evolve splits a requested step longer than _MAX_RK4_DT into up to
@@ -114,7 +105,7 @@ class CapacityExceeded(ValueError):
 
 
 class ConvergenceFailure(RuntimeError):
-    """The dense eigensolve did not reach the required residual."""
+    """A dense eigensolve failed, or its residual or certificate did not hold."""
 
 
 @dataclass(frozen=True)
@@ -233,80 +224,41 @@ def dense_spectrum(full: FullInstance, s: float) -> DenseSpectrum:
 
 
 def _start_vector(n_items: int) -> np.ndarray:
-    """The fixed, strictly positive pseudo-random start of the Lanczos run.
+    """The fixed, strictly positive pseudo-random start of the Krylov block.
 
     H(s) has no positive off-diagonal entry, so by Perron-Frobenius its
     ground vector is nonnegative and a strictly positive start overlaps it.
     Being neither |Psi> nor |beta>, the start also carries components
-    outside their span, so the solve cannot inherit the reduction.
+    outside their span, so the Ritz pairs cannot inherit the reduction.
     """
     return np.random.default_rng(_START_SEED).uniform(1.0, 2.0, n_items)
 
 
-def _lanczos(stack: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ritz_pairs(stack: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two lowest Ritz values (ascending) and the unit lowest Ritz vector
-    of every matrix in a stack, by Lanczos with full reorthogonalisation.
+    of every matrix in a stack, by Rayleigh-Ritz on the Krylov block
+    [x, Hx, H^2 x, H^3 x] (the first min(_KRYLOV_DIM, N) columns) of the unit
+    start vector x.
 
-    Every matrix runs from the same start vector.  A matrix stops one step
-    after the residuals of both lowest Ritz pairs first fall to _KRYLOV_TOL,
-    or as soon as they do when the Krylov space is exactly invariant or spans
-    the whole space.  Raises ConvergenceFailure when the small tridiagonal
-    eigensolve fails, when a Krylov space breaks down at dimension 1 (one Ritz
-    value only) or when a matrix has not stopped after _KRYLOV_CAP steps.
+    Householder QR makes the block orthonormal even when its columns are
+    linearly dependent, and the Ritz values of any orthonormal basis bound
+    the eigenvalues from above, so nothing here has to detect breakdown or
+    decide when to stop.  The powers are not normalised: a start in H's null
+    space gives zero columns, not NaN.  Raises ConvergenceFailure when the
+    small projected eigensolve fails.
     """
     count, n, _ = stack.shape
-    cap = min(_KRYLOV_CAP, n)
-    basis = np.empty((count, cap, n))
-    basis[:, 0] = start / np.linalg.norm(start)
-    tridiagonal = np.zeros((count, cap, cap))  # eigh reads its lower triangle
-    ritz_values = np.empty((count, 2))
-    ritz_vectors = np.empty((count, n))
-    pending = np.ones(count, dtype=bool)
-    converged_before = np.zeros(count, dtype=bool)
-    for j in range(cap):
-        krylov = basis[:, : j + 1]
-        w = np.matmul(stack, basis[:, j, :, None])
-        # Full reorthogonalisation in two passes; the first pass's last
-        # coefficient is the Rayleigh quotient alpha_j = q_j^T H q_j.
-        coefficients = np.matmul(krylov, w)
-        tridiagonal[:, j, j] = coefficients[:, j, 0]
-        w = w[..., 0] - np.matmul(coefficients[..., 0][:, None], krylov)[:, 0]
-        first_pass = np.linalg.norm(w, axis=1)
-        w -= np.matmul(np.matmul(krylov, w[..., None])[..., 0][:, None], krylov)[:, 0]
-        beta = np.linalg.norm(w, axis=1)
-        # When the second pass removes most of what the first left, the rest
-        # is rounding that need not be orthogonal to the basis: the Krylov
-        # space is invariant (Daniel, Gragg, Kaufman and Stewart, 1976).
-        beta[beta < 0.5 * first_pass] = 0.0
-        if j == 0:
-            if np.any(beta <= _KRYLOV_TOL):
-                raise ConvergenceFailure(
-                    f"Krylov space of dimension 1 for N={n}: the start vector is an "
-                    "eigenvector, so there is no second Ritz value"
-                )
-        else:
-            try:
-                theta, y = np.linalg.eigh(tridiagonal[:, : j + 1, : j + 1])
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceFailure(f"Lanczos tridiagonal eigensolve failed: {exc}") from exc
-            converged = np.all(beta[:, None] * np.abs(y[:, j, :2]) <= _KRYLOV_TOL, axis=1)
-            final = converged_before | (beta == 0.0) | (j + 1 == n)
-            stopped = pending & converged & final
-            converged_before = converged
-            ritz_values[stopped] = theta[stopped, :2]
-            ritz_vectors[stopped] = np.matmul(y[stopped, None, :, 0], krylov[stopped])[:, 0]
-            pending &= ~stopped
-            if not pending.any():
-                return ritz_values, ritz_vectors
-        if j + 1 < cap:
-            tridiagonal[:, j + 1, j] = beta
-            # A matrix that has stopped may divide by a zero norm here; its
-            # later steps are never read.  One that has only converged goes
-            # on from a normalised residual, however small.
-            basis[:, j + 1] = w / np.where(beta > 0.0, beta, 1.0)[:, None]
-    raise ConvergenceFailure(
-        f"Lanczos for N={n} did not reach residual {_KRYLOV_TOL:.0e} in {cap} steps"
-    )
+    dim = min(_KRYLOV_DIM, n)
+    block = np.empty((count, n, dim))
+    block[:, :, 0] = start / np.linalg.norm(start)
+    for j in range(1, dim):
+        block[:, :, j] = np.matmul(stack, block[:, :, j - 1 : j])[..., 0]
+    q = np.linalg.qr(block)[0]
+    try:
+        theta, y = np.linalg.eigh(np.matmul(np.swapaxes(q, 1, 2), np.matmul(stack, q)))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"Rayleigh-Ritz eigensolve failed for N={n}: {exc}") from exc
+    return theta[:, :2], np.matmul(q, y[:, :, :1])[..., 0]
 
 
 def _lowest_pair(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,12 +280,12 @@ def _lowest_pair(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
       theta0 - r0^2 / (l - theta0), and r0 / (l - theta0) bounds the sine of
       the angle between y0 and the ground vector.
 
-    Raises ConvergenceFailure when Lanczos fails (see _lanczos), when the
-    angle bound exceeds _RESIDUAL_TOL or l <= theta0, or when the
-    factorization of A fails.
+    Raises ConvergenceFailure when the Rayleigh-Ritz eigensolve fails (see
+    _ritz_pairs), when the angle bound exceeds _RESIDUAL_TOL or l <= theta0,
+    or when the factorization of A fails.
     """
     count, n, _ = stack.shape
-    upper, ground = _lanczos(stack, _start_vector(n))
+    upper, ground = _ritz_pairs(stack, _start_vector(n))
     residual = np.linalg.norm(
         np.matmul(stack, ground[:, :, None])[..., 0] - upper[:, :1] * ground, axis=1
     )
@@ -418,6 +370,15 @@ def certify_reduction(full: FullInstance, s_grid: Sequence[float]) -> float:
     ])
     closed_form = np.stack([closed[k] for k in ("e0", "e1", "gap", "ov_psi_0", "ov_beta_0")])
     return float(np.max(np.abs(dense - closed_form)))
+
+
+def schedule_stage_values(schedule: Schedule, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample s at the step endpoints and midpoints of a fixed-step RK4 run."""
+    times = np.linspace(0.0, schedule.total_time, steps + 1)
+    mids = times[:-1] + 0.5 * (schedule.total_time / steps)
+    s_nodes = np.asarray(schedule.sample(times), dtype=float)
+    s_mids = np.asarray(schedule.sample(mids), dtype=float)
+    return s_nodes, s_mids
 
 
 def full_evolve(full: FullInstance, schedule: Schedule, steps: int) -> float:

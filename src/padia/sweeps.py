@@ -26,16 +26,13 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .dynamics import default_step_count, evolve, make_schedule
-from .model import SearchInstance, evolution_window, initial_state, make_instance
+from .model import SearchInstance, initial_state, make_instance
 from .spectrum import (
     BoundReport,
     SpectralPoint,
-    adiabatic_success_probability,
     bound_report,
     min_gap,
     one_round_time,
-    overlap_beta,
-    overlap_psi,
 )
 
 __all__ = [
@@ -143,12 +140,12 @@ def make_sweep_record(
     local_knots: int = DEFAULT_LOCAL_KNOTS,
 ) -> SweepRecord:
     """Evaluate one (N, M) grid point."""
-    window = evolution_window(instance)
     g_min, _ = min_gap(instance)
+    report = bound_report(instance)
     schedule = make_schedule(instance, schedule_kind, time_multiplier, epsilon, local_knots)
     if schedule.kind == "partial":
         t_prime = one_round_time(instance)
-        p_adiabatic = adiabatic_success_probability(instance)
+        p_adiabatic = report.p_one_round
     else:
         t_prime = schedule.total_time
         p_adiabatic = 1.0
@@ -166,9 +163,9 @@ def make_sweep_record(
         t_prime=t_prime,
         p_adiabatic=p_adiabatic,
         t_expected=t_prime / p_adiabatic,
-        ov_psi_minus=overlap_psi(instance, window.s_minus, 0),
-        ov_beta_plus=overlap_beta(instance, window.s_plus, 0),
-        bounds_hold=bound_report(instance).all_bounds_hold,
+        ov_psi_minus=report.ov_psi_at_s_minus,
+        ov_beta_plus=report.ov_beta_at_s_plus,
+        bounds_hold=report.all_bounds_hold,
         sim_success=sim_success,
     )
 

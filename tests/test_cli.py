@@ -346,12 +346,6 @@ class TestSweepCommand:
             run_cli(["sweep", "--axis", "n", "--fixed", "1", "--grid", "64,128"])
         assert exc.value.code == 2
 
-    def test_workers_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("PADIA_WORKERS", "2")
-        assert run_cli(["sweep", "--axis", "n", "--fixed", "1",
-                        "--grid", "64,128,256,512,1024", "--output", "json"]) == 0
-        json.loads(capsys.readouterr().out)
-
 
 class TestCertifyCommand:
     def test_small_range_passes(self, capsys):

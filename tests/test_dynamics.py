@@ -32,10 +32,10 @@ from padia.dynamics import (
     make_local_schedule,
     make_partial_schedule,
     run_round,
-    schedule_stage_values,
     simulate_until_success,
 )
 from padia.model import ReducedState, evolution_window, initial_state, make_instance
+from padia.oracle import schedule_stage_values
 from padia.spectrum import eigenvector_components, overlap_beta, overlap_psi
 from padia.sweeps import fit_loglog
 

@@ -13,7 +13,6 @@ from padia.dynamics import (
     make_global_schedule,
     make_partial_schedule,
     run_round,
-    schedule_stage_values,
 )
 from padia.model import NonEmptyMarkedSetRequired, initial_state, make_instance
 from padia import oracle
@@ -30,6 +29,7 @@ from padia.oracle import (
     full_hamiltonian,
     make_full_instance,
     marked_vector,
+    schedule_stage_values,
     uniform_vector,
 )
 
@@ -195,14 +195,16 @@ def low_rank_hamiltonian(n, lowest, seed):
 
 class TestStackedGround:
     # Near s = 0 and 1, lambda2 lies about s(1-s)(N-M)/N below the bulk
-    # eigenvalue 1 and Lanczos must separate the two.
+    # eigenvalue 1 and the Ritz pairs must separate the two.
     @given(full_instances(),
-           st.one_of(st.sampled_from([0.0, 1.0, 0.5, 1e-9, 1e-11, 1.0 - 1e-9]),
+           st.one_of(st.sampled_from([0.0, 1.0, 0.5, 1e-9, 1e-11, 1e-13, 1e-15,
+                                      1.0 - 1e-9, 1.0 - 1e-13]),
                      st.floats(min_value=0.0, max_value=1.0)))
     @settings(max_examples=60, deadline=None)
     @example(make_full_instance(3, {0}), 1e-9)
     @example(make_full_instance(256, range(255)), 1e-9)
     @example(make_full_instance(4, {0}), 1.0 - 1e-11)
+    @example(make_full_instance(1024, range(32)), 1e-12)
     def test_matches_full_eigendecomposition(self, full, s):
         upper, lower, ground = _stacked_ground(full, np.array([s]))
         w, v = np.linalg.eigh(full_hamiltonian(full, s))
@@ -253,37 +255,38 @@ class TestStackedGround:
             certify_reduction(make_full_instance(8, {2}), [0.25, 0.5])
 
     def test_unconverged_vector_is_refused(self, monkeypatch):
-        # H(s) needs a Krylov space of dimension 3; two steps leave both
-        # Ritz residuals far above tolerance.
-        monkeypatch.setattr(oracle, "_KRYLOV_CAP", 2)
-        with pytest.raises(ConvergenceFailure, match="did not reach residual"):
+        # H(s) needs a Krylov space of dimension 3; a block of two leaves the
+        # ground residual far above what the angle bound accepts.
+        monkeypatch.setattr(oracle, "_KRYLOV_DIM", 2)
+        with pytest.raises(ConvergenceFailure, match="does not bound its angle"):
             certify_reduction(make_full_instance(8, {2}), [0.25, 0.5])
 
-    def test_krylov_space_of_dimension_one_is_refused(self, monkeypatch):
-        # The uniform vector is the ground vector of H(0): Lanczos breaks
-        # down at once, with a single Ritz value.
+    @pytest.mark.parametrize("n, marked, s", [(8, {2}, 0.0), (16, range(16), 0.3)])
+    def test_eigenvector_start_is_certified(self, monkeypatch, n, marked, s):
+        # The uniform vector is the ground vector of H(0), and of every H(s)
+        # when all items are marked: the block has one nonzero column, and
+        # QR completes it with directions in the bulk eigenspace of 1.
         monkeypatch.setattr(oracle, "_start_vector", lambda n: np.ones(n))
-        with pytest.raises(ConvergenceFailure, match="dimension 1"):
-            certify_reduction(make_full_instance(8, {2}), [0.0])
+        assert certify_reduction(make_full_instance(n, marked), [s]) <= 1e-14
 
     @pytest.mark.parametrize("n, marked, s", [(16, {3, 9}, 0.5), (256, range(16), 0.3)])
     def test_missed_ground_state_is_refused(self, monkeypatch, n, marked, s):
         # A start vector with its ground component projected out, run on an
         # operator whose ground level is lifted out of reach, so that rounding
-        # cannot bring it back: Lanczos reports (E1, 1) as the lowest pair,
+        # cannot bring it back: Rayleigh-Ritz reports (E1, 1) as the lowest pair,
         # which only the positive-definiteness test can see through.
         full = make_full_instance(n, marked)
         true_ground = np.linalg.eigh(full_hamiltonian(full, s))[1][:, 0]
         start = _start_vector(n)
         start = start - (start @ true_ground) * true_ground
-        lanczos = oracle._lanczos
+        ritz_pairs = oracle._ritz_pairs
 
         def blind(stack, _):
-            values, vectors = lanczos(stack + 4.0 * np.outer(true_ground, true_ground), start)
+            values, vectors = ritz_pairs(stack + 4.0 * np.outer(true_ground, true_ground), start)
             assert values[0, 1] == pytest.approx(1.0, abs=1e-12)
             return values, vectors
 
-        monkeypatch.setattr(oracle, "_lanczos", blind)
+        monkeypatch.setattr(oracle, "_ritz_pairs", blind)
         with pytest.raises(ConvergenceFailure, match="not positive definite"):
             certify_reduction(full, [s])
 
@@ -325,13 +328,13 @@ class TestStackedGround:
         # the lower bound on lambda1 = 0 then sits r0^2 / (l - theta0) below.
         h = low_rank_hamiltonian(12, (0.0, 0.5), seed=5)
         exact = np.linalg.eigh(h)[1]
-        lanczos = oracle._lanczos
+        ritz_pairs = oracle._ritz_pairs
 
         def tilted(stack, start):
-            values, _ = lanczos(stack, start)
+            values, _ = ritz_pairs(stack, start)
             return values, (np.cos(1e-10) * exact[:, 0] + np.sin(1e-10) * exact[:, 1])[None]
 
-        monkeypatch.setattr(oracle, "_lanczos", tilted)
+        monkeypatch.setattr(oracle, "_ritz_pairs", tilted)
         upper, lower, _ = _lowest_pair(h[None].copy())
         residual = 1e-10 * 0.5
         width = upper[0, 0] - lower[0, 0]
@@ -343,14 +346,14 @@ class TestStackedGround:
         # positive-definiteness test; its residual over the gap must not.
         full = make_full_instance(32, {4, 20})
         exact = np.linalg.eigh(full_hamiltonian(full, 0.5))[1]
-        lanczos = oracle._lanczos
+        ritz_pairs = oracle._ritz_pairs
 
         def tilted(stack, start):
-            values, vectors = lanczos(stack, start)
+            values, vectors = ritz_pairs(stack, start)
             sign = np.sign(vectors[0] @ exact[:, 0])
             return values, sign * (np.cos(1e-6) * exact[:, 0] + np.sin(1e-6) * exact[:, 1])[None]
 
-        monkeypatch.setattr(oracle, "_lanczos", tilted)
+        monkeypatch.setattr(oracle, "_ritz_pairs", tilted)
         with pytest.raises(ConvergenceFailure, match="does not bound its angle"):
             certify_reduction(full, [0.5])
 
