@@ -1,11 +1,13 @@
 """Command-line surface: spectrum | bounds | evolve | sweep | certify.
 
 Exit codes are a stable contract for CI: 0 when everything passed, 1 when a
-bound check, certification, or integration failed, 2 on usage errors.
-Tables are emitted as CSV (default) or JSON; JSON documents put the rows
-under ``records`` and, for sweeps, the power-law fit under ``fit``.  Every
-table is built and written column-wise; an ``--out`` regular file is
-replaced atomically.
+bound check, certification, or integration failed, 2 on usage errors (a flag
+the subcommand does not take among them).  The table commands (spectrum,
+bounds, sweep) take ``--output csv|json`` and ``--out``; JSON documents put
+the rows under ``records`` and, for sweeps, the power-law fit under ``fit``.
+``evolve`` always writes JSON, to stdout or ``--out``; ``certify`` prints a
+text report to stdout.  Every table is built and written column-wise; an
+``--out`` regular file is replaced atomically.
 """
 
 from __future__ import annotations
@@ -60,24 +62,23 @@ _DEFAULT_SWEEP_M = [2**k for k in range(0, 9)]
 _SCHEDULE_KINDS = {"partial": "partial", "global": "global_linear", "local": "local_adiabatic"}
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_range(low: int, high: int | None = None):
+    """An argparse type for integers in [low, high]; no upper end when high is None."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low or (high is not None and value > high):
+            allowed = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"expected an integer {allowed}, got {value}")
+        return value
+
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
-    return value
+_positive_int = _int_range(1)
 
 
 def _positive_float(text: str) -> float:
@@ -139,6 +140,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _emit_table(columns: dict, args: argparse.Namespace, extra: dict | None = None) -> None:
+    """Write a table as ``--output`` asks; ``extra`` joins a JSON document only."""
     if args.output == "json":
         _emit(columns_to_json(columns, extra), args.out)
     else:
@@ -248,11 +250,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "r_squared": fit.r_squared,
         "axis": fit.axis,
     }
-    columns = rows_to_columns(sweep_records_to_rows(records))
-    if args.output == "json":
-        _emit_table(columns, args, extra={"fit": fit_payload})
-    else:
-        _emit_table(columns, args)
+    _emit_table(rows_to_columns(sweep_records_to_rows(records)), args, {"fit": fit_payload})
+    if args.output == "csv":
         print(
             f"fit [{fit.axis}]: slope={fit.slope:.6f} intercept={fit.intercept:.6f} "
             f"r_squared={fit.r_squared:.6f}",
@@ -301,35 +300,33 @@ def _build_parser() -> argparse.ArgumentParser:
             "narrow window of the interpolating Hamiltonian around its minimum gap."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument(
         "--output", choices=("csv", "json"), default="csv", help="table format"
     )
-    common.add_argument("--out", default=None, help="output path (default: stdout)")
-    common.add_argument(
+    table.add_argument("--out", default=None, help="output path (default: stdout)")
+    pool = argparse.ArgumentParser(add_help=False)
+    pool.add_argument(
         "--workers",
         type=_positive_int,
         default=1,
         help="worker threads for grid evaluation (default: 1)",
     )
-    common.add_argument(
-        "--seed", type=_nonnegative_int, default=0, help="seed for any random draws"
-    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_spec = sub.add_parser(
-        "spectrum", parents=[common], help="eigenvalues, gap, and overlaps on an s grid"
+        "spectrum", parents=[table, pool], help="eigenvalues, gap, and overlaps on an s grid"
     )
     p_spec.add_argument("--n", type=_positive_int, required=True, help="number of items")
     p_spec.add_argument("--m", type=_positive_int, required=True, help="number of marked items")
     p_spec.add_argument(
-        "--points", type=_positive_int, default=21, help="number of s grid points (>= 2)"
+        "--points", type=_int_range(2), default=21, help="number of s grid points (>= 2)"
     )
     p_spec.set_defaults(handler=_cmd_spectrum)
 
     p_bounds = sub.add_parser(
-        "bounds", parents=[common], help="success-probability bound chain over an N grid"
+        "bounds", parents=[table, pool], help="success-probability bound chain over an N grid"
     )
     p_bounds.add_argument(
         "--n-list",
@@ -346,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(handler=_cmd_bounds)
 
     p_evolve = sub.add_parser(
-        "evolve", parents=[common], help="integrate one round and report the outcome"
+        "evolve", parents=[pool], help="integrate one round and report the outcome"
     )
     p_evolve.add_argument("--n", type=_positive_int, required=True)
     p_evolve.add_argument("--m", type=_positive_int, required=True)
@@ -367,16 +364,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "--knots",
         type=_positive_int,
         default=DEFAULT_LOCAL_KNOTS,
-        help="local-schedule tabulation knots",
+        help="local-schedule tabulation knots (>= 100)",
     )
     p_evolve.add_argument(
         "--repeat", action="store_true", help="also draw repeat-until-success statistics"
     )
     p_evolve.add_argument("--max-rounds", type=_positive_int, default=10_000)
+    p_evolve.add_argument(
+        "--seed", type=_int_range(0), default=0, help="seed of the --repeat draws"
+    )
+    p_evolve.add_argument("--out", default=None, help="output path (default: stdout)")
     p_evolve.set_defaults(handler=_cmd_evolve)
 
     p_sweep = sub.add_parser(
-        "sweep", parents=[common], help="scaling sweep with a log-log power-law fit"
+        "sweep", parents=[table, pool], help="scaling sweep with a log-log power-law fit"
     )
     p_sweep.add_argument("--axis", choices=("n", "m"), required=True)
     p_sweep.add_argument(
@@ -404,10 +405,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_cert = sub.add_parser(
-        "certify", parents=[common], help="dense cross-check of the two-level reduction"
+        "certify", parents=[pool], help="dense cross-check of the two-level reduction"
     )
     p_cert.add_argument(
-        "--n-max", type=_positive_int, default=256, help=f"largest N (<= {CERTIFY_N_CAP})"
+        "--n-max",
+        type=_int_range(2, CERTIFY_N_CAP),
+        default=256,
+        help=f"largest N (2 to {CERTIFY_N_CAP})",
     )
     p_cert.add_argument(
         "--points", type=_positive_int, default=21, help="s grid points per case"
@@ -418,18 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
-    if args.command == "spectrum" and args.points < 2:
-        parser.error("--points must be at least 2")
-    if args.command == "sweep" and args.grid is not None and len(args.grid) < 5:
-        parser.error("--grid needs at least 5 points")
-    if args.command == "certify" and args.n_max > CERTIFY_N_CAP:
-        parser.error(f"--n-max must be at most {CERTIFY_N_CAP}")
-    if args.command in ("evolve", "sweep") and args.knots < 100:
-        parser.error("--knots must be at least 100")
-
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, CapacityExceeded) as exc:

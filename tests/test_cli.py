@@ -1,10 +1,12 @@
 """End-to-end checks of the command-line surface and its exit-code contract."""
 
+import argparse
 import csv
 import hashlib
 import json
 import os
 import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -341,10 +343,10 @@ class TestSweepCommand:
         assert captured.out.splitlines()[0].startswith("n,m,schedule,")
         assert "fit" in captured.err
 
-    def test_grid_validation(self):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["sweep", "--axis", "n", "--fixed", "1", "--grid", "64,128"])
-        assert exc.value.code == 2
+    def test_grid_validation(self, capsys):
+        # sweeps.sweep owns the rule; its ValueError is a usage error.
+        assert run_cli(["sweep", "--axis", "n", "--fixed", "1", "--grid", "64,128"]) == 2
+        assert "need a grid of at least 5 points, got 2" in capsys.readouterr().err
 
 
 class TestCertifyCommand:
@@ -359,6 +361,13 @@ class TestCertifyCommand:
             run_cli(["certify", "--n-max", "2048"])
         assert exc.value.code == 2
 
+    def test_empty_case_grid_is_usage_error(self, capsys):
+        # N starts at 2, so --n-max 1 would leave no case to certify.
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["certify", "--n-max", "1"])
+        assert exc.value.code == 2
+        assert "--n-max: expected an integer in [2, 1024], got 1" in capsys.readouterr().err
+
 
 class TestParser:
     def test_missing_subcommand(self):
@@ -370,3 +379,70 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             run_cli(["teleport"])
         assert exc.value.code == 2
+
+    # Each subcommand's option strings, apart from -h/--help.  A flag that a
+    # handler does not read has no place here.
+    OPTIONS = {
+        "spectrum": {"--n", "--m", "--points", "--output", "--out", "--workers"},
+        "bounds": {"--n-list", "--m-rule", "--output", "--out", "--workers"},
+        "evolve": {"--n", "--m", "--c", "--steps", "--schedule", "--epsilon", "--knots",
+                   "--repeat", "--max-rounds", "--seed", "--out", "--workers"},
+        "sweep": {"--axis", "--fixed", "--grid", "--schedule", "--c", "--steps", "--epsilon",
+                  "--knots", "--simulate", "--output", "--out", "--workers"},
+        "certify": {"--n-max", "--points", "--workers"},
+    }
+
+    def test_each_command_takes_only_its_own_flags(self):
+        (commands,) = [action for action in cli._build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        found = {
+            name: {opt for action in sub._actions for opt in action.option_strings}
+            - {"-h", "--help"}
+            for name, sub in commands.choices.items()
+        }
+        assert found == self.OPTIONS
+
+    VALID = {
+        "spectrum": ["spectrum", "--n", "4", "--m", "1", "--points", "3"],
+        "bounds": ["bounds", "--n-list", "4"],
+        "sweep": ["sweep", "--axis", "n", "--fixed", "1", "--grid", "64,128,256,512,1024"],
+        "evolve": ["evolve", "--n", "4", "--m", "1"],
+        "certify": ["certify", "--n-max", "4", "--points", "3"],
+    }
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("spectrum", "--seed", "9"),
+        ("bounds", "--seed", "9"),
+        ("sweep", "--seed", "9"),
+        ("certify", "--seed", "9"),
+        ("evolve", "--output", "csv"),
+        ("certify", "--output", "json"),
+        ("certify", "--out", "PATH"),
+    ])
+    def test_flag_the_command_does_not_read_is_rejected(
+        self, command, flag, value, tmp_path, capsys
+    ):
+        out = tmp_path / "report.txt"
+        assert run_cli(self.VALID[command]) == 0
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*self.VALID[command], flag, str(out) if value == "PATH" else value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def readme_commands():
+    """The argv of every ``padia ...`` line in README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("padia ")]
+
+
+class TestReadme:
+    def test_every_command_has_an_example(self):
+        assert {argv[0] for argv in readme_commands()} == set(TestParser.OPTIONS)
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_example_runs(self, argv, capsys):
+        assert run_cli(argv) == 0

@@ -11,7 +11,7 @@ from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padia.model import evolution_window, make_instance
@@ -318,26 +318,33 @@ class TestExactEndpoints:
 def reference_level(n, m, s, k):
     """(c_alpha, c_beta, ov_psi, ov_beta) of level k at 80 digits.
 
-    Solves the explicit 2x2 matrix with the textbook discriminant
-    1 - 4s(1-s)a and takes the null vector of H - E from whichever row
-    gives the longer candidate.
+    Solves the explicit 2x2 matrix of H = I - (1-s)|Psi><Psi| - s|beta><beta|
+    with the textbook discriminant 1 - 4s(1-s)a, twice: in the (alpha, beta)
+    basis for the components and ov_beta, and in the (Psi, Psi_perp) basis
+    for ov_psi.  Each overlap is then one squared component, so its exact
+    zeros (ov_beta at s = 1, ov_psi at s = 0) are not lost to rounding.
     """
     with localcontext(Context(prec=80)):
         a = Decimal(n - m) / n
         b = Decimal(m) / n
         s = Decimal(s)
         t = 1 - s
-        h_aa, h_ab, h_bb = 1 - t * a, -t * (a * b).sqrt(), t * a
+        sqrt_ab = (a * b).sqrt()
         root = (1 - 4 * s * t * a).sqrt()
         # E0 * E1 = s(1-s)a gives E0 without the cancellation of (1 - root)/2.
         e = 2 * s * t * a / (1 + root) if k == 0 else (1 + root) / 2
-        v = max([(-h_ab, h_aa - e), (h_bb - e, -h_ab)], key=lambda w: w[0] ** 2 + w[1] ** 2)
-        norm = (v[0] ** 2 + v[1] ** 2).sqrt()
-        c_alpha, c_beta = v[0] / norm, v[1] / norm
+        c_alpha, c_beta = null_vector(1 - t * a, -t * sqrt_ab, t * a, e)
         if (c_beta if k == 0 else c_alpha) < 0:
             c_alpha, c_beta = -c_alpha, -c_beta
-        amp = c_alpha * a.sqrt() + c_beta * b.sqrt()
-        return c_alpha, c_beta, amp * amp, c_beta * c_beta
+        w_psi, _ = null_vector(s * a, -s * sqrt_ab, 1 - s * a, e)
+        return c_alpha, c_beta, w_psi * w_psi, c_beta * c_beta
+
+
+def null_vector(h11, h12, h22, e):
+    """Unit null vector of [[h11, h12], [h12, h22]] - e, from the longer row candidate."""
+    v = max([(-h12, h11 - e), (h22 - e, -h12)], key=lambda w: w[0] ** 2 + w[1] ** 2)
+    norm = (v[0] ** 2 + v[1] ** 2).sqrt()
+    return v[0] / norm, v[1] / norm
 
 
 def near(center, sign, max_exponent):
@@ -354,6 +361,8 @@ class TestRelativeAccuracy:
            st.one_of(near(0.0, 1.0, 60), near(0.5, -1.0, 60), near(0.5, 1.0, 60),
                      near(1.0, -1.0, 53)),
            st.sampled_from([0, 1]))
+    # s = 0 exactly: the level-1 overlap with |Psi> is exactly 0.
+    @example(make_instance(139, 1), 0.0, 1)
     @settings(max_examples=400, deadline=None)
     def test_against_80_digit_reference(self, inst, s, k):
         got = (*eigenvector_components(inst, s, k), overlap_psi(inst, s, k),
