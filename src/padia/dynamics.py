@@ -131,14 +131,19 @@ class RepeatStats:
     succeeded: bool
 
 
+def _require_positive_finite(name: str, value: float) -> None:
+    """Raise ValueError naming ``value`` unless it is positive and finite."""
+    if not 0.0 < value < math.inf:  # NaN fails this test too
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def make_partial_schedule(instance: SearchInstance, time_multiplier: float) -> Schedule:
     """Linear sweep of the window [s_minus, s_plus] over c * sqrt(N)/M.
 
     time_multiplier scales the nominal one-round duration; the adiabatic
     regime is reached as it grows.
     """
-    if time_multiplier <= 0.0:
-        raise ValueError(f"time_multiplier must be positive, got {time_multiplier}")
+    _require_positive_finite("time_multiplier", time_multiplier)
     window = evolution_window(instance)
     total_time = time_multiplier * one_round_time(instance)
     s_minus, omega = window.s_minus, window.omega
@@ -155,8 +160,7 @@ def make_global_schedule(instance: SearchInstance, time_multiplier: float) -> Sc
     The full interval has unit width, so the analogue of the one-round
     duration is 1/g_min^2 = N/M.
     """
-    if time_multiplier <= 0.0:
-        raise ValueError(f"time_multiplier must be positive, got {time_multiplier}")
+    _require_positive_finite("time_multiplier", time_multiplier)
     g_min, _ = min_gap(instance)
     total_time = time_multiplier / (g_min * g_min)
 
@@ -172,20 +176,33 @@ def make_local_schedule(instance: SearchInstance, epsilon: float, steps: int) ->
     The mapping t -> s is tabulated on ``steps`` knots by accumulating
     dt/ds = 1/(epsilon g^2) with the trapezoid rule and inverted by linear
     interpolation; total_time is the accumulated endpoint.
+
+    The table is built in place.  Besides the two knot arrays the schedule
+    keeps, the build allocates two knot-sized scratch arrays (the g^2 column
+    and the second temporary of ``_gap_squared``), and no more than three
+    knot-sized arrays are alive at once; each array of 20,001 knots is above
+    glibc's default 128 KiB mmap threshold, so every extra one costs page
+    faults on every call.  Each value rounds as in the plain expression
+    ``cumsum((dt_ds[1:] + dt_ds[:-1]) * 0.5 * diff(s_knots))``.
+
+    Raises ValueError unless epsilon is positive and finite and steps >= 100.
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _require_positive_finite("epsilon", epsilon)
     if steps < 100:
         raise ValueError(f"need at least 100 tabulation knots, got {steps}")
     s_knots = np.linspace(0.0, 1.0, steps)
-    # g_sq stays bound until return.  Freed earlier, it shifts glibc's heap
-    # reuse so that the knot arrays are mapped afresh and fault their pages
-    # in, which made a 20,001-knot local round about 10% slower.
-    g_sq = _gap_squared(instance.b, s_knots)
-    dt_ds = 1.0 / (epsilon * g_sq)
+    dt_ds = _gap_squared(instance.b, s_knots)
+    dt_ds *= epsilon
+    np.divide(1.0, dt_ds, out=dt_ds)
     t_knots = np.empty_like(s_knots)
     t_knots[0] = 0.0
-    np.cumsum((dt_ds[1:] + dt_ds[:-1]) * 0.5 * np.diff(s_knots), out=t_knots[1:])
+    increments = t_knots[1:]
+    np.add(dt_ds[1:], dt_ds[:-1], out=increments)
+    increments *= 0.5
+    # dt_ds is spent; its tail takes the knot spacings.
+    spacing = np.subtract(s_knots[1:], s_knots[:-1], out=dt_ds[1:])
+    increments *= spacing
+    np.cumsum(increments, out=increments)
     total_time = float(t_knots[-1])
 
     def sample(t):

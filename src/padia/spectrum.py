@@ -131,9 +131,23 @@ def _check_level(k: int) -> None:
 # --- the kernel: each function takes a float s or a numpy array of s -------
 
 def _gap_squared(b, s):
-    """g(s)^2 = u^2 + 4s(1-s)b with u = 1 - 2s."""
-    u = 1.0 - 2.0 * s
-    return u * u + 4.0 * s * (1.0 - s) * b
+    """g(s)^2 = u^2 + 4s(1-s)b with u = 1 - 2s.
+
+    Evaluated by augmented assignment on two fresh values, so an array s
+    costs two temporaries and a float s takes the same code.  Every step
+    rounds as the plain expression ``u * u + 4.0 * s * (1.0 - s) * b`` does:
+    1 + (-2s) is 1 - 2s, s - 1 is -(1 - s) exactly, and scaling by -4 is
+    exact, so (s - 1)(-4)s rounds the same real product as (4s)(1 - s).
+    """
+    g_sq = -2.0 * s
+    g_sq += 1.0
+    g_sq *= g_sq
+    term = s - 1.0
+    term *= -4.0
+    term *= s
+    term *= b
+    g_sq += term
+    return g_sq
 
 
 def _energies(g):

@@ -11,6 +11,8 @@ fine-grid quadrature reproduces it and the tabulated schedule must match.
 
 import cmath
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +48,19 @@ def local_total_time_closed_form(n, m, epsilon=1.0):
     if a == 0.0:
         return 1.0 / epsilon
     return math.atan(math.sqrt(a / b)) / (epsilon * math.sqrt(a * b))
+
+
+def plain_local_table(instance, epsilon, knots):
+    """The local-adiabatic table written as one plain numpy expression per
+    quantity: (total_time, t_knots, s_knots)."""
+    s_knots = np.linspace(0.0, 1.0, knots)
+    u = 1.0 - 2.0 * s_knots
+    g_sq = u * u + 4.0 * s_knots * (1.0 - s_knots) * instance.b
+    dt_ds = 1.0 / (epsilon * g_sq)
+    t_knots = np.empty_like(s_knots)
+    t_knots[0] = 0.0
+    np.cumsum((dt_ds[1:] + dt_ds[:-1]) * 0.5 * np.diff(s_knots), out=t_knots[1:])
+    return float(t_knots[-1]), t_knots, s_knots
 
 
 def ground_state(instance, s):
@@ -287,6 +302,68 @@ class TestLocalSchedule:
             make_local_schedule(make_instance(4, 1), 0.0, 1000)
         with pytest.raises(ValueError):
             make_local_schedule(make_instance(4, 1), 1.0, 99)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 2**62),
+        marked=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+        epsilon=st.one_of(
+            st.floats(0.01, 100.0, exclude_min=True), st.sampled_from([1.0, 100.0])
+        ),
+        knots=st.one_of(st.integers(100, 30_000), st.sampled_from([100, 20_001])),
+    )
+    def test_bit_identical_to_plain_table(self, n, marked, epsilon, knots):
+        inst = make_instance(n, max(1, min(n, round(marked * n))))
+        total, t_knots, s_knots = plain_local_table(inst, epsilon, knots)
+        sched = make_local_schedule(inst, epsilon, knots)
+        assert np.float64(sched.total_time).tobytes() == np.float64(total).tobytes()
+        midpoints = 0.5 * (t_knots[1:] + t_knots[:-1])
+        t_ref = np.concatenate([t_knots, midpoints, [-1.0, 2.0 * total]])
+        assert sched.sample(t_ref).tobytes() == np.interp(t_ref, t_knots, s_knots).tobytes()
+
+    def test_build_holds_at_most_four_knot_arrays(self):
+        knots = 20_001
+        inst = make_instance(4096, 64)
+        make_local_schedule(inst, 1.0, knots)  # first-call set-up is not counted
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            sched = make_local_schedule(inst, 1.0, knots)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        array_bytes = 8 * knots
+        # The plain expression peaked at 7.0 arrays.
+        assert (peak - before) / array_bytes <= 4.0
+        assert 2.0 <= (after - before) / array_bytes < 2.1
+        assert sched.total_time > 0.0
+
+
+NON_POSITIVE_OR_NON_FINITE = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+    st.floats(max_value=0.0, allow_nan=False),
+)
+
+
+class TestScheduleInputs:
+    @settings(max_examples=60, deadline=None)
+    @given(bad=NON_POSITIVE_OR_NON_FINITE)
+    def test_every_builder_rejects_the_value(self, bad):
+        inst = make_instance(64, 1)
+        shown = re.escape(str(bad))
+        for build, name in (
+            (lambda: make_partial_schedule(inst, bad), "time_multiplier"),
+            (lambda: make_global_schedule(inst, bad), "time_multiplier"),
+            (lambda: make_local_schedule(inst, bad, 100), "epsilon"),
+        ):
+            message = rf"{name} must be positive and finite, got {shown}$"
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    def test_round_with_nan_multiplier_is_refused_before_integrating(self):
+        message = "time_multiplier must be positive and finite, got nan"
+        with pytest.raises(ValueError, match=message):
+            run_round(make_instance(64, 1), math.nan)
 
 
 class TestDefaultSteps:

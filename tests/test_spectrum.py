@@ -18,6 +18,7 @@ from padia.model import evolution_window, make_instance
 from padia.oracle import dense_spectrum, make_full_instance, marked_vector, uniform_vector
 from padia.spectrum import (
     SpectralPoint,
+    _gap_squared,
     adiabatic_success_probability,
     bound_report,
     eigenvalues,
@@ -264,6 +265,26 @@ EDGE_S = [0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-300,
 
 def same_bits(x, y):
     return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+class TestGapSquared:
+    @given(edge_instances(), st.lists(st.one_of(unit_interval, st.sampled_from(EDGE_S)),
+                                      min_size=1, max_size=20))
+    @settings(max_examples=300)
+    def test_bit_identical_to_plain_expression(self, inst, points):
+        b, s = inst.b, np.array(points)
+        u = 1.0 - 2.0 * s
+        expected = u * u + 4.0 * s * (1.0 - s) * b
+        column = _gap_squared(b, s)
+        assert column.tobytes() == expected.tobytes()
+        for i, point in enumerate(points):
+            assert type(_gap_squared(b, point)) is float
+            assert same_bits(_gap_squared(b, point), expected[i]), point
+
+    def test_leaves_its_argument_alone(self):
+        s = np.linspace(0.0, 1.0, 101)
+        _gap_squared(0.25, s)
+        assert np.array_equal(s, np.linspace(0.0, 1.0, 101))
 
 
 class TestSpectralColumns:
