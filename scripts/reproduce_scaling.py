@@ -18,7 +18,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from padia.sweeps import rows_to_csv, sweep, sweep_records_to_rows  # noqa: E402
+from padia.sweeps import (  # noqa: E402
+    csv_chunks,
+    rows_to_columns,
+    sweep,
+    sweep_records_to_rows,
+)
 
 
 def main() -> int:
@@ -41,7 +46,8 @@ def main() -> int:
     for filename, kwargs in jobs:
         records, fit = sweep(**kwargs)
         path = outdir / filename
-        path.write_text(rows_to_csv(sweep_records_to_rows(records)))
+        with path.open("w", encoding="utf-8") as handle:
+            handle.writelines(csv_chunks(rows_to_columns(sweep_records_to_rows(records))))
         print(f"{filename}: slope={fit.slope:+.4f} r^2={fit.r_squared:.5f} -> {path}")
     return 0
 

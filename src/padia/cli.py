@@ -6,8 +6,8 @@ the subcommand does not take among them).  The table commands (spectrum,
 bounds, sweep) take ``--output csv|json`` and ``--out``; JSON documents put
 the rows under ``records`` and, for sweeps, the power-law fit under ``fit``.
 ``evolve`` always writes JSON, to stdout or ``--out``; ``certify`` prints a
-text report to stdout.  Every table is built and written column-wise; an
-``--out`` regular file is replaced atomically.
+text report to stdout.  Every table is built column-wise and written in
+fixed blocks of rows; an ``--out`` regular file is replaced atomically.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import os
 import stat
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,9 +40,8 @@ from .oracle import (
 from .spectrum import bound_report, spectral_columns
 from .sweeps import (
     DEFAULT_LOCAL_KNOTS,
-    bound_reports_to_rows,
-    columns_to_csv,
-    columns_to_json,
+    csv_chunks,
+    json_chunks,
     rows_to_columns,
     run_parallel,
     sweep,
@@ -103,8 +102,8 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    """Write to stdout, or to ``out_path``.
+def _emit(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write ``chunks`` in order to stdout, or to ``out_path``.
 
     A regular file (or a path that does not exist yet) is replaced
     atomically: the text goes to a temporary file beside the target, which
@@ -114,7 +113,7 @@ def _emit(text: str, out_path: str | None) -> None:
     and written in place.
     """
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     target = os.path.realpath(out_path)
     try:
@@ -123,13 +122,13 @@ def _emit(text: str, out_path: str | None) -> None:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         return
     directory, name = os.path.split(target)
     tmp_path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(tmp_path, "x", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         if mode is not None:
             os.chmod(tmp_path, stat.S_IMODE(mode))
         os.replace(tmp_path, target)
@@ -140,11 +139,13 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _emit_table(columns: dict, args: argparse.Namespace, extra: dict | None = None) -> None:
-    """Write a table as ``--output`` asks; ``extra`` joins a JSON document only."""
-    if args.output == "json":
-        _emit(columns_to_json(columns, extra), args.out)
-    else:
-        _emit(columns_to_csv(columns), args.out)
+    """Write a table as ``--output`` asks; ``extra`` joins a JSON document only.
+
+    The columns are checked before anything is written; the text then goes
+    out in blocks of ``sweeps.BLOCK_ROWS`` rows.
+    """
+    chunks = json_chunks(columns, extra) if args.output == "json" else csv_chunks(columns)
+    _emit(chunks, args.out)
 
 
 def _divisors(n: int) -> list[int]:
@@ -183,10 +184,19 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             cases.append((n, m))
     cases.sort()
     reports = run_parallel(lambda nm: bound_report(make_instance(*nm)), cases, args.workers)
-    rows = bound_reports_to_rows(
-        [(n, m, rep) for (n, m), rep in zip(cases, reports)]
-    )
-    _emit_table(rows_to_columns(rows), args)
+    columns = {
+        "n": [n for n, _ in cases],
+        "m": [m for _, m in cases],
+        "ov_psi_minus": [rep.ov_psi_at_s_minus for rep in reports],
+        "ov_beta_plus": [rep.ov_beta_at_s_plus for rep in reports],
+        "p_one_round": [rep.p_one_round for rep in reports],
+        "window_factor": [rep.window_factor for rep in reports],
+        "alpha_weight": [rep.alpha_weight for rep in reports],
+        "beta_weight": [rep.beta_weight for rep in reports],
+        "end_ratio": [rep.end_ratio for rep in reports],
+        "bounds_hold": [rep.all_bounds_hold for rep in reports],
+    }
+    _emit_table(columns, args)
     violations = [
         (n, m, rep.failures) for (n, m), rep in zip(cases, reports) if not rep.all_bounds_hold
     ]
@@ -224,7 +234,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
             "total_evolution_time": stats.total_evolution_time,
             "succeeded": stats.succeeded,
         }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     return 0
 
 

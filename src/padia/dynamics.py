@@ -146,6 +146,7 @@ def make_partial_schedule(instance: SearchInstance, time_multiplier: float) -> S
     _require_positive_finite("time_multiplier", time_multiplier)
     window = evolution_window(instance)
     total_time = time_multiplier * one_round_time(instance)
+    _require_positive_finite("total_time", total_time)
     s_minus, omega = window.s_minus, window.omega
 
     def sample(t):
@@ -163,6 +164,7 @@ def make_global_schedule(instance: SearchInstance, time_multiplier: float) -> Sc
     _require_positive_finite("time_multiplier", time_multiplier)
     g_min, _ = min_gap(instance)
     total_time = time_multiplier / (g_min * g_min)
+    _require_positive_finite("total_time", total_time)
 
     def sample(t):
         return t / total_time
@@ -185,7 +187,8 @@ def make_local_schedule(instance: SearchInstance, epsilon: float, steps: int) ->
     faults on every call.  Each value rounds as in the plain expression
     ``cumsum((dt_ds[1:] + dt_ds[:-1]) * 0.5 * diff(s_knots))``.
 
-    Raises ValueError unless epsilon is positive and finite and steps >= 100.
+    Raises ValueError unless epsilon is positive and finite, steps >= 100
+    and the duration is finite.
     """
     _require_positive_finite("epsilon", epsilon)
     if steps < 100:
@@ -193,17 +196,20 @@ def make_local_schedule(instance: SearchInstance, epsilon: float, steps: int) ->
     s_knots = np.linspace(0.0, 1.0, steps)
     dt_ds = _gap_squared(instance.b, s_knots)
     dt_ds *= epsilon
-    np.divide(1.0, dt_ds, out=dt_ds)
     t_knots = np.empty_like(s_knots)
     t_knots[0] = 0.0
     increments = t_knots[1:]
-    np.add(dt_ds[1:], dt_ds[:-1], out=increments)
-    increments *= 0.5
-    # dt_ds is spent; its tail takes the knot spacings.
-    spacing = np.subtract(s_knots[1:], s_knots[:-1], out=dt_ds[1:])
-    increments *= spacing
-    np.cumsum(increments, out=increments)
+    # A tiny epsilon overflows dt/ds or its sum; the total_time check reports it.
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(1.0, dt_ds, out=dt_ds)
+        np.add(dt_ds[1:], dt_ds[:-1], out=increments)
+        increments *= 0.5
+        # dt_ds is spent; its tail takes the knot spacings.
+        spacing = np.subtract(s_knots[1:], s_knots[:-1], out=dt_ds[1:])
+        increments *= spacing
+        np.cumsum(increments, out=increments)
     total_time = float(t_knots[-1])
+    _require_positive_finite("total_time", total_time)
 
     def sample(t):
         return np.interp(t, t_knots, s_knots)
@@ -230,8 +236,15 @@ def make_schedule(
 
 def default_step_count(total_time: float) -> int:
     """Fixed-step default: 64 Magnus steps per unit time (the Hamiltonian
-    norm is at most 1), never fewer than 100."""
-    return max(100, math.ceil(64.0 * total_time))
+    norm is at most 1), never fewer than 100.
+
+    A finite duration whose product with 64 leaves the float range still
+    gets its exact count (which evolve then refuses), not an OverflowError.
+    """
+    try:
+        return max(100, math.ceil(64.0 * total_time))
+    except OverflowError:  # such a duration is an integer already
+        return 64 * int(total_time)
 
 
 def _chunk_gauss_values(

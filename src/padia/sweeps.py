@@ -7,9 +7,13 @@ squares.  Emission is deliberately dumb: a fixed-schema CSV (floats printed
 with 17 significant digits so they round-trip losslessly) or a JSON document
 with the records under ``records`` and the fit under ``fit``.
 
-Tables are written column-wise: ``columns_to_csv`` and ``columns_to_json``
-take one sequence (or numpy array) per column, format each all-float column
-in bulk and fill one per-row template for the whole table.  The text is
+Tables are written column-wise and streamed: ``csv_chunks`` and
+``json_chunks`` take one sequence (or numpy array) per column, check the
+column lengths and pick one printf spec per column in one pass over the
+whole table, then yield the text in fixed blocks of ``BLOCK_ROWS`` rows.
+Each block slices every column and fills one per-row template, so peak
+memory no longer grows with the row count.  ``columns_to_csv`` and
+``columns_to_json`` join those chunks into one string.  The text is
 byte-identical to the row-by-row rendering (``json.dumps(payload,
 indent=2)`` for JSON); ``rows_to_csv`` is a thin wrapper over the CSV writer.
 """
@@ -21,7 +25,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -51,12 +55,19 @@ __all__ = [
     "rows_to_columns",
     "columns_to_csv",
     "columns_to_json",
+    "csv_chunks",
+    "json_chunks",
 ]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 DEFAULT_LOCAL_KNOTS = 20_001
+
+# Rows formatted per chunk by csv_chunks/json_chunks: large enough that the
+# per-block overhead vanishes, small enough that a block's text and arguments
+# stay well under a megabyte.
+BLOCK_ROWS = 2048
 
 SWEEP_CSV_HEADER = (
     "n,m,schedule,g_min,t_prime,p_adiabatic,t_expected,"
@@ -316,33 +327,97 @@ def _float_array(column) -> np.ndarray | None:
     return None
 
 
-def _row_major(
-    columns: Mapping[str, Sequence],
-    float_spec: str,
-    cell: Callable[[object], str],
-    finite_only: bool,
-) -> tuple[int, list[str], tuple]:
-    """Row count, one printf spec per column and the row-major arguments.
+def _plan(
+    columns: Mapping[str, Sequence], float_spec: str, finite_only: bool
+) -> tuple[int, list[str], list[tuple[np.ndarray | None, Sequence]]]:
+    """Row count, one printf spec per column and each column's source.
 
-    A float column (with ``finite_only``, one without NaN or infinities) is
-    passed as Python floats under ``float_spec``; any other column is
-    formatted cell by cell and passed as text under ``%s``.
+    This is the eager pass over the whole table: it checks that the columns
+    have one length and picks each column's spec.  A float column (with
+    ``finite_only``, one without NaN or infinities anywhere) is printed under
+    ``float_spec`` from its float64 array; any other column keeps ``None``
+    there and is formatted cell by cell under ``%s``.
     """
-    specs, values = [], []
+    specs, sources = [], []
     for column in columns.values():
         floats = _float_array(column)
         if floats is not None and (not finite_only or np.isfinite(floats).all()):
             specs.append(float_spec)
-            values.append(floats.tolist())
+            sources.append((floats, column))
         else:
             specs.append("%s")
-            cells = column.tolist() if isinstance(column, np.ndarray) else column
-            values.append([cell(value) for value in cells])
-    lengths = {len(column) for column in values}
+            sources.append((None, column))
+    lengths = {len(column) for column in columns.values()}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
-    n_rows = lengths.pop() if lengths else 0
-    return n_rows, specs, tuple(itertools.chain.from_iterable(zip(*values)))
+    return (lengths.pop() if lengths else 0), specs, sources
+
+
+def _blocks(
+    n_rows: int, sources: list[tuple[np.ndarray | None, Sequence]], cell: Callable[[object], str]
+) -> Iterator[tuple[int, tuple]]:
+    """Row count and row-major arguments of each block of ``BLOCK_ROWS`` rows."""
+    for start in range(0, n_rows, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n_rows)
+        parts = []
+        for floats, column in sources:
+            if floats is not None:
+                parts.append(floats[start:stop].tolist())
+            else:
+                cells = column[start:stop]
+                if isinstance(cells, np.ndarray):
+                    cells = cells.tolist()
+                parts.append([cell(value) for value in cells])
+        yield stop - start, tuple(itertools.chain.from_iterable(zip(*parts)))
+
+
+def csv_chunks(columns: Mapping[str, Sequence]) -> Iterator[str]:
+    """The CSV text of ``columns_to_csv``, one block of rows at a time.
+
+    The columns are checked when this is called; the returned iterator
+    formats ``BLOCK_ROWS`` rows per item.
+    """
+    n_rows, specs, sources = _plan(columns, "%.17g", finite_only=False)
+    header = ",".join(columns) + "\n"
+    row = ",".join(specs) + "\n"
+
+    def chunks() -> Iterator[str]:
+        if n_rows:
+            yield header
+        for k, values in _blocks(n_rows, sources, _cell):
+            yield (row * k) % values
+
+    return chunks()
+
+
+def json_chunks(columns: Mapping[str, Sequence], extra: dict | None = None) -> Iterator[str]:
+    """The JSON text of ``columns_to_json``, one block of rows at a time.
+
+    The columns are checked and ``extra`` is rendered when this is called;
+    the returned iterator formats ``BLOCK_ROWS`` records per item.
+    """
+    n_rows, specs, sources = _plan(columns, "%r", finite_only=True)
+    fields = ",\n".join(
+        f"      {json.dumps(key).replace('%', '%%')}: {spec}"
+        for key, spec in zip(columns, specs)
+    )
+    row = "    {\n" + fields + "\n    }"
+    tail = "".join(
+        f",\n  {json.dumps(key)}: " + json.dumps(value, indent=2).replace("\n", "\n  ")
+        for key, value in (extra or {}).items()
+    ) + "\n}\n"
+
+    def chunks() -> Iterator[str]:
+        if not n_rows:
+            yield '{\n  "records": []' + tail
+            return
+        separator = '{\n  "records": [\n'
+        for k, values in _blocks(n_rows, sources, _json_cell):
+            yield separator + ",\n".join([row] * k) % values
+            separator = ",\n"
+        yield "\n  ]" + tail
+
+    return chunks()
 
 
 def columns_to_csv(columns: Mapping[str, Sequence]) -> str:
@@ -351,11 +426,7 @@ def columns_to_csv(columns: Mapping[str, Sequence]) -> str:
     Floats carry 17 significant digits (``format_float``); an empty table
     renders as the empty string.
     """
-    n_rows, specs, values = _row_major(columns, "%.17g", _cell, finite_only=False)
-    if n_rows == 0:
-        return ""
-    row = ",".join(specs) + "\n"
-    return ",".join(columns) + "\n" + (row * n_rows) % values
+    return "".join(csv_chunks(columns))
 
 
 def columns_to_json(columns: Mapping[str, Sequence], extra: dict | None = None) -> str:
@@ -366,21 +437,7 @@ def columns_to_json(columns: Mapping[str, Sequence], extra: dict | None = None) 
     ``float.__repr__``; a column holding NaN or an infinity is written cell
     by cell, as ``NaN``/``Infinity``/``-Infinity``.
     """
-    n_rows, specs, values = _row_major(columns, "%r", _json_cell, finite_only=True)
-    if n_rows:
-        fields = ",\n".join(
-            f"      {json.dumps(key).replace('%', '%%')}: {spec}"
-            for key, spec in zip(columns, specs)
-        )
-        row = "    {\n" + fields + "\n    }"
-        records = "[\n" + ",\n".join([row] * n_rows) % values + "\n  ]"
-    else:
-        records = "[]"
-    members = ['  "records": ' + records]
-    for key, value in (extra or {}).items():
-        nested = json.dumps(value, indent=2).replace("\n", "\n  ")
-        members.append(f"  {json.dumps(key)}: {nested}")
-    return "{\n" + ",\n".join(members) + "\n}\n"
+    return "".join(json_chunks(columns, extra))
 
 
 def rows_to_csv(rows: Sequence[dict]) -> str:

@@ -11,14 +11,15 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from padia import cli
+from padia import cli, sweeps
 from padia.model import make_instance
-from padia.spectrum import BoundReport, bound_report, spectral_point
+from padia.spectrum import BoundReport, bound_report, spectral_columns, spectral_point
 from padia.sweeps import (
     bound_reports_to_rows,
     spectral_points_to_rows,
@@ -102,6 +103,12 @@ class TestTableBytes:
         assert capsys.readouterr().out == reference_table(rows, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n, m, points", [(64, 1, 101), (2**60, 1, 33)])
+    def test_spectrum_across_blocks(self, n, m, points, fmt, capsys, monkeypatch):
+        monkeypatch.setattr(sweeps, "BLOCK_ROWS", 7)
+        self.test_spectrum(n, m, points, fmt, capsys)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_bounds(self, fmt, capsys):
         cases = [(n, m) for n in (4, 16, 64) for m in range(1, n + 1) if n % m == 0]
         rows = bound_reports_to_rows(
@@ -179,6 +186,34 @@ class TestAtomicOut:
             run_cli(["spectrum", "--n", "4", "--m", "1", "--out", str(out)])
         assert out.read_text() == "previous\n"
         assert os.listdir(tmp_path) == ["table.csv"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unequal_columns_write_nothing(self, fmt, tmp_path, capsys):
+        columns = {"a": [1.0, 2.0], "b": [1.0]}
+        with pytest.raises(ValueError, match="columns differ in length"):
+            cli._emit_table(columns, argparse.Namespace(output=fmt, out=None))
+        assert capsys.readouterr().out == ""
+        out = tmp_path / "table.csv"
+        out.write_text("previous\n")
+        for target in (out, tmp_path / "new.csv"):
+            with pytest.raises(ValueError, match="columns differ in length"):
+                cli._emit_table(columns, argparse.Namespace(output=fmt, out=str(target)))
+        assert out.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["table.csv"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_does_not_grow_with_the_table(self, fmt, tmp_path):
+        # 12 MB of CSV or 21 MB of JSON, formatted and written in blocks.
+        columns = spectral_columns(make_instance(1024, 3), np.linspace(0.0, 1.0, 100_001))
+        out = tmp_path / f"table.{fmt}"
+        tracemalloc.start()
+        try:
+            cli._emit_table(columns, argparse.Namespace(output=fmt, out=str(out)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 12 * 10**6
+        assert peak < 8 * 2**20
 
     def test_success_replaces_file(self, tmp_path, capsys):
         out = tmp_path / "table.json"
@@ -321,6 +356,24 @@ class TestEvolveCommand:
         assert re.fullmatch(
             r"error: \d+ steps over duration \S+ exceed the cap of 100000000 steps\n", err
         )
+
+    @pytest.mark.parametrize("n, flags", [
+        ("4611686018427387904", ["--schedule", "global", "--c", "1e300"]),
+        ("4611686018427387904", ["--schedule", "local", "--epsilon", "1e-300"]),
+        ("4611686018427387904", ["--c", "1e300"]),
+        ("4", ["--schedule", "local", "--epsilon", "4e-308", "--knots", "101"]),
+    ])
+    def test_overflowing_duration_is_usage_error(self, n, flags, capsys):
+        assert run_cli(["evolve", "--n", n, "--m", "1", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: total_time must be positive and finite, got inf\n"
+
+    def test_finite_duration_past_the_step_range_is_usage_error(self, capsys):
+        # 64 steps per unit time over 2e307 passes the float range.
+        assert run_cli(["evolve", "--n", "4", "--m", "1", "--c", "1e307"]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \d+ steps over duration 2e\+307 exceed the cap of "
+                            r"100000000 steps\n", err)
 
     def test_rejects_bad_numeric_flag(self):
         with pytest.raises(SystemExit) as exc:

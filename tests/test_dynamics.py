@@ -365,6 +365,20 @@ class TestScheduleInputs:
         with pytest.raises(ValueError, match=message):
             run_round(make_instance(64, 1), math.nan)
 
+    def test_overflowing_duration_is_refused(self):
+        # Finite inputs whose duration leaves the float range.
+        inst = make_instance(2**62, 1)
+        for build in (
+            lambda: make_partial_schedule(inst, 1e300),
+            lambda: make_global_schedule(inst, 1e300),
+            lambda: make_local_schedule(inst, 1e-300, 20_001),
+            lambda: make_local_schedule(make_instance(4, 1), 4e-308, 101),
+        ):
+            with pytest.raises(ValueError, match="total_time must be positive and finite, got inf$"):
+                build()
+        with pytest.raises(ValueError, match="total_time must be positive and finite"):
+            run_round(inst, 1e300)
+
 
 class TestDefaultSteps:
     def test_floor_and_scaling(self):
@@ -372,6 +386,11 @@ class TestDefaultSteps:
         assert default_step_count(1.5) == 100
         assert default_step_count(2.5) == 160
         assert default_step_count(2048.0) == 131_072
+
+    def test_count_past_the_float_range_is_exact(self):
+        # 64 * 1e307 overflows a float; the duration is an integer there.
+        assert default_step_count(1e307) == 64 * int(1e307)
+        assert default_step_count(1.7976931348623157e308) > 10**308
 
 
 class TestEvolve:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padia import sweeps
 from padia.model import make_instance
 from padia.spectrum import adiabatic_success_probability, one_round_time
 from padia.sweeps import (
@@ -72,6 +73,8 @@ keys = st.one_of(st.text(max_size=6), st.sampled_from(["%", "%r", "100%s", 'q"t'
 COLUMN_KINDS = {
     "float": any_floats,
     "finite": st.floats(allow_nan=False, allow_infinity=False),
+    "int": st.integers(min_value=-2**64, max_value=2**64),
+    "bool": st.booleans(),
     "mixed": cells,
 }
 
@@ -87,6 +90,22 @@ def tables(draw):
         columns[name] = draw(st.lists(values, min_size=n_rows, max_size=n_rows))
     rows = [{name: columns[name][i] for name in names} for i in range(n_rows)]
     return columns, rows
+
+
+def as_arrays(columns):
+    """Each all-float, all-int64 or all-bool column as a numpy array."""
+    arrays = {}
+    for name, values in columns.items():
+        kinds = {type(value) for value in values}
+        if kinds == {float}:
+            arrays[name] = np.array(values, dtype=np.float64)
+        elif kinds == {int} and all(-2**63 <= value < 2**63 for value in values):
+            arrays[name] = np.array(values, dtype=np.int64)
+        elif kinds == {bool}:
+            arrays[name] = np.array(values, dtype=np.bool_)
+        else:
+            arrays[name] = values
+    return arrays
 
 
 extras = st.dictionaries(keys.filter(lambda k: k != "records"), json_values, max_size=3)
@@ -238,6 +257,22 @@ class TestEmission:
         columns, rows = table
         assert columns_to_json(columns, extra) == reference_json(rows, extra)
         assert columns_to_json(rows_to_columns(rows)) == reference_json(rows)
+
+    @given(
+        tables(),
+        st.booleans(),
+        st.integers(min_value=1, max_value=3),
+        st.one_of(st.none(), extras),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_join_to_the_row_loop(self, table, arrays, block_rows, extra):
+        columns, rows = table
+        if arrays:
+            columns = as_arrays(columns)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweeps, "BLOCK_ROWS", block_rows)
+            assert columns_to_csv(columns) == reference_csv(rows)
+            assert columns_to_json(columns, extra) == reference_json(rows, extra)
 
     @given(st.lists(any_floats, max_size=12), st.lists(any_floats, max_size=12))
     @settings(max_examples=200, deadline=None)
