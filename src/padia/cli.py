@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -53,9 +54,10 @@ __all__ = ["main"]
 CERTIFY_TOLERANCE = 1e-9
 CERTIFY_N_CAP = 1024
 
-_DEFAULT_BOUNDS_N = [4**k for k in range(1, 13)]  # 2^2 .. 2^24
-_DEFAULT_SWEEP_N = [2**k for k in range(6, 17)]
-_DEFAULT_SWEEP_M = [2**k for k in range(0, 9)]
+# Tuples: the parser is reused, so every call gets the same default object.
+_DEFAULT_BOUNDS_N = tuple(4**k for k in range(1, 13))  # 2^2 .. 2^24
+_DEFAULT_SWEEP_N = tuple(2**k for k in range(6, 17))
+_DEFAULT_SWEEP_M = tuple(2**k for k in range(0, 9))
 
 # The --schedule choices of evolve and sweep, mapped to Schedule.kind.
 _SCHEDULE_KINDS = {"partial": "partial", "global": "global_linear", "local": "local_adiabatic"}
@@ -302,6 +304,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padia",
@@ -432,6 +435,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command line; returns its exit code (usage errors exit 2).
+
+    The parser is built on the first call and reused by every later call in
+    the process.  Each call parses into a fresh namespace, so no parse state
+    survives from one call to the next.
+    """
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -68,6 +68,20 @@ NORM_DRIFT_LIMIT = 1e-6
 # the error estimate, take of the order of 10 s.
 MAX_STEPS = 10**8
 
+# A step count of more digits than this is named by its order of magnitude in
+# the step-cap error, not printed whole (a huge duration gives ~300 digits).
+_SHOWN_STEP_DIGITS = 18
+
+
+def _step_cap_error(steps: int, total_time: float) -> ValueError:
+    """The usage error for a run of ``steps`` > MAX_STEPS over ``total_time``."""
+    digits = len(str(steps))
+    shown = str(steps) if digits <= _SHOWN_STEP_DIGITS else f"at least 10^{digits - 1}"
+    return ValueError(
+        f"{shown} steps over duration {total_time:g} exceed the cap of {MAX_STEPS} steps"
+    )
+
+
 # Steps integrated per vectorised chunk.  Memory stays O(chunk) for any run
 # length, while the numpy call overhead is spread over thousands of steps.
 _CHUNK_STEPS = 8192
@@ -379,10 +393,7 @@ def evolve(
     if steps < 10:
         raise ValueError(f"need at least 10 steps, got {steps}")
     if steps > MAX_STEPS:
-        raise ValueError(
-            f"{steps} steps over duration {schedule.total_time:g} exceed the cap of "
-            f"{MAX_STEPS} steps"
-        )
+        raise _step_cap_error(steps, schedule.total_time)
     if abs(initial.norm() - 1.0) > STATE_NORM_TOL:
         raise ValueError("initial state must be normalized")
     # A huge duration can turn the step angles to inf/NaN; the guards below

@@ -47,7 +47,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import MAX_STEPS, NORM_DRIFT_LIMIT, NormDriftExceeded, Schedule
+from .dynamics import (
+    MAX_STEPS,
+    NORM_DRIFT_LIMIT,
+    NormDriftExceeded,
+    Schedule,
+    _step_cap_error,
+)
 from .model import NonEmptyMarkedSetRequired, SearchInstance, make_instance, require_integer
 from .spectrum import spectral_columns
 
@@ -429,10 +435,7 @@ def full_evolve(full: FullInstance, schedule: Schedule, steps: int) -> float:
         raise ValueError(f"need at least 10 steps, got {steps}")
     steps *= min(_MAX_RK4_SPLIT, math.ceil(schedule.total_time / steps / _MAX_RK4_DT))
     if steps > MAX_STEPS:
-        raise ValueError(
-            f"{steps} steps over duration {schedule.total_time:g} exceed the cap of "
-            f"{MAX_STEPS} steps"
-        )
+        raise _step_cap_error(steps, schedule.total_time)
     n = full.n_items
     s_nodes, s_mids = schedule_stage_values(schedule, steps)
     nodes, mids = s_nodes.tolist(), s_mids.tolist()

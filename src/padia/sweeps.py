@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -187,6 +186,10 @@ def run_parallel(
     """Map over items on a bounded thread pool, preserving input order."""
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # Imported here: concurrent.futures costs a few ms at start-up, and only
+    # a pool uses it.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from padia import cli, sweeps
+from padia.dynamics import make_partial_schedule
 from padia.model import make_instance
 from padia.spectrum import BoundReport, bound_report, spectral_columns, spectral_point
 from padia.sweeps import (
@@ -30,6 +31,15 @@ from padia.sweeps import (
 
 def run_cli(args):
     return cli.main(args)
+
+
+def run_fresh(args):
+    """``python -m padia`` in a new process, on this checkout's sources."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "padia", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def read_csv(path):
@@ -323,14 +333,7 @@ class TestEvolveCommand:
     def test_blown_up_run_prints_only_the_error(self):
         # numpy warnings go to the real stderr of a fresh process, which the
         # in-process capture above would not show.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run(
-            [sys.executable, "-m", "padia", "evolve", "--n", "64", "--m", "1",
-             "--c", "1e9", "--steps", "10"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        result = run_fresh(["evolve", "--n", "64", "--m", "1", "--c", "1e9", "--steps", "10"])
         assert result.returncode == 1
         # The estimate's digits depend on libm's sin/cos at angles near 4e8.
         assert re.fullmatch(
@@ -369,11 +372,13 @@ class TestEvolveCommand:
         assert err == "error: total_time must be positive and finite, got inf\n"
 
     def test_finite_duration_past_the_step_range_is_usage_error(self, capsys):
-        # 64 steps per unit time over 2e307 passes the float range.
+        # 64 steps per unit time over 2e307 passes the float range; the
+        # 310-digit count is named by its order of magnitude.
         assert run_cli(["evolve", "--n", "4", "--m", "1", "--c", "1e307"]) == 2
         err = capsys.readouterr().err
-        assert re.fullmatch(r"error: \d+ steps over duration 2e\+307 exceed the cap of "
-                            r"100000000 steps\n", err)
+        assert re.fullmatch(r"error: at least 10\^309 steps over duration 2e\+307 exceed "
+                            r"the cap of 100000000 steps\n", err)
+        assert len(err) < 160
 
     def test_rejects_bad_numeric_flag(self):
         with pytest.raises(SystemExit) as exc:
@@ -482,6 +487,65 @@ class TestParser:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestParserReuse:
+    """``main`` may run many times in one process; no call sees another's parse."""
+
+    REPEAT = ["evolve", "--n", "16", "--m", "1", "--repeat"]
+
+    @pytest.fixture(scope="class")
+    def fresh_repeat_output(self):
+        """The output of REPEAT from a process that has parsed nothing else."""
+        result = run_fresh(self.REPEAT)
+        assert result.returncode == 0
+        return result.stdout
+
+    @pytest.mark.parametrize("command", sorted(TestParser.VALID))
+    def test_same_argv_twice_gives_the_same_bytes(self, command, capsys):
+        argv = TestParser.VALID[command]
+        first = run_cli(argv), capsys.readouterr()
+        second = run_cli(argv), capsys.readouterr()
+        assert second == first
+
+    @pytest.mark.parametrize("argv, code", [
+        # Fails on --steps after --c, --seed and --repeat are already parsed.
+        (["evolve", "--n", "4", "--m", "1", "--c", "4", "--seed", "3", "--repeat",
+          "--steps", "x"], 2),
+        (["evolve", "--c", "4", "--seed", "3", "--help"], 0),
+    ])
+    def test_exit_from_parse_leaves_next_call_fresh(
+        self, argv, code, fresh_repeat_output, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == code
+        capsys.readouterr()
+        assert run_cli(self.REPEAT) == 0
+        assert capsys.readouterr().out == fresh_repeat_output
+
+    def test_explicit_flags_do_not_leak_into_the_next_call(self, capsys):
+        assert run_cli(["evolve", "--n", "16", "--m", "1", "--c", "4", "--seed", "3",
+                        "--repeat"]) == 0
+        flagged = json.loads(capsys.readouterr().out)
+        assert run_cli(self.REPEAT) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert flagged["total_time"] == 4 * plain["total_time"]
+        assert plain["total_time"] == make_partial_schedule(make_instance(16, 1), 1.0).total_time
+        assert (flagged["repeat"]["seed"], plain["repeat"]["seed"]) == (3, 0)
+
+    def test_later_calls_build_no_parser(self, monkeypatch, capsys):
+        run_cli(TestParser.VALID["evolve"])
+        built = []
+
+        class CountingParser(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(argparse, "ArgumentParser", CountingParser)
+        assert run_cli(TestParser.VALID["evolve"]) == 0
+        assert built == []
 
 
 def readme_commands():

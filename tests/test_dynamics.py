@@ -565,6 +565,20 @@ class TestEvolve:
         with pytest.raises(ValueError, match=rf"{MAX_STEPS + 1} steps over duration 8 "):
             evolve(inst, sched, MAX_STEPS + 1, initial_state(inst))
 
+    @pytest.mark.parametrize("steps, shown", [
+        (10**18 - 1, "999999999999999999"),
+        (10**18, "at least 10^18"),
+        (64 * 10**307, "at least 10^308"),
+    ])
+    def test_step_cap_error_names_a_long_count_by_its_magnitude(self, steps, shown):
+        inst = make_instance(64, 1)
+        sched = make_partial_schedule(inst, 1.0)
+        with pytest.raises(ValueError) as exc:
+            evolve(inst, sched, steps, initial_state(inst))
+        assert str(exc.value) == (
+            f"{shown} steps over duration 8 exceed the cap of {MAX_STEPS} steps"
+        )
+
     def test_norm_drift_exceeded_on_coarse_grid(self):
         inst = make_instance(64, 1)
         sched = make_partial_schedule(inst, 64.0)
