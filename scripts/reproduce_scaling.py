@@ -6,10 +6,12 @@ Emits, into --outdir:
   expected_time_vs_m.csv   partial protocol, N = 2^16, M = 1 .. 2^8
   local_baseline_vs_m.csv  gap-adapted full-interval baseline, same M grid
 
-and prints the fitted log-log slopes.  Expected: ~ +0.51 for the first sweep,
-~ -0.84 for the second (the one-round success probability slides between its
-M = 1 value and its large-M plateau of 1/4 across this grid), and ~ -0.51 for
-the baseline, exhibiting the sqrt(M) separation between the two protocols.
+Each table is one ``padia sweep ... --out`` run on the CLI's default grids,
+which prints its fitted log-log slope on stderr.  Expected: ~ +0.51 for the
+first sweep, ~ -0.84 for the second (the one-round success probability slides
+between its M = 1 value and its large-M plateau of 1/4 across this grid), and
+~ -0.51 for the baseline, exhibiting the sqrt(M) separation between the two
+protocols.
 """
 
 import argparse
@@ -18,11 +20,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from padia.sweeps import (  # noqa: E402
-    csv_chunks,
-    rows_to_columns,
-    sweep,
-    sweep_records_to_rows,
+from padia import cli  # noqa: E402
+
+TABLES = (
+    ("expected_time_vs_n.csv", ["--axis", "n", "--fixed", "1"]),
+    ("expected_time_vs_m.csv", ["--axis", "m", "--fixed", "65536"]),
+    ("local_baseline_vs_m.csv", ["--axis", "m", "--fixed", "65536", "--schedule", "local"]),
 )
 
 
@@ -32,23 +35,15 @@ def main() -> int:
     args = parser.parse_args()
 
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    jobs = [
-        ("expected_time_vs_n.csv", dict(axis="n", fixed_value=1,
-                                        grid=[2**k for k in range(6, 17)])),
-        ("expected_time_vs_m.csv", dict(axis="m", fixed_value=2**16,
-                                        grid=[2**k for k in range(0, 9)])),
-        ("local_baseline_vs_m.csv", dict(axis="m", fixed_value=2**16,
-                                         grid=[2**k for k in range(0, 9)],
-                                         schedule_kind="local_adiabatic")),
-    ]
-    for filename, kwargs in jobs:
-        records, fit = sweep(**kwargs)
-        path = outdir / filename
-        with path.open("w", encoding="utf-8") as handle:
-            handle.writelines(csv_chunks(rows_to_columns(sweep_records_to_rows(records))))
-        print(f"{filename}: slope={fit.slope:+.4f} r^2={fit.r_squared:.5f} -> {path}")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create {outdir}: {exc.strerror}", file=sys.stderr)
+        return 2
+    for filename, flags in TABLES:
+        code = cli.main(["sweep", *flags, "--out", str(outdir / filename)])
+        if code:
+            return code
     return 0
 
 

@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract for CI: 0 when everything passed, 1 when a
 bound check, certification, or integration failed, 2 on usage errors (a flag
-the subcommand does not take among them).  The table commands (spectrum,
+the subcommand does not take, or an ``--out`` that cannot be written, among
+them).  The table commands (spectrum,
 bounds, sweep) take ``--output csv|json`` and ``--out``; JSON documents put
 the rows under ``records`` and, for sweeps, the power-law fit under ``fit``.
 ``evolve`` always writes JSON, to stdout or ``--out``; ``certify`` prints a
@@ -104,6 +105,19 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+class _UnwritableOut(Exception):
+    """An ``--out`` path could not be opened or written (a usage error)."""
+
+
+@contextlib.contextmanager
+def _writing(out_path: str):
+    """Turn an ``OSError`` from opening or writing ``out_path`` into one line."""
+    try:
+        yield
+    except OSError as exc:
+        raise _UnwritableOut(f"cannot write {out_path}: {exc.strerror or exc}") from exc
+
+
 def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     """Write ``chunks`` in order to stdout, or to ``out_path``.
 
@@ -112,7 +126,8 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     takes the target's permission bits and is then renamed over it, so a
     failed write never leaves a truncated table.  Anything else (a device
     such as ``/dev/stdout``, a FIFO, a process-substitution pipe) is opened
-    and written in place.
+    and written in place.  A path that cannot be opened or written (a
+    directory, a missing parent) raises ``_UnwritableOut``.
     """
     if out_path is None:
         sys.stdout.writelines(chunks)
@@ -120,22 +135,22 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     target = os.path.realpath(out_path)
     try:
         mode = os.stat(target).st_mode
-    except FileNotFoundError:
+    except OSError:  # missing, or unreachable: opening the temporary file says which
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        with open(out_path, "w", encoding="utf-8") as handle:
+        with _writing(out_path), open(out_path, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
         return
     directory, name = os.path.split(target)
     tmp_path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
-        with open(tmp_path, "x", encoding="utf-8") as handle:
+        with _writing(out_path), open(tmp_path, "x", encoding="utf-8") as handle:
             handle.writelines(chunks)
         if mode is not None:
             os.chmod(tmp_path, stat.S_IMODE(mode))
         os.replace(tmp_path, target)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
+        with contextlib.suppress(FileNotFoundError, NotADirectoryError):
             os.remove(tmp_path)
         raise
 
@@ -444,7 +459,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, CapacityExceeded) as exc:
+    except (ValueError, CapacityExceeded, _UnwritableOut) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NormDriftExceeded, ConvergenceFailure) as exc:

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -18,9 +19,15 @@ import numpy as np
 import pytest
 
 from padia import cli, sweeps
-from padia.dynamics import make_partial_schedule
+from padia.dynamics import make_partial_schedule, run_round
 from padia.model import make_instance
-from padia.spectrum import BoundReport, bound_report, spectral_columns, spectral_point
+from padia.spectrum import (
+    BoundReport,
+    adiabatic_success_probability,
+    bound_report,
+    spectral_columns,
+    spectral_point,
+)
 from padia.sweeps import (
     bound_reports_to_rows,
     spectral_points_to_rows,
@@ -161,19 +168,59 @@ class TestTableDigests:
 
     def test_reproduce_scaling(self, tmp_path):
         script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_scaling.py"
-        subprocess.run([sys.executable, str(script), "--outdir", str(tmp_path)],
-                       check=True, capture_output=True)
+        proc = subprocess.run([sys.executable, str(script), "--outdir", str(tmp_path)],
+                              check=True, capture_output=True, text=True)
         digests = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in self.SCALING
         }
         assert digests == self.SCALING
+        m_grid = [2**k for k in range(0, 9)]
+        fits = [
+            sweep(axis="n", fixed_value=1, grid=[2**k for k in range(6, 17)])[1],
+            sweep(axis="m", fixed_value=2**16, grid=m_grid)[1],
+            sweep(axis="m", fixed_value=2**16, grid=m_grid, schedule_kind="local_adiabatic")[1],
+        ]
+        assert proc.stderr.count("fit [") == 3
+        assert re.findall(r"^fit \[(.+)\]: slope=(\S+) ", proc.stderr, re.M) == [
+            (fit.axis, f"{fit.slope:.6f}") for fit in fits
+        ]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_bounds_all_divisors(self, fmt, capsys):
         assert run_cli(["bounds", "--m-rule", "all-divisors", "--output", fmt]) == 0
         text = capsys.readouterr().out
         assert hashlib.sha256(text.encode()).hexdigest() == self.BOUNDS[fmt]
+
+
+class TestScripts:
+    SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+    def run_script(self, name, *args):
+        return subprocess.run([sys.executable, str(self.SCRIPTS / name), *args],
+                              capture_output=True, text=True, timeout=300)
+
+    def test_reproduce_scaling_refuses_a_file_as_outdir(self, tmp_path):
+        blocker = tmp_path / "results"
+        blocker.write_text("previous\n")
+        proc = self.run_script("reproduce_scaling.py", "--outdir", str(blocker))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert blocker.read_text() == "previous\n"
+
+    def test_convergence_study(self):
+        proc = self.run_script("convergence_study.py", "--n", "64", "--m", "1",
+                               "--c-list", "1,16")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        inst = make_instance(64, 1)
+        p_printed = re.search(r"\bP=(\S+)", lines[0]).group(1)
+        assert p_printed == f"{adiabatic_success_probability(inst):.6f}"
+        rows = [line.split() for line in lines[3:]]
+        assert [row[0] for row in rows] == ["1", "16"]
+        for c_text, success, *_ in rows:
+            assert success == f"{run_round(inst, float(c_text)).success_probability:.6f}"
 
 
 class TestAtomicOut:
@@ -196,6 +243,25 @@ class TestAtomicOut:
             run_cli(["spectrum", "--n", "4", "--m", "1", "--out", str(out)])
         assert out.read_text() == "previous\n"
         assert os.listdir(tmp_path) == ["table.csv"]
+
+    @pytest.mark.parametrize("command", [
+        ["spectrum", "--n", "4", "--m", "1"],
+        ["evolve", "--n", "4", "--m", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_directory_is_usage_error(self, command, tmp_path, capsys):
+        assert run_cli(command + ["--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_missing_parent_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "table.csv"
+        assert run_cli(["spectrum", "--n", "4", "--m", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: {os.strerror(errno.ENOENT)}\n"
+        )
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unequal_columns_write_nothing(self, fmt, tmp_path, capsys):
