@@ -41,7 +41,6 @@ from .oracle import (
 )
 from .spectrum import bound_report, spectral_columns
 from .sweeps import (
-    DEFAULT_LOCAL_KNOTS,
     csv_chunks,
     json_chunks,
     rows_to_columns,
@@ -106,12 +105,12 @@ def _int_list(text: str) -> list[int]:
 
 
 class _UnwritableOut(Exception):
-    """An ``--out`` path could not be opened or written (a usage error)."""
+    """An ``--out`` path could not be written or put in place (a usage error)."""
 
 
 @contextlib.contextmanager
 def _writing(out_path: str):
-    """Turn an ``OSError`` from opening or writing ``out_path`` into one line."""
+    """Turn an ``OSError`` from writing ``out_path`` into one line."""
     try:
         yield
     except OSError as exc:
@@ -126,8 +125,9 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     takes the target's permission bits and is then renamed over it, so a
     failed write never leaves a truncated table.  Anything else (a device
     such as ``/dev/stdout``, a FIFO, a process-substitution pipe) is opened
-    and written in place.  A path that cannot be opened or written (a
-    directory, a missing parent) raises ``_UnwritableOut``.
+    and written in place.  A path that cannot be opened, written or renamed
+    into place (a directory, a missing parent, a busy mount point) raises
+    ``_UnwritableOut``, and no temporary file is left.
     """
     if out_path is None:
         sys.stdout.writelines(chunks)
@@ -144,11 +144,12 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     directory, name = os.path.split(target)
     tmp_path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
-        with _writing(out_path), open(tmp_path, "x", encoding="utf-8") as handle:
-            handle.writelines(chunks)
-        if mode is not None:
-            os.chmod(tmp_path, stat.S_IMODE(mode))
-        os.replace(tmp_path, target)
+        with _writing(out_path):
+            with open(tmp_path, "x", encoding="utf-8") as handle:
+                handle.writelines(chunks)
+            if mode is not None:
+                os.chmod(tmp_path, stat.S_IMODE(mode))
+            os.replace(tmp_path, target)
     except BaseException:
         with contextlib.suppress(FileNotFoundError, NotADirectoryError):
             os.remove(tmp_path)
@@ -224,9 +225,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     instance = make_instance(args.n, args.m)
-    schedule = make_schedule(
-        instance, _SCHEDULE_KINDS[args.schedule], args.c, args.epsilon, args.knots
-    )
+    schedule = make_schedule(instance, _SCHEDULE_KINDS[args.schedule], args.c, args.epsilon)
     steps = args.steps if args.steps is not None else default_step_count(schedule.total_time)
     outcome = evolve(instance, schedule, steps, initial_state(instance))
     payload = {
@@ -269,7 +268,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         steps=args.steps,
         simulate=args.simulate,
         workers=args.workers,
-        local_knots=args.knots,
     )
     fit_payload = {
         "slope": fit.slope,
@@ -338,7 +336,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=1,
-        help="worker threads for grid evaluation (default: 1)",
+        help="worker threads of bounds, sweep and certify; spectrum and evolve "
+        "ignore it (default: 1)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -389,12 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--epsilon", type=_positive_float, default=1.0, help="local-schedule rate constant"
     )
     p_evolve.add_argument(
-        "--knots",
-        type=_positive_int,
-        default=DEFAULT_LOCAL_KNOTS,
-        help="local-schedule tabulation knots (>= 100)",
-    )
-    p_evolve.add_argument(
         "--repeat", action="store_true", help="also draw repeat-until-success statistics"
     )
     p_evolve.add_argument("--max-rounds", type=_positive_int, default=10_000)
@@ -424,7 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--c", type=_positive_float, default=1.0)
     p_sweep.add_argument("--steps", type=_positive_int, default=None)
     p_sweep.add_argument("--epsilon", type=_positive_float, default=1.0)
-    p_sweep.add_argument("--knots", type=_positive_int, default=DEFAULT_LOCAL_KNOTS)
     p_sweep.add_argument(
         "--simulate",
         action="store_true",

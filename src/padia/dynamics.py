@@ -44,6 +44,7 @@ from .spectrum import _gap_squared, eigenvector_components, min_gap, one_round_t
 __all__ = [
     "NORM_DRIFT_LIMIT",
     "MAX_STEPS",
+    "LOCAL_KNOTS",
     "NormDriftExceeded",
     "Schedule",
     "RoundOutcome",
@@ -67,6 +68,10 @@ NORM_DRIFT_LIMIT = 1e-6
 # evolve refuses longer runs up front: 10^8 steps, with the half-step run for
 # the error estimate, take of the order of 10 s.
 MAX_STEPS = 10**8
+
+# Knots of the local-adiabatic t(s) table that make_schedule, and so the CLI
+# and the sweeps, build.
+LOCAL_KNOTS = 20_001
 
 # A step count of more digits than this is named by its order of magnitude in
 # the step-cap error, not printed whole (a huge duration gives ~300 digits).
@@ -186,7 +191,9 @@ def make_global_schedule(instance: SearchInstance, time_multiplier: float) -> Sc
     return Schedule(kind="global_linear", total_time=total_time, sample=sample)
 
 
-def make_local_schedule(instance: SearchInstance, epsilon: float, steps: int) -> Schedule:
+def make_local_schedule(
+    instance: SearchInstance, epsilon: float, steps: int = LOCAL_KNOTS
+) -> Schedule:
     """Sweep of [0, 1] whose rate adapts to the gap: ds/dt = epsilon * g(s)^2.
 
     The mapping t -> s is tabulated on ``steps`` knots by accumulating
@@ -232,19 +239,19 @@ def make_local_schedule(instance: SearchInstance, epsilon: float, steps: int) ->
 
 
 def make_schedule(
-    instance: SearchInstance, kind: str, time_multiplier: float, epsilon: float, knots: int
+    instance: SearchInstance, kind: str, time_multiplier: float, epsilon: float
 ) -> Schedule:
     """The schedule of the given ``Schedule.kind``.
 
-    time_multiplier scales the partial and global sweeps; epsilon and knots
-    set the local one.
+    time_multiplier scales the partial and global sweeps; epsilon sets the
+    local one, tabulated on ``LOCAL_KNOTS`` knots.
     """
     if kind == "partial":
         return make_partial_schedule(instance, time_multiplier)
     if kind == "global_linear":
         return make_global_schedule(instance, time_multiplier)
     if kind == "local_adiabatic":
-        return make_local_schedule(instance, epsilon, knots)
+        return make_local_schedule(instance, epsilon)
     raise ValueError(f"unknown schedule kind {kind!r}")
 
 

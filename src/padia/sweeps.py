@@ -3,19 +3,20 @@
 A sweep walks a grid of (N, M) instances, collects the analytic quantities
 for each into a SweepRecord, optionally attaches a simulated round-success
 value, and fits log(t_expected) against the swept axis by ordinary least
-squares.  Emission is deliberately dumb: a fixed-schema CSV (floats printed
-with 17 significant digits so they round-trip losslessly) or a JSON document
-with the records under ``records`` and the fit under ``fit``.
+squares.  A local-adiabatic grid point builds its t(s) table on
+``dynamics.LOCAL_KNOTS`` knots.  Emission is deliberately dumb: a
+fixed-schema CSV (floats printed with 17 significant digits so they
+round-trip losslessly) or a JSON document with the records under ``records``
+and the fit under ``fit``.
 
 Tables are written column-wise and streamed: ``csv_chunks`` and
 ``json_chunks`` take one sequence (or numpy array) per column, check the
 column lengths and pick one printf spec per column in one pass over the
 whole table, then yield the text in fixed blocks of ``BLOCK_ROWS`` rows.
 Each block slices every column and fills one per-row template, so peak
-memory no longer grows with the row count.  ``columns_to_csv`` and
-``columns_to_json`` join those chunks into one string.  The text is
+memory no longer grows with the row count.  Joined, the chunks are
 byte-identical to the row-by-row rendering (``json.dumps(payload,
-indent=2)`` for JSON); ``rows_to_csv`` is a thin wrapper over the CSV writer.
+indent=2)`` for JSON); ``rows_to_csv`` joins the CSV chunks of a row list.
 """
 
 from __future__ import annotations
@@ -46,14 +47,11 @@ __all__ = [
     "make_sweep_record",
     "sweep",
     "run_parallel",
-    "SWEEP_CSV_HEADER",
     "sweep_records_to_rows",
     "spectral_points_to_rows",
     "bound_reports_to_rows",
     "rows_to_csv",
     "rows_to_columns",
-    "columns_to_csv",
-    "columns_to_json",
     "csv_chunks",
     "json_chunks",
 ]
@@ -61,17 +59,10 @@ __all__ = [
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
-DEFAULT_LOCAL_KNOTS = 20_001
-
 # Rows formatted per chunk by csv_chunks/json_chunks: large enough that the
 # per-block overhead vanishes, small enough that a block's text and arguments
 # stay well under a megabyte.
 BLOCK_ROWS = 2048
-
-SWEEP_CSV_HEADER = (
-    "n,m,schedule,g_min,t_prime,p_adiabatic,t_expected,"
-    "ov_psi_minus,ov_beta_plus,bounds_hold,sim_success"
-)
 
 
 class DegenerateFit(ValueError):
@@ -147,12 +138,11 @@ def make_sweep_record(
     epsilon: float = 1.0,
     steps: int | None = None,
     simulate: bool = False,
-    local_knots: int = DEFAULT_LOCAL_KNOTS,
 ) -> SweepRecord:
     """Evaluate one (N, M) grid point."""
     g_min, _ = min_gap(instance)
     report = bound_report(instance)
-    schedule = make_schedule(instance, schedule_kind, time_multiplier, epsilon, local_knots)
+    schedule = make_schedule(instance, schedule_kind, time_multiplier, epsilon)
     if schedule.kind == "partial":
         t_prime = one_round_time(instance)
         p_adiabatic = report.p_one_round
@@ -204,7 +194,6 @@ def sweep(
     steps: int | None = None,
     simulate: bool = False,
     workers: int = 1,
-    local_knots: int = DEFAULT_LOCAL_KNOTS,
 ) -> tuple[list[SweepRecord], FitResult]:
     """Sweep N (axis='n', fixed M) or M (axis='m', fixed N) over a grid.
 
@@ -228,7 +217,6 @@ def sweep(
             epsilon=epsilon,
             steps=steps,
             simulate=simulate,
-            local_knots=local_knots,
         )
 
     records = run_parallel(job, instances, workers)
@@ -375,10 +363,11 @@ def _blocks(
 
 
 def csv_chunks(columns: Mapping[str, Sequence]) -> Iterator[str]:
-    """The CSV text of ``columns_to_csv``, one block of rows at a time.
+    """Equal-length columns as CSV with a header line, in blocks of rows.
 
-    The columns are checked when this is called; the returned iterator
-    formats ``BLOCK_ROWS`` rows per item.
+    Floats carry 17 significant digits (``format_float``); an empty table
+    yields nothing.  The columns are checked when this is called; the
+    returned iterator formats ``BLOCK_ROWS`` rows per item.
     """
     n_rows, specs, sources = _plan(columns, "%.17g", finite_only=False)
     header = ",".join(columns) + "\n"
@@ -394,10 +383,14 @@ def csv_chunks(columns: Mapping[str, Sequence]) -> Iterator[str]:
 
 
 def json_chunks(columns: Mapping[str, Sequence], extra: dict | None = None) -> Iterator[str]:
-    """The JSON text of ``columns_to_json``, one block of rows at a time.
+    """Equal-length columns as ``{"records": [...], **extra}``, in blocks of rows.
 
-    The columns are checked and ``extra`` is rendered when this is called;
-    the returned iterator formats ``BLOCK_ROWS`` records per item.
+    Joined, the text equals ``json.dumps(payload, indent=2) + "\\n"`` for the
+    payload holding one dict per row.  Finite float columns are written with
+    ``float.__repr__``; a column holding NaN or an infinity is written cell
+    by cell, as ``NaN``/``Infinity``/``-Infinity``.  The columns are checked
+    and ``extra`` is rendered when this is called; the returned iterator
+    formats ``BLOCK_ROWS`` records per item.
     """
     n_rows, specs, sources = _plan(columns, "%r", finite_only=True)
     fields = ",\n".join(
@@ -423,26 +416,6 @@ def json_chunks(columns: Mapping[str, Sequence], extra: dict | None = None) -> I
     return chunks()
 
 
-def columns_to_csv(columns: Mapping[str, Sequence]) -> str:
-    """Render equal-length columns as CSV with a header line.
-
-    Floats carry 17 significant digits (``format_float``); an empty table
-    renders as the empty string.
-    """
-    return "".join(csv_chunks(columns))
-
-
-def columns_to_json(columns: Mapping[str, Sequence], extra: dict | None = None) -> str:
-    """Render equal-length columns as ``{"records": [...], **extra}``.
-
-    The text equals ``json.dumps(payload, indent=2) + "\\n"`` for the
-    payload holding one dict per row.  Finite float columns are written with
-    ``float.__repr__``; a column holding NaN or an infinity is written cell
-    by cell, as ``NaN``/``Infinity``/``-Infinity``.
-    """
-    return "".join(json_chunks(columns, extra))
-
-
 def rows_to_csv(rows: Sequence[dict]) -> str:
     """Render rows (all sharing one key order) as CSV with a header line."""
-    return columns_to_csv(rows_to_columns(rows))
+    return "".join(csv_chunks(rows_to_columns(rows)))

@@ -19,8 +19,14 @@ import numpy as np
 import pytest
 
 from padia import cli, sweeps
-from padia.dynamics import make_partial_schedule, run_round
-from padia.model import make_instance
+from padia.dynamics import (
+    default_step_count,
+    evolve,
+    make_local_schedule,
+    make_partial_schedule,
+    run_round,
+)
+from padia.model import initial_state, make_instance
 from padia.spectrum import (
     BoundReport,
     adiabatic_success_probability,
@@ -231,18 +237,23 @@ class TestAtomicOut:
         assert out.read_text() == "previous\n"
         assert os.listdir(tmp_path) == ["table.csv"]
 
-    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
+        # The temporary file is written, then a chmod or the rename is refused.
         out = tmp_path / "table.csv"
         out.write_text("previous\n")
+        for call, code in (("replace", errno.EBUSY), ("chmod", errno.EPERM)):
 
-        def refuse(src, dst):
-            raise OSError("rename refused")
+            def refuse(*args, code=code):
+                raise OSError(code, os.strerror(code))
 
-        monkeypatch.setattr(cli.os, "replace", refuse)
-        with pytest.raises(OSError, match="rename refused"):
-            run_cli(["spectrum", "--n", "4", "--m", "1", "--out", str(out)])
-        assert out.read_text() == "previous\n"
-        assert os.listdir(tmp_path) == ["table.csv"]
+            with monkeypatch.context() as patch:
+                patch.setattr(cli.os, call, refuse)
+                assert run_cli(["spectrum", "--n", "4", "--m", "1", "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: cannot write {out}: {os.strerror(code)}\n"
+            assert out.read_text() == "previous\n"
+            assert os.listdir(tmp_path) == ["table.csv"]
 
     @pytest.mark.parametrize("command", [
         ["spectrum", "--n", "4", "--m", "1"],
@@ -430,7 +441,7 @@ class TestEvolveCommand:
         ("4611686018427387904", ["--schedule", "global", "--c", "1e300"]),
         ("4611686018427387904", ["--schedule", "local", "--epsilon", "1e-300"]),
         ("4611686018427387904", ["--c", "1e300"]),
-        ("4", ["--schedule", "local", "--epsilon", "4e-308", "--knots", "101"]),
+        ("4", ["--schedule", "local", "--epsilon", "4e-308"]),
     ])
     def test_overflowing_duration_is_usage_error(self, n, flags, capsys):
         assert run_cli(["evolve", "--n", n, "--m", "1", *flags]) == 2
@@ -450,6 +461,18 @@ class TestEvolveCommand:
         with pytest.raises(SystemExit) as exc:
             run_cli(["evolve", "--n", "abc", "--m", "1"])
         assert exc.value.code == 2
+
+    def test_local_round_uses_the_library_table(self, capsys):
+        # The CLI has no knot setting; its local table is the 20,001-knot one.
+        assert run_cli(["evolve", "--n", "256", "--m", "4", "--schedule", "local"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        inst = make_instance(256, 4)
+        schedule = make_local_schedule(inst, 1.0, 20_001)
+        steps = default_step_count(schedule.total_time)
+        outcome = evolve(inst, schedule, steps, initial_state(inst))
+        assert payload["total_time"] == schedule.total_time
+        assert payload["steps"] == steps
+        assert payload["success_probability"] == outcome.success_probability
 
 
 class TestSweepCommand:
@@ -509,10 +532,10 @@ class TestParser:
     OPTIONS = {
         "spectrum": {"--n", "--m", "--points", "--output", "--out", "--workers"},
         "bounds": {"--n-list", "--m-rule", "--output", "--out", "--workers"},
-        "evolve": {"--n", "--m", "--c", "--steps", "--schedule", "--epsilon", "--knots",
+        "evolve": {"--n", "--m", "--c", "--steps", "--schedule", "--epsilon",
                    "--repeat", "--max-rounds", "--seed", "--out", "--workers"},
         "sweep": {"--axis", "--fixed", "--grid", "--schedule", "--c", "--steps", "--epsilon",
-                  "--knots", "--simulate", "--output", "--out", "--workers"},
+                  "--simulate", "--output", "--out", "--workers"},
         "certify": {"--n-max", "--points", "--workers"},
     }
 
@@ -542,6 +565,8 @@ class TestParser:
         ("evolve", "--output", "csv"),
         ("certify", "--output", "json"),
         ("certify", "--out", "PATH"),
+        ("evolve", "--knots", "101"),
+        ("sweep", "--knots", "101"),
     ])
     def test_flag_the_command_does_not_read_is_rejected(
         self, command, flag, value, tmp_path, capsys

@@ -12,11 +12,10 @@ from padia import sweeps
 from padia.model import make_instance
 from padia.spectrum import adiabatic_success_probability, one_round_time
 from padia.sweeps import (
-    SWEEP_CSV_HEADER,
     DegenerateFit,
-    columns_to_csv,
-    columns_to_json,
+    csv_chunks,
     fit_loglog,
+    json_chunks,
     make_sweep_record,
     rows_to_columns,
     rows_to_csv,
@@ -24,6 +23,20 @@ from padia.sweeps import (
     sweep,
     sweep_records_to_rows,
 )
+
+
+SWEEP_CSV_HEADER = (
+    "n,m,schedule,g_min,t_prime,p_adiabatic,t_expected,"
+    "ov_psi_minus,ov_beta_plus,bounds_hold,sim_success"
+)
+
+
+def columns_to_csv(columns) -> str:
+    return "".join(csv_chunks(columns))
+
+
+def columns_to_json(columns, extra=None) -> str:
+    return "".join(json_chunks(columns, extra))
 
 
 def reference_cell(value) -> str:
