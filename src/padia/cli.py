@@ -62,6 +62,12 @@ _DEFAULT_SWEEP_M = tuple(2**k for k in range(0, 9))
 # The --schedule choices of evolve and sweep, mapped to Schedule.kind.
 _SCHEDULE_KINDS = {"partial": "partial", "global": "global_linear", "local": "local_adiabatic"}
 
+# The one duration setting of evolve and sweep, for every schedule.
+_C_HELP = (
+    "multiplies the schedule's nominal duration: √N/M (partial), N/M (global), "
+    "the ε = 1 local-adiabatic sweep (local) (default: 1)"
+)
+
 
 def _int_range(low: int, high: int | None = None):
     """An argparse type for integers in [low, high]; no upper end when high is None."""
@@ -225,7 +231,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     instance = make_instance(args.n, args.m)
-    schedule = make_schedule(instance, _SCHEDULE_KINDS[args.schedule], args.c, args.epsilon)
+    schedule = make_schedule(instance, _SCHEDULE_KINDS[args.schedule], args.c)
     steps = args.steps if args.steps is not None else default_step_count(schedule.total_time)
     outcome = evolve(instance, schedule, steps, initial_state(instance))
     payload = {
@@ -264,8 +270,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid=grid,
         schedule_kind=_SCHEDULE_KINDS[args.schedule],
         time_multiplier=args.c,
-        epsilon=args.epsilon,
-        steps=args.steps,
         simulate=args.simulate,
         workers=args.workers,
     )
@@ -374,9 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_evolve.add_argument("--n", type=_positive_int, required=True)
     p_evolve.add_argument("--m", type=_positive_int, required=True)
-    p_evolve.add_argument(
-        "--c", type=_positive_float, default=1.0, help="duration multiplier"
-    )
+    p_evolve.add_argument("--c", type=_positive_float, default=1.0, help=_C_HELP)
     p_evolve.add_argument(
         "--steps",
         type=_positive_int,
@@ -384,9 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="integration steps (default: 64/unit time, at least 100)",
     )
     p_evolve.add_argument("--schedule", choices=tuple(_SCHEDULE_KINDS), default="partial")
-    p_evolve.add_argument(
-        "--epsilon", type=_positive_float, default=1.0, help="local-schedule rate constant"
-    )
     p_evolve.add_argument(
         "--repeat", action="store_true", help="also draw repeat-until-success statistics"
     )
@@ -414,9 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated grid for the swept axis (>= 5 points)",
     )
     p_sweep.add_argument("--schedule", choices=tuple(_SCHEDULE_KINDS), default="partial")
-    p_sweep.add_argument("--c", type=_positive_float, default=1.0)
-    p_sweep.add_argument("--steps", type=_positive_int, default=None)
-    p_sweep.add_argument("--epsilon", type=_positive_float, default=1.0)
+    p_sweep.add_argument("--c", type=_positive_float, default=1.0, help=_C_HELP)
     p_sweep.add_argument(
         "--simulate",
         action="store_true",

@@ -44,6 +44,7 @@ from .spectrum import _gap_squared, eigenvector_components, min_gap, one_round_t
 __all__ = [
     "NORM_DRIFT_LIMIT",
     "MAX_STEPS",
+    "MAX_ROUNDS",
     "LOCAL_KNOTS",
     "NormDriftExceeded",
     "Schedule",
@@ -68,6 +69,10 @@ NORM_DRIFT_LIMIT = 1e-6
 # evolve refuses longer runs up front: 10^8 steps, with the half-step run for
 # the error estimate, take of the order of 10 s.
 MAX_STEPS = 10**8
+
+# draw_repeat_stats refuses more rounds up front: each round is one scalar
+# draw of about 0.6 us, so 10^7 rounds take of the order of 6 s.
+MAX_ROUNDS = 10**7
 
 # Knots of the local-adiabatic t(s) table that make_schedule, and so the CLI
 # and the sweeps, build.
@@ -192,13 +197,15 @@ def make_global_schedule(instance: SearchInstance, time_multiplier: float) -> Sc
 
 
 def make_local_schedule(
-    instance: SearchInstance, epsilon: float, steps: int = LOCAL_KNOTS
+    instance: SearchInstance, time_multiplier: float, steps: int = LOCAL_KNOTS
 ) -> Schedule:
-    """Sweep of [0, 1] whose rate adapts to the gap: ds/dt = epsilon * g(s)^2.
+    """Sweep of [0, 1] whose rate adapts to the gap: ds/dt = g(s)^2 / c.
 
-    The mapping t -> s is tabulated on ``steps`` knots by accumulating
-    dt/ds = 1/(epsilon g^2) with the trapezoid rule and inverted by linear
-    interpolation; total_time is the accumulated endpoint.
+    c = time_multiplier is 1/epsilon of Roland & Cerf's local adiabatic
+    search (PRA 65, 042308 (2002)), so the duration is c times that of the
+    epsilon = 1 sweep.  The mapping t -> s is tabulated on ``steps`` knots
+    by accumulating dt/ds = c/g^2 with the trapezoid rule and inverted by
+    linear interpolation; total_time is the accumulated endpoint.
 
     The table is built in place.  Besides the two knot arrays the schedule
     keeps, the build allocates two knot-sized scratch arrays (the g^2 column
@@ -208,21 +215,20 @@ def make_local_schedule(
     faults on every call.  Each value rounds as in the plain expression
     ``cumsum((dt_ds[1:] + dt_ds[:-1]) * 0.5 * diff(s_knots))``.
 
-    Raises ValueError unless epsilon is positive and finite, steps >= 100
-    and the duration is finite.
+    Raises ValueError unless time_multiplier is positive and finite,
+    steps >= 100 and the duration is finite.
     """
-    _require_positive_finite("epsilon", epsilon)
+    _require_positive_finite("time_multiplier", time_multiplier)
     if steps < 100:
         raise ValueError(f"need at least 100 tabulation knots, got {steps}")
     s_knots = np.linspace(0.0, 1.0, steps)
     dt_ds = _gap_squared(instance.b, s_knots)
-    dt_ds *= epsilon
     t_knots = np.empty_like(s_knots)
     t_knots[0] = 0.0
     increments = t_knots[1:]
-    # A tiny epsilon overflows dt/ds or its sum; the total_time check reports it.
-    with np.errstate(divide="ignore", over="ignore"):
-        np.divide(1.0, dt_ds, out=dt_ds)
+    # A huge multiplier overflows dt/ds or its sum; the total_time check reports it.
+    with np.errstate(over="ignore"):
+        np.divide(time_multiplier, dt_ds, out=dt_ds)
         np.add(dt_ds[1:], dt_ds[:-1], out=increments)
         increments *= 0.5
         # dt_ds is spent; its tail takes the knot spacings.
@@ -238,21 +244,24 @@ def make_local_schedule(
     return Schedule(kind="local_adiabatic", total_time=total_time, sample=sample)
 
 
-def make_schedule(
-    instance: SearchInstance, kind: str, time_multiplier: float, epsilon: float
-) -> Schedule:
-    """The schedule of the given ``Schedule.kind``.
+def make_schedule(instance: SearchInstance, kind: str, time_multiplier: float) -> Schedule:
+    """The schedule of the given ``Schedule.kind``, lasting time_multiplier
+    times its nominal duration: sqrt(N)/M (partial), N/M (global_linear) or
+    that of the sweep ds/dt = g^2 (local_adiabatic, on ``LOCAL_KNOTS``
+    knots).
 
-    time_multiplier scales the partial and global sweeps; epsilon sets the
-    local one, tabulated on ``LOCAL_KNOTS`` knots.
+    Raises ValueError for an unknown kind.
     """
-    if kind == "partial":
-        return make_partial_schedule(instance, time_multiplier)
-    if kind == "global_linear":
-        return make_global_schedule(instance, time_multiplier)
-    if kind == "local_adiabatic":
-        return make_local_schedule(instance, epsilon)
-    raise ValueError(f"unknown schedule kind {kind!r}")
+    # Looked up per call, so that the builders resolve through this
+    # module's attributes, where a wrapper installed on them takes effect.
+    builders = {
+        "partial": make_partial_schedule,
+        "global_linear": make_global_schedule,
+        "local_adiabatic": make_local_schedule,
+    }
+    if kind not in builders:
+        raise ValueError(f"unknown schedule kind {kind!r}")
+    return builders[kind](instance, time_multiplier)
 
 
 def default_step_count(total_time: float) -> int:
@@ -452,9 +461,12 @@ def draw_repeat_stats(
     Deterministic for a given seed.  ``succeeded`` is False only when
     max_rounds draws all fail; the evolution time of failed rounds still
     counts toward the total.
+
+    Raises ValueError unless 1 <= max_rounds <= MAX_ROUNDS and the success
+    probability lies in [0, 1].
     """
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
+    if not 1 <= max_rounds <= MAX_ROUNDS:
+        raise ValueError(f"max_rounds must lie in [1, {MAX_ROUNDS}], got {max_rounds}")
     if not 0.0 <= success_probability <= 1.0:
         raise ValueError(f"success probability must lie in [0, 1], got {success_probability}")
     rng = np.random.default_rng(seed)

@@ -3,11 +3,12 @@
 A sweep walks a grid of (N, M) instances, collects the analytic quantities
 for each into a SweepRecord, optionally attaches a simulated round-success
 value, and fits log(t_expected) against the swept axis by ordinary least
-squares.  A local-adiabatic grid point builds its t(s) table on
-``dynamics.LOCAL_KNOTS`` knots.  Emission is deliberately dumb: a
-fixed-schema CSV (floats printed with 17 significant digits so they
-round-trip losslessly) or a JSON document with the records under ``records``
-and the fit under ``fit``.
+squares.  One duration multiplier c scales every schedule: a grid point
+lasts c times its schedule's nominal duration (``dynamics.make_schedule``),
+and a simulated point runs ``dynamics.default_step_count`` steps.
+Emission is deliberately dumb: a fixed-schema CSV (floats printed with 17
+significant digits so they round-trip losslessly) or a JSON document with
+the records under ``records`` and the fit under ``fit``.
 
 Tables are written column-wise and streamed: ``csv_chunks`` and
 ``json_chunks`` take one sequence (or numpy array) per column, check the
@@ -36,7 +37,6 @@ from .spectrum import (
     SpectralPoint,
     bound_report,
     min_gap,
-    one_round_time,
 )
 
 __all__ = [
@@ -83,10 +83,10 @@ class FitResult:
 class SweepRecord:
     """One grid point of a scaling sweep.
 
-    For the partial schedule t_prime is the nominal one-round duration
-    sqrt(N)/M and p_adiabatic the analytic one-round success probability; for
-    the baseline schedules one sweep of the full interval ends in the target
-    ground state, so p_adiabatic is 1 and t_prime the schedule duration.
+    t_prime is the schedule's duration for every kind: c * sqrt(N)/M for
+    the partial sweep.  For the partial schedule p_adiabatic is the analytic
+    one-round success probability; for the baseline schedules one sweep of
+    the full interval ends in the target ground state, so p_adiabatic is 1.
     Either way t_expected = t_prime / p_adiabatic.
     """
 
@@ -135,24 +135,17 @@ def make_sweep_record(
     instance: SearchInstance,
     schedule_kind: str = "partial",
     time_multiplier: float = 1.0,
-    epsilon: float = 1.0,
-    steps: int | None = None,
     simulate: bool = False,
 ) -> SweepRecord:
     """Evaluate one (N, M) grid point."""
     g_min, _ = min_gap(instance)
     report = bound_report(instance)
-    schedule = make_schedule(instance, schedule_kind, time_multiplier, epsilon)
-    if schedule.kind == "partial":
-        t_prime = one_round_time(instance)
-        p_adiabatic = report.p_one_round
-    else:
-        t_prime = schedule.total_time
-        p_adiabatic = 1.0
+    schedule = make_schedule(instance, schedule_kind, time_multiplier)
+    t_prime = schedule.total_time
+    p_adiabatic = report.p_one_round if schedule.kind == "partial" else 1.0
     sim_success = None
     if simulate:
-        if steps is None:
-            steps = default_step_count(schedule.total_time)
+        steps = default_step_count(schedule.total_time)
         outcome = evolve(instance, schedule, steps, initial_state(instance))
         sim_success = outcome.success_probability
     return SweepRecord(
@@ -190,8 +183,6 @@ def sweep(
     grid: Sequence[int],
     schedule_kind: str = "partial",
     time_multiplier: float = 1.0,
-    epsilon: float = 1.0,
-    steps: int | None = None,
     simulate: bool = False,
     workers: int = 1,
 ) -> tuple[list[SweepRecord], FitResult]:
@@ -214,8 +205,6 @@ def sweep(
             instance,
             schedule_kind=schedule_kind,
             time_multiplier=time_multiplier,
-            epsilon=epsilon,
-            steps=steps,
             simulate=simulate,
         )
 

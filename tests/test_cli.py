@@ -439,9 +439,9 @@ class TestEvolveCommand:
 
     @pytest.mark.parametrize("n, flags", [
         ("4611686018427387904", ["--schedule", "global", "--c", "1e300"]),
-        ("4611686018427387904", ["--schedule", "local", "--epsilon", "1e-300"]),
+        ("4611686018427387904", ["--schedule", "local", "--c", "1e300"]),
         ("4611686018427387904", ["--c", "1e300"]),
-        ("4", ["--schedule", "local", "--epsilon", "4e-308"]),
+        ("4", ["--schedule", "local", "--c", "2.5e307"]),
     ])
     def test_overflowing_duration_is_usage_error(self, n, flags, capsys):
         assert run_cli(["evolve", "--n", n, "--m", "1", *flags]) == 2
@@ -456,6 +456,22 @@ class TestEvolveCommand:
         assert re.fullmatch(r"error: at least 10\^309 steps over duration 2e\+307 exceed "
                             r"the cap of 100000000 steps\n", err)
         assert len(err) < 160
+
+    @pytest.mark.parametrize("schedule", ["partial", "global", "local"])
+    def test_c_scales_every_schedule(self, schedule, capsys):
+        totals = []
+        for c in ("1", "2"):
+            argv = ["evolve", "--n", "256", "--m", "4", "--schedule", schedule, "--c", c]
+            assert run_cli(argv) == 0
+            totals.append(json.loads(capsys.readouterr().out)["total_time"])
+        assert totals[1] == 2.0 * totals[0]
+
+    def test_round_cap_is_usage_error(self, capsys):
+        assert run_cli(["evolve", "--n", "16", "--m", "1", "--repeat",
+                        "--max-rounds", "10000001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_rounds must lie in [1, 10000000], got 10000001\n"
 
     def test_rejects_bad_numeric_flag(self):
         with pytest.raises(SystemExit) as exc:
@@ -489,6 +505,20 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[0].startswith("n,m,schedule,")
         assert "fit" in captured.err
+
+    @pytest.mark.parametrize("schedule", ["partial", "global", "local"])
+    def test_c_scales_the_duration_of_every_schedule(self, schedule, capsys):
+        tables = []
+        for c in ("1", "2"):
+            assert run_cli(["sweep", "--axis", "n", "--fixed", "1", "--grid",
+                            "64,128,256,512,1024", "--schedule", schedule, "--c", c,
+                            "--output", "json"]) == 0
+            tables.append(json.loads(capsys.readouterr().out)["records"])
+        single, double = tables
+        for one, two in zip(single, double):
+            assert two["t_prime"] == 2.0 * one["t_prime"]
+            assert two["t_expected"] == 2.0 * one["t_expected"]
+            assert two["p_adiabatic"] == one["p_adiabatic"]
 
     def test_grid_validation(self, capsys):
         # sweeps.sweep owns the rule; its ValueError is a usage error.
@@ -532,9 +562,9 @@ class TestParser:
     OPTIONS = {
         "spectrum": {"--n", "--m", "--points", "--output", "--out", "--workers"},
         "bounds": {"--n-list", "--m-rule", "--output", "--out", "--workers"},
-        "evolve": {"--n", "--m", "--c", "--steps", "--schedule", "--epsilon",
+        "evolve": {"--n", "--m", "--c", "--steps", "--schedule",
                    "--repeat", "--max-rounds", "--seed", "--out", "--workers"},
-        "sweep": {"--axis", "--fixed", "--grid", "--schedule", "--c", "--steps", "--epsilon",
+        "sweep": {"--axis", "--fixed", "--grid", "--schedule", "--c",
                   "--simulate", "--output", "--out", "--workers"},
         "certify": {"--n-max", "--points", "--workers"},
     }
@@ -567,6 +597,9 @@ class TestParser:
         ("certify", "--out", "PATH"),
         ("evolve", "--knots", "101"),
         ("sweep", "--knots", "101"),
+        ("evolve", "--epsilon", "2"),
+        ("sweep", "--epsilon", "2"),
+        ("sweep", "--steps", "500"),
     ])
     def test_flag_the_command_does_not_read_is_rejected(
         self, command, flag, value, tmp_path, capsys

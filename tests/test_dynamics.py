@@ -3,10 +3,11 @@
 Expected values for the local-adiabatic schedule come from the closed form
 of the sweep-time integral,
 
-    t_total = atan(sqrt(a/b)) / (epsilon * sqrt(a*b)),
+    t_total = c * atan(sqrt(a/b)) / sqrt(a*b),
 
-derived by substituting u = 2s - 1 into dt/ds = 1/(eps*(b + a u^2)); a direct
-fine-grid quadrature reproduces it and the tabulated schedule must match.
+derived by substituting u = 2s - 1 into dt/ds = c/(b + a u^2), where the
+duration multiplier c is 1/epsilon of Roland & Cerf; a direct fine-grid
+quadrature reproduces it and the tabulated schedule must match.
 """
 
 import cmath
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from padia.dynamics import (
     _CHUNK_STEPS,
+    MAX_ROUNDS,
     MAX_STEPS,
     NORM_DRIFT_LIMIT,
     NormDriftExceeded,
@@ -33,6 +35,7 @@ from padia.dynamics import (
     make_global_schedule,
     make_local_schedule,
     make_partial_schedule,
+    make_schedule,
     run_round,
     simulate_until_success,
 )
@@ -42,21 +45,22 @@ from padia.spectrum import eigenvector_components, overlap_beta, overlap_psi
 from padia.sweeps import fit_loglog
 
 
-def local_total_time_closed_form(n, m, epsilon=1.0):
+def local_total_time_closed_form(n, m):
+    """The duration of the local-adiabatic sweep at c = 1."""
     a = (n - m) / n
     b = m / n
     if a == 0.0:
-        return 1.0 / epsilon
-    return math.atan(math.sqrt(a / b)) / (epsilon * math.sqrt(a * b))
+        return 1.0
+    return math.atan(math.sqrt(a / b)) / math.sqrt(a * b)
 
 
-def plain_local_table(instance, epsilon, knots):
+def plain_local_table(instance, c, knots):
     """The local-adiabatic table written as one plain numpy expression per
     quantity: (total_time, t_knots, s_knots)."""
     s_knots = np.linspace(0.0, 1.0, knots)
     u = 1.0 - 2.0 * s_knots
     g_sq = u * u + 4.0 * s_knots * (1.0 - s_knots) * instance.b
-    dt_ds = 1.0 / (epsilon * g_sq)
+    dt_ds = c / g_sq
     t_knots = np.empty_like(s_knots)
     t_knots[0] = 0.0
     np.cumsum((dt_ds[1:] + dt_ds[:-1]) * 0.5 * np.diff(s_knots), out=t_knots[1:])
@@ -205,8 +209,8 @@ def comparison_case(kind, steps, dt=CASE_DT):
     elif kind == "global_linear":
         sched = make_global_schedule(inst, total / 4.0)  # N/M = 4
     elif kind == "local_adiabatic":
-        epsilon = local_total_time_closed_form(64, 16) / total
-        sched = make_local_schedule(inst, epsilon, 10_001)
+        c = total / local_total_time_closed_form(64, 16)
+        sched = make_local_schedule(inst, c, 10_001)
     elif kind == "frozen":
         sched = Schedule(kind="partial", total_time=total, sample=lambda t: win.s_minus + 0.0 * t)
     else:
@@ -266,7 +270,7 @@ class TestLocalSchedule:
         sched = make_local_schedule(make_instance(8, 8), 1.0, 1001)
         assert sched.kind == "local_adiabatic"
         assert sched.total_time == pytest.approx(1.0, rel=1e-12)
-        sched2 = make_local_schedule(make_instance(8, 8), 2.0, 1001)
+        sched2 = make_local_schedule(make_instance(8, 8), 0.5, 1001)
         assert sched2.total_time == pytest.approx(0.5, rel=1e-12)
 
     def test_against_closed_form(self):
@@ -307,15 +311,15 @@ class TestLocalSchedule:
     @given(
         n=st.integers(2, 2**62),
         marked=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
-        epsilon=st.one_of(
+        c=st.one_of(
             st.floats(0.01, 100.0, exclude_min=True), st.sampled_from([1.0, 100.0])
         ),
         knots=st.one_of(st.integers(100, 30_000), st.sampled_from([100, 20_001])),
     )
-    def test_bit_identical_to_plain_table(self, n, marked, epsilon, knots):
+    def test_bit_identical_to_plain_table(self, n, marked, c, knots):
         inst = make_instance(n, max(1, min(n, round(marked * n))))
-        total, t_knots, s_knots = plain_local_table(inst, epsilon, knots)
-        sched = make_local_schedule(inst, epsilon, knots)
+        total, t_knots, s_knots = plain_local_table(inst, c, knots)
+        sched = make_local_schedule(inst, c, knots)
         assert np.float64(sched.total_time).tobytes() == np.float64(total).tobytes()
         midpoints = 0.5 * (t_knots[1:] + t_knots[:-1])
         t_ref = np.concatenate([t_knots, midpoints, [-1.0, 2.0 * total]])
@@ -354,7 +358,7 @@ class TestScheduleInputs:
         for build, name in (
             (lambda: make_partial_schedule(inst, bad), "time_multiplier"),
             (lambda: make_global_schedule(inst, bad), "time_multiplier"),
-            (lambda: make_local_schedule(inst, bad, 100), "epsilon"),
+            (lambda: make_local_schedule(inst, bad, 100), "time_multiplier"),
         ):
             message = rf"{name} must be positive and finite, got {shown}$"
             with pytest.raises(ValueError, match=message):
@@ -371,13 +375,25 @@ class TestScheduleInputs:
         for build in (
             lambda: make_partial_schedule(inst, 1e300),
             lambda: make_global_schedule(inst, 1e300),
-            lambda: make_local_schedule(inst, 1e-300, 20_001),
-            lambda: make_local_schedule(make_instance(4, 1), 4e-308, 101),
+            lambda: make_local_schedule(inst, 1e300, 20_001),
+            lambda: make_local_schedule(make_instance(4, 1), 2.5e307, 101),
         ):
             with pytest.raises(ValueError, match="total_time must be positive and finite, got inf$"):
                 build()
         with pytest.raises(ValueError, match="total_time must be positive and finite"):
             run_round(inst, 1e300)
+
+
+class TestMakeSchedule:
+    @pytest.mark.parametrize("kind", ["partial", "global_linear", "local_adiabatic"])
+    @pytest.mark.parametrize("c", [0.75, 1.0, 3.0])
+    def test_multiplier_scales_every_kind(self, kind, c):
+        # Doubling is exact in floating point, so the durations are too.
+        inst = make_instance(256, 4)
+        single = make_schedule(inst, kind, c)
+        double = make_schedule(inst, kind, 2.0 * c)
+        assert single.kind == double.kind == kind
+        assert double.total_time == 2.0 * single.total_time
 
 
 class TestDefaultSteps:
@@ -642,3 +658,12 @@ class TestRepeatUntilSuccess:
             draw_repeat_stats(1.2, 1.0, 0, 10)
         with pytest.raises(ValueError):
             draw_repeat_stats(0.5, 1.0, 0, 0)
+
+    def test_round_cap(self):
+        stats = draw_repeat_stats(1.0, 1.0, 0, MAX_ROUNDS)
+        assert stats.rounds_used == 1
+        message = rf"max_rounds must lie in \[1, {MAX_ROUNDS}\], got {MAX_ROUNDS + 1}$"
+        with pytest.raises(ValueError, match=message):
+            draw_repeat_stats(1.0, 1.0, 0, MAX_ROUNDS + 1)
+        with pytest.raises(ValueError, match="max_rounds must lie in"):
+            simulate_until_success(make_instance(4, 4), 1.0, max_rounds=10**12)
