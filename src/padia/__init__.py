@@ -18,6 +18,7 @@ from .spectrum import (
     BoundReport,
     eigenvalues,
     gap,
+    gap_integral,
     min_gap,
     eigenvector_components,
     overlap_psi,
@@ -38,8 +39,11 @@ from .dynamics import (
     make_local_schedule,
     make_schedule,
     default_step_count,
+    rotation_angle,
+    schedule_step_count,
     evolve,
     run_round,
+    check_max_rounds,
     draw_repeat_stats,
     simulate_until_success,
 )

@@ -27,10 +27,11 @@ import numpy as np
 
 from .dynamics import (
     NormDriftExceeded,
-    default_step_count,
+    check_max_rounds,
+    draw_repeat_stats,
     evolve,
     make_schedule,
-    draw_repeat_stats,
+    schedule_step_count,
 )
 from .model import initial_state, make_instance
 from .oracle import (
@@ -230,9 +231,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
+    if args.repeat:
+        check_max_rounds(args.max_rounds)
     instance = make_instance(args.n, args.m)
     schedule = make_schedule(instance, _SCHEDULE_KINDS[args.schedule], args.c)
-    steps = args.steps if args.steps is not None else default_step_count(schedule.total_time)
+    steps = args.steps if args.steps is not None else schedule_step_count(instance, schedule)
     outcome = evolve(instance, schedule, steps, initial_state(instance))
     payload = {
         "n": args.n,

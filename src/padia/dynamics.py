@@ -18,6 +18,11 @@ folded by ordered pairwise products.  For a given (schedule, steps) every
 run on the same numpy build gives the same bits.  Unitarity makes the norm drift blind to a coarse grid, so every round
 is integrated a second time with half the steps, and the difference of the
 two, divided by 15, is reported as the error estimate and guarded.
+The default step count follows what the steps must resolve: with the phase
+of tr H taken out, H is a rotation B . sigma with |B| = g(s)/2, so the
+partial and global sweeps get 64 steps per radian of the rotation angle
+integral of g/2 dt, in closed form.  That angle does not grow with N on the
+partial schedule, while the duration does.
 Two baseline schedules are provided for comparison: a global linear sweep of
 the full interval and a local-adiabatic sweep whose rate tracks the squared
 gap.
@@ -39,7 +44,13 @@ from .model import (
     evolution_window,
     initial_state,
 )
-from .spectrum import _gap_squared, eigenvector_components, min_gap, one_round_time
+from .spectrum import (
+    _gap_squared,
+    eigenvector_components,
+    gap_integral,
+    min_gap,
+    one_round_time,
+)
 
 __all__ = [
     "NORM_DRIFT_LIMIT",
@@ -55,8 +66,11 @@ __all__ = [
     "make_local_schedule",
     "make_schedule",
     "default_step_count",
+    "rotation_angle",
+    "schedule_step_count",
     "evolve",
     "run_round",
+    "check_max_rounds",
     "draw_repeat_stats",
     "simulate_until_success",
 ]
@@ -120,11 +134,16 @@ class Schedule:
 
     ``sample`` must accept scalars and numpy arrays alike.
     kind is one of 'partial', 'global_linear', 'local_adiabatic'.
+    ``sample_x``, where given, maps t to x = 2s - 1 without passing through
+    a float s: near s = 1/2 floats are 1.1e-16 apart, which at large N is a
+    visible fraction of the partial window, so its sampled H would be a
+    staircase.  The integrator samples x, as 2 * sample(t) - 1 otherwise.
     """
 
     kind: str
     total_time: float
     sample: Callable[[float], float]
+    sample_x: Callable[[float], float] | None = None
 
 
 @dataclass(frozen=True)
@@ -172,11 +191,18 @@ def make_partial_schedule(instance: SearchInstance, time_multiplier: float) -> S
     total_time = time_multiplier * one_round_time(instance)
     _require_positive_finite("total_time", total_time)
     s_minus, omega = window.s_minus, window.omega
+    # x = 2s - 1 runs over [-x_plus, x_plus]; 1/sqrt(N) is twice the
+    # window's half-width to the last bit.
+    x_plus = 1.0 / math.sqrt(instance.n_items)
+    x_rate = 2.0 * x_plus / total_time
 
     def sample(t):
         return s_minus + omega * (t / total_time)
 
-    return Schedule(kind="partial", total_time=total_time, sample=sample)
+    def sample_x(t):
+        return x_rate * t - x_plus
+
+    return Schedule(kind="partial", total_time=total_time, sample=sample, sample_x=sample_x)
 
 
 def make_global_schedule(instance: SearchInstance, time_multiplier: float) -> Schedule:
@@ -190,10 +216,17 @@ def make_global_schedule(instance: SearchInstance, time_multiplier: float) -> Sc
     total_time = time_multiplier / (g_min * g_min)
     _require_positive_finite("total_time", total_time)
 
+    x_rate = 2.0 / total_time
+
     def sample(t):
         return t / total_time
 
-    return Schedule(kind="global_linear", total_time=total_time, sample=sample)
+    def sample_x(t):
+        return x_rate * t - 1.0
+
+    return Schedule(
+        kind="global_linear", total_time=total_time, sample=sample, sample_x=sample_x
+    )
 
 
 def make_local_schedule(
@@ -268,8 +301,11 @@ def default_step_count(total_time: float) -> int:
     """Fixed-step default: 64 Magnus steps per unit time (the Hamiltonian
     norm is at most 1), never fewer than 100.
 
-    A finite duration whose product with 64 leaves the float range still
-    gets its exact count (which evolve then refuses), not an OverflowError.
+    The local-adiabatic schedule takes this count of its duration;
+    ``schedule_step_count`` gives the other two the same count of their
+    rotation angle.  A finite argument whose product with 64 leaves the
+    float range still gets its exact count (which evolve then refuses), not
+    an OverflowError.
     """
     try:
         return max(100, math.ceil(64.0 * total_time))
@@ -277,27 +313,90 @@ def default_step_count(total_time: float) -> int:
         return 64 * int(total_time)
 
 
-def _chunk_gauss_values(
+def rotation_angle(instance: SearchInstance, schedule: Schedule) -> float:
+    """The angle, integral of g(s(t))/2 dt, through which a linear sweep turns.
+
+    H = I/2 + B . sigma with |B| = g/2, and the I/2 part is one exact phase,
+    so this angle is what the integrator must resolve.  The partial and
+    global_linear schedules sweep s linearly across [s_start, s_stop], so
+    the angle is total_time/2 times the mean gap there (spectrum's closed-
+    form gap integral over the width): at most total_time/2, and on the
+    partial schedule independent of N.
+
+    Raises ValueError for the local_adiabatic schedule, which is not linear.
+    """
+    if schedule.kind == "partial":
+        window = evolution_window(instance)
+        s_start, s_stop = window.s_minus, window.s_plus
+    elif schedule.kind == "global_linear":
+        s_start, s_stop = 0.0, 1.0
+    else:
+        raise ValueError(f"no closed-form rotation angle for schedule kind {schedule.kind!r}")
+    mean_gap = gap_integral(instance, s_start, s_stop) / (s_stop - s_start)
+    return 0.5 * schedule.total_time * mean_gap
+
+
+def schedule_step_count(instance: SearchInstance, schedule: Schedule) -> int:
+    """The default step count of a round of ``schedule``.
+
+    64 steps per radian of ``rotation_angle`` on the partial and
+    global_linear schedules, and 64 per unit time on the local_adiabatic
+    one, whose knot table is only piecewise linear in t: at counts set by
+    its angle the table's kinks fail the error guard.  Never fewer than 100.
+    """
+    if schedule.kind == "local_adiabatic":
+        return default_step_count(schedule.total_time)
+    return default_step_count(rotation_angle(instance, schedule))
+
+
+def _chunk_gauss_times(
     schedule: Schedule, steps: int, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """s at the two Gauss points of steps start..stop-1 of a ``steps``-step run.
+    """The two Gauss points of steps start..stop-1 of a ``steps``-step run.
 
     Step n starts at n * dt and samples t = n * dt + (1/2 -/+ sqrt(3)/6) * dt.
     """
     dt = schedule.total_time / steps
     times = np.arange(start, stop, dtype=float) * dt
-    s_low = np.asarray(schedule.sample(times + _GAUSS_LOW * dt), dtype=float)
-    s_high = np.asarray(schedule.sample(times + _GAUSS_HIGH * dt), dtype=float)
-    return s_low, s_high
+    return times + _GAUSS_LOW * dt, times + _GAUSS_HIGH * dt
+
+
+def _chunk_gauss_values(
+    schedule: Schedule, steps: int, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """s at the two Gauss points of steps start..stop-1 of a ``steps``-step run."""
+    t_low, t_high = _chunk_gauss_times(schedule, steps, start, stop)
+    return (
+        np.asarray(schedule.sample(t_low), dtype=float),
+        np.asarray(schedule.sample(t_high), dtype=float),
+    )
+
+
+def _chunk_gauss_offsets(
+    schedule: Schedule, steps: int, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """x = 2s - 1 at the two Gauss points of steps start..stop-1."""
+    if schedule.sample_x is None:
+        s_low, s_high = _chunk_gauss_values(schedule, steps, start, stop)
+        x_low, x_high = 2.0 * s_low, 2.0 * s_high
+        x_low -= 1.0
+        x_high -= 1.0
+        return x_low, x_high
+    t_low, t_high = _chunk_gauss_times(schedule, steps, start, stop)
+    return (
+        np.asarray(schedule.sample_x(t_low), dtype=float),
+        np.asarray(schedule.sample_x(t_high), dtype=float),
+    )
 
 
 def _step_pairs(
-    a: float, sqrt_ab: float, s_low: np.ndarray, s_high: np.ndarray, h: float
+    a: float, b: float, sqrt_ab: float, x_low: np.ndarray, x_high: np.ndarray, h: float
 ) -> np.ndarray:
     """The Magnus-4 steps of the 2x2 reduction as a (2, K) complex stack.
 
-    With u = 1 - s, H(s) = I/2 + bx sigma_x + bz sigma_z, bx = -u sqrt(ab),
-    bz = 1/2 - u a, and the commutator of the two Gauss-point Hamiltonians is
+    With x = 2s - 1 and u = 1 - s = (1 - x)/2, H(s) = I/2 + bx sigma_x +
+    bz sigma_z, bx = -u sqrt(ab), bz = 1/2 - u a = (b + a x)/2, and the
+    commutator of the two Gauss-point Hamiltonians is
     [H2, H1] = (u1 - u2) sqrt(ab) (-i sigma_y).  The Magnus-4 exponent
 
         Omega = -i h (H1 + H2)/2 - (sqrt(3) h^2 / 12) [H2, H1]
@@ -311,12 +410,14 @@ def _step_pairs(
     Cayley-Klein pair alpha = q0 - i q3, beta = -q2 - i q1, which stands
     for the matrix [[alpha, beta], [-conj(beta), conj(alpha)]].  The code
     builds w = -v, so that alpha = cos theta + i s w_z, beta = s w_y + i s w_x
-    with s = sin(theta)/theta.
+    with s = sin(theta)/theta.  bz is formed from x as (b + a x)/2, so that
+    near s = 1/2 it does not cancel 1/2 against a u; x_sum is twice the
+    mean x of the two Gauss points.
     """
-    u_mean = 1.0 - 0.5 * (s_low + s_high)
-    wx = (h * sqrt_ab) * u_mean
-    wy = (_COMMUTATOR * h * h * sqrt_ab) * (s_high - s_low)
-    wz = h * (a * u_mean - 0.5)
+    x_sum = x_low + x_high
+    wx = (0.25 * h * sqrt_ab) * (2.0 - x_sum)
+    wy = (0.5 * _COMMUTATOR * h * h * sqrt_ab) * (x_high - x_low)
+    wz = (-0.25 * h * a) * x_sum - 0.5 * h * b
     theta = np.sqrt(wx * wx + wy * wy + wz * wz)
     scale = np.divide(np.sin(theta), theta, out=np.ones_like(theta), where=theta > 0.0)
     pairs = np.empty((2, theta.size), dtype=complex)
@@ -376,8 +477,10 @@ def _propagate(
     total = _IDENTITY
     for start in range(0, steps, _CHUNK_STEPS):
         stop = min(start + _CHUNK_STEPS, steps)
-        s_low, s_high = _chunk_gauss_values(schedule, steps, start, stop)
-        chunk = _ordered_product(_step_pairs(instance.a, sqrt_ab, s_low, s_high, dt))
+        x_low, x_high = _chunk_gauss_offsets(schedule, steps, start, stop)
+        chunk = _ordered_product(
+            _step_pairs(instance.a, instance.b, sqrt_ab, x_low, x_high, dt)
+        )
         alpha, beta = _pair_product(chunk, total)
         norm = math.hypot(abs(alpha), abs(beta))
         total = alpha / norm, beta / norm
@@ -446,8 +549,14 @@ def run_round(
     """One full protocol round: uniform start, window sweep, report outcome."""
     schedule = make_partial_schedule(instance, time_multiplier)
     if steps is None:
-        steps = default_step_count(schedule.total_time)
+        steps = schedule_step_count(instance, schedule)
     return evolve(instance, schedule, steps, initial_state(instance))
+
+
+def check_max_rounds(max_rounds: int) -> None:
+    """Raise ValueError unless 1 <= max_rounds <= MAX_ROUNDS."""
+    if not 1 <= max_rounds <= MAX_ROUNDS:
+        raise ValueError(f"max_rounds must lie in [1, {MAX_ROUNDS}], got {max_rounds}")
 
 
 def draw_repeat_stats(
@@ -465,8 +574,7 @@ def draw_repeat_stats(
     Raises ValueError unless 1 <= max_rounds <= MAX_ROUNDS and the success
     probability lies in [0, 1].
     """
-    if not 1 <= max_rounds <= MAX_ROUNDS:
-        raise ValueError(f"max_rounds must lie in [1, {MAX_ROUNDS}], got {max_rounds}")
+    check_max_rounds(max_rounds)
     if not 0.0 <= success_probability <= 1.0:
         raise ValueError(f"success probability must lie in [0, 1], got {success_probability}")
     rng = np.random.default_rng(seed)
@@ -495,11 +603,12 @@ def simulate_until_success(
 
     Rounds are identical, so the dynamics is integrated once and the round
     outcomes are then drawn as Bernoulli trials with that success
-    probability.
+    probability.  max_rounds is checked before the round is integrated.
     """
+    check_max_rounds(max_rounds)
     schedule = make_partial_schedule(instance, time_multiplier)
     if steps is None:
-        steps = default_step_count(schedule.total_time)
+        steps = schedule_step_count(instance, schedule)
     outcome = evolve(instance, schedule, steps, initial_state(instance))
     return draw_repeat_stats(
         outcome.success_probability, schedule.total_time, seed, max_rounds

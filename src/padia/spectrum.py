@@ -55,6 +55,7 @@ __all__ = [
     "BoundReport",
     "eigenvalues",
     "gap",
+    "gap_integral",
     "min_gap",
     "eigenvector_components",
     "overlap_psi",
@@ -194,6 +195,33 @@ def gap(instance: SearchInstance, s: float) -> float:
 def eigenvalues(instance: SearchInstance, s: float) -> tuple[float, float]:
     """The two nontrivial eigenvalues (e0, e1) of H(s); e0 + e1 = 1."""
     return _energies(gap(instance, s))
+
+
+def _gap_antiderivative(a: float, b: float, x: float) -> float:
+    """F(x) with dF/dx = sqrt(b + a x^2), the gap as a function of x = 2s - 1.
+
+    F(x) = (x/2) sqrt(b + a x^2) + (b / (2 sqrt(a))) asinh(x sqrt(a/b)),
+    and x sqrt(b) when a = 0.  F is odd, and both of its terms carry the
+    sign of x, so nothing cancels.
+    """
+    root = math.sqrt(b + a * x * x)
+    if a == 0.0:
+        return x * root
+    return 0.5 * x * root + b / (2.0 * math.sqrt(a)) * math.asinh(x * math.sqrt(a / b))
+
+
+def gap_integral(instance: SearchInstance, s_start: float, s_stop: float) -> float:
+    """The integral of g(s) ds over [s_start, s_stop], in closed form.
+
+    With x = 2s - 1 the gap is g^2 = b + a x^2 and ds = dx/2.
+    """
+    _check_s(s_start)
+    _check_s(s_stop)
+    a, b = instance.a, instance.b
+    return 0.5 * (
+        _gap_antiderivative(a, b, 2.0 * s_stop - 1.0)
+        - _gap_antiderivative(a, b, 2.0 * s_start - 1.0)
+    )
 
 
 def min_gap(instance: SearchInstance) -> tuple[float, float]:

@@ -5,7 +5,9 @@ for each into a SweepRecord, optionally attaches a simulated round-success
 value, and fits log(t_expected) against the swept axis by ordinary least
 squares.  One duration multiplier c scales every schedule: a grid point
 lasts c times its schedule's nominal duration (``dynamics.make_schedule``),
-and a simulated point runs ``dynamics.default_step_count`` steps.
+and a simulated point runs ``dynamics.schedule_step_count`` steps: 64 per
+radian of the rotation angle on the partial and global schedules, 64 per
+unit time on the local one.
 Emission is deliberately dumb: a fixed-schema CSV (floats printed with 17
 significant digits so they round-trip losslessly) or a JSON document with
 the records under ``records`` and the fit under ``fit``.
@@ -30,7 +32,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .dynamics import default_step_count, evolve, make_schedule
+from .dynamics import evolve, make_schedule, schedule_step_count
 from .model import SearchInstance, initial_state, make_instance
 from .spectrum import (
     BoundReport,
@@ -145,7 +147,7 @@ def make_sweep_record(
     p_adiabatic = report.p_one_round if schedule.kind == "partial" else 1.0
     sim_success = None
     if simulate:
-        steps = default_step_count(schedule.total_time)
+        steps = schedule_step_count(instance, schedule)
         outcome = evolve(instance, schedule, steps, initial_state(instance))
         sim_success = outcome.success_probability
     return SweepRecord(

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from padia import cli, sweeps
+from padia import cli, dynamics, sweeps
 from padia.dynamics import (
     default_step_count,
     evolve,
@@ -422,14 +422,22 @@ class TestEvolveCommand:
     def test_reports_error_estimate(self, capsys):
         assert run_cli(["evolve", "--n", "64", "--m", "1", "--c", "4"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["steps"] == 2048  # 64 per unit time over 32
+        assert payload["steps"] == 147  # 64 per radian of a 2.29 rad rotation
         assert 0.0 <= payload["error_estimate"] < 1e-9
         assert list(payload)[5:9] == [
             "success_probability", "ground_fidelity", "norm_drift", "error_estimate"
         ]
 
+    def test_large_n_round_runs_at_the_step_floor(self, capsys):
+        # The partial round turns by 0.57 rad at c = 1 whatever N is.
+        assert run_cli(["evolve", "--n", "4398046511104", "--m", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["steps"] == 100
+        assert payload["error_estimate"] < 1e-10
+
     def test_oversized_run_is_usage_error(self, capsys):
-        # The local schedule at N = 2^42 would need over 10^10 steps.
+        # The local schedule keeps 64 steps per unit time; at N = 2^42 its
+        # table lasts 2.2e8 and would need over 10^10 steps.
         assert run_cli(["evolve", "--n", "4398046511104", "--m", "1",
                         "--schedule", "local"]) == 2
         err = capsys.readouterr().err
@@ -449,11 +457,11 @@ class TestEvolveCommand:
         assert err == "error: total_time must be positive and finite, got inf\n"
 
     def test_finite_duration_past_the_step_range_is_usage_error(self, capsys):
-        # 64 steps per unit time over 2e307 passes the float range; the
-        # 310-digit count is named by its order of magnitude.
+        # 64 steps per radian of a 5.6e306 rad rotation pass the float range;
+        # the 309-digit count is named by its order of magnitude.
         assert run_cli(["evolve", "--n", "4", "--m", "1", "--c", "1e307"]) == 2
         err = capsys.readouterr().err
-        assert re.fullmatch(r"error: at least 10\^309 steps over duration 2e\+307 exceed "
+        assert re.fullmatch(r"error: at least 10\^308 steps over duration 2e\+307 exceed "
                             r"the cap of 100000000 steps\n", err)
         assert len(err) < 160
 
@@ -472,6 +480,18 @@ class TestEvolveCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: max_rounds must lie in [1, 10000000], got 10000001\n"
+
+    def test_round_cap_is_checked_before_integrating(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated before checking --max-rounds")
+
+        monkeypatch.setattr(dynamics, "evolve", refuse)
+        monkeypatch.setattr(cli, "evolve", refuse)
+        assert run_cli(["evolve", "--n", "68719476736", "--m", "1", "--repeat",
+                        "--max-rounds", "100000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_rounds must lie in [1, 10000000], got 100000000\n"
 
     def test_rejects_bad_numeric_flag(self):
         with pytest.raises(SystemExit) as exc:

@@ -17,9 +17,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from padia import dynamics
 from padia.dynamics import (
     _CHUNK_STEPS,
     MAX_ROUNDS,
@@ -36,12 +37,14 @@ from padia.dynamics import (
     make_local_schedule,
     make_partial_schedule,
     make_schedule,
+    rotation_angle,
     run_round,
+    schedule_step_count,
     simulate_until_success,
 )
 from padia.model import ReducedState, evolution_window, initial_state, make_instance
 from padia.oracle import schedule_stage_values
-from padia.spectrum import eigenvector_components, overlap_beta, overlap_psi
+from padia.spectrum import _gap_squared, eigenvector_components, overlap_beta, overlap_psi
 from padia.sweeps import fit_loglog
 
 
@@ -255,6 +258,17 @@ class TestPartialSchedule:
         with pytest.raises(ValueError):
             make_partial_schedule(make_instance(4, 1), 0.0)
 
+    @pytest.mark.parametrize("n", [4, 100, 2**40, 3 * 2**60])
+    def test_offset_runs_across_the_window(self, n):
+        sched = make_partial_schedule(make_instance(n, 1), 3.0)
+        ts = np.linspace(0.0, sched.total_time, 101)
+        xs = sched.sample_x(ts)
+        assert xs[0] == -1.0 / math.sqrt(n)
+        assert xs[-1] == pytest.approx(1.0 / math.sqrt(n), rel=1e-15)
+        assert np.all(np.diff(xs) > 0.0)
+        # The float s near 1/2 is only good to about 1.1e-16.
+        np.testing.assert_allclose(xs, 2.0 * sched.sample(ts) - 1.0, rtol=0.0, atol=3e-16)
+
 
 class TestGlobalSchedule:
     def test_full_interval(self):
@@ -407,6 +421,98 @@ class TestDefaultSteps:
         # 64 * 1e307 overflows a float; the duration is an integer there.
         assert default_step_count(1e307) == 64 * int(1e307)
         assert default_step_count(1.7976931348623157e308) > 10**308
+
+
+def trapezoid_angle(instance, schedule, points=20_001):
+    """The rotation angle as the trapezoid sum of g(s(t))/2 dt."""
+    t = np.linspace(0.0, schedule.total_time, points)
+    half_gap = 0.5 * np.sqrt(_gap_squared(instance.b, np.asarray(schedule.sample(t))))
+    return float(np.sum((half_gap[1:] + half_gap[:-1]) * 0.5 * np.diff(t)))
+
+
+class TestScheduleStepCount:
+    @pytest.mark.parametrize("kind", ["partial", "global_linear"])
+    @pytest.mark.parametrize(
+        "n, m, c",
+        [(64, 1, 1.0), (64, 1, 16.0), (2**16, 16, 64.0), (2**20, 1, 256.0),
+         (2**30, 1, 1.0), (4, 1, 0.25), (4, 4, 1.0), (2**20, 2**20, 3.0)],
+    )
+    def test_angle_matches_quadrature(self, kind, n, m, c):
+        inst = make_instance(n, m)
+        sched = make_schedule(inst, kind, c)
+        assert rotation_angle(inst, sched) == pytest.approx(
+            trapezoid_angle(inst, sched), rel=1e-6
+        )
+
+    def test_rule_values(self):
+        # 64 steps per radian, never fewer than 100.
+        cases = [
+            ("partial", 64, 1, 1.0, 100),
+            ("partial", 64, 1, 16.0, 587),
+            ("partial", 2**16, 16, 64.0, 518),
+            ("partial", 2**20, 1, 256.0, 9403),
+            ("partial", 2**40, 1, 1.0, 100),
+            ("global_linear", 2**16, 16, 1.0, 65_614),
+        ]
+        for kind, n, m, c, steps in cases:
+            inst = make_instance(n, m)
+            sched = make_schedule(inst, kind, c)
+            assert schedule_step_count(inst, sched) == steps
+            assert steps == max(100, math.ceil(64.0 * rotation_angle(inst, sched)))
+
+    def test_partial_angle_does_not_grow_with_n(self):
+        angles = [
+            rotation_angle(inst, make_partial_schedule(inst, 1.0))
+            for inst in (make_instance(2**10, 1), make_instance(2**40, 1))
+        ]
+        assert angles[0] == pytest.approx(angles[1], rel=1e-2)
+
+    def test_local_keeps_the_duration_rule(self):
+        inst = make_instance(256, 4)
+        sched = make_local_schedule(inst, 1.0)
+        assert schedule_step_count(inst, sched) == default_step_count(sched.total_time)
+        with pytest.raises(ValueError, match="no closed-form rotation angle"):
+            rotation_angle(inst, sched)
+
+    def test_count_past_the_float_range_is_exact(self):
+        # The angle 5.6e306 is finite; 64 times it is not.
+        inst = make_instance(4, 1)
+        steps = schedule_step_count(inst, make_partial_schedule(inst, 1e307))
+        assert 10**308 < steps < 10**309
+
+    def test_long_round_at_large_n(self):
+        out = run_round(make_instance(2**20, 1), 256.0)
+        assert out.error_estimate <= 1e-10
+
+    # The step-halving estimate bounds the error at the default count.  At
+    # 64 steps per radian the error itself reaches about 2.6e-9 on short
+    # global sweeps (N = 64, M = 8, c = 0.64, 101 steps).  Had the steps
+    # sampled s and formed bz as 1/2 - a u, the examples at N = 2^40 and
+    # 2^62 would miss the second bound: 1.3e-9 against an estimate of
+    # 1.5e-10, and 9.9e-9 against 1.7e-9.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        root=st.integers(2, 2**31),
+        marked=st.sampled_from(["one", "root", "half", "all"]),
+        c=st.floats(0.25, 256.0),
+        kind=st.sampled_from(["partial", "global_linear"]),
+    )
+    @example(root=2**20, marked="one", c=246.76996196859298, kind="partial")
+    @example(root=2**31, marked="one", c=256.0, kind="partial")
+    @example(root=8, marked="root", c=0.64, kind="global_linear")
+    def test_default_count_meets_its_estimate(self, root, marked, c, kind):
+        n = root * root
+        m = {"one": 1, "root": root, "half": n // 2, "all": n}[marked]
+        inst = make_instance(n, m)
+        sched = make_schedule(inst, kind, c)
+        steps = schedule_step_count(inst, sched)
+        assume(steps <= 10**6)
+        psi0 = initial_state(inst)
+        out = evolve(inst, sched, steps, psi0)
+        finer = evolve(inst, sched, 4 * steps, psi0)
+        difference = abs(out.success_probability - finer.success_probability)
+        assert difference <= 5e-9
+        assert difference <= 1.5 * out.error_estimate + 1e-13
 
 
 class TestEvolve:
@@ -667,3 +773,11 @@ class TestRepeatUntilSuccess:
             draw_repeat_stats(1.0, 1.0, 0, MAX_ROUNDS + 1)
         with pytest.raises(ValueError, match="max_rounds must lie in"):
             simulate_until_success(make_instance(4, 4), 1.0, max_rounds=10**12)
+
+    def test_round_cap_is_checked_before_integrating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated before checking max_rounds")
+
+        monkeypatch.setattr(dynamics, "evolve", refuse)
+        with pytest.raises(ValueError, match="max_rounds must lie in"):
+            simulate_until_success(make_instance(2**36, 1), 1.0, max_rounds=MAX_ROUNDS + 1)

@@ -25,6 +25,7 @@ from padia.spectrum import (
     eigenvector_components,
     expected_total_time,
     gap,
+    gap_integral,
     min_gap,
     one_round_time,
     overlap_beta,
@@ -137,6 +138,33 @@ class TestGap:
         if m < n:
             off_center = gaps[np.abs(grid - 0.5) > 1e-12]
             assert off_center.min() > center
+
+
+class TestGapIntegral:
+    @given(instances(), unit_interval, unit_interval)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_trapezoid_quadrature(self, inst, s_start, s_stop):
+        grid = np.linspace(s_start, s_stop, 20_001)
+        g = np.sqrt(_gap_squared(inst.b, grid))
+        quadrature = float(np.sum((g[1:] + g[:-1]) * 0.5 * np.diff(grid)))
+        assert gap_integral(inst, s_start, s_stop) == pytest.approx(
+            quadrature, rel=1e-6, abs=1e-15
+        )
+
+    def test_all_marked_gap_is_one(self):
+        assert gap_integral(make_instance(8, 8), 0.25, 0.75) == 0.5
+
+    @pytest.mark.parametrize("n,m", [(64, 1), (2**40, 1), (2**40, 2**20), (10, 9)])
+    def test_symmetric_about_the_crossing(self, n, m):
+        inst = make_instance(n, m)
+        win = evolution_window(inst)
+        whole = gap_integral(inst, win.s_minus, win.s_plus)
+        assert whole == pytest.approx(2.0 * gap_integral(inst, 0.5, win.s_plus), rel=1e-12)
+        assert gap_integral(inst, win.s_plus, win.s_minus) == -whole
+
+    def test_domain_error(self):
+        with pytest.raises(ValueError, match="s must lie in"):
+            gap_integral(make_instance(4, 1), 0.0, 1.5)
 
 
 class TestMinGap:
