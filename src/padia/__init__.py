@@ -39,11 +39,9 @@ from .dynamics import (
     make_local_schedule,
     make_schedule,
     default_step_count,
-    rotation_angle,
     schedule_step_count,
     evolve,
     run_round,
-    check_max_rounds,
     draw_repeat_stats,
     simulate_until_success,
 )

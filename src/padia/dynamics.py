@@ -20,9 +20,9 @@ is integrated a second time with half the steps, and the difference of the
 two, divided by 15, is reported as the error estimate and guarded.
 The default step count follows what the steps must resolve: with the phase
 of tr H taken out, H is a rotation B . sigma with |B| = g(s)/2, so the
-partial and global sweeps get 64 steps per radian of the rotation angle
-integral of g/2 dt, in closed form.  That angle does not grow with N on the
-partial schedule, while the duration does.
+partial sweep gets 96 steps per radian of the rotation angle integral of
+g/2 dt, in closed form.  That angle does not grow with N, while the
+duration does.
 Two baseline schedules are provided for comparison: a global linear sweep of
 the full interval and a local-adiabatic sweep whose rate tracks the squared
 gap.
@@ -66,7 +66,6 @@ __all__ = [
     "make_local_schedule",
     "make_schedule",
     "default_step_count",
-    "rotation_angle",
     "schedule_step_count",
     "evolve",
     "run_round",
@@ -87,6 +86,13 @@ MAX_STEPS = 10**8
 # draw_repeat_stats refuses more rounds up front: each round is one scalar
 # draw of about 0.6 us, so 10^7 rounds take of the order of 6 s.
 MAX_ROUNDS = 10**7
+
+# Magnus-4 steps per radian of a partial round's rotation angle.  On 400
+# multipliers c in [0.25, 256] at each N = r^2 (r = 2..11, 16, 32, 2^10,
+# 2^20, 2^31) and M in {1, r, N/2, N}, the default count then lands within
+# 4.9e-10 of the success probability at four times the steps; 64 per radian
+# missed it by up to 1e-9, where the count leaves its floor of 100.
+_STEPS_PER_RADIAN = 96
 
 # Knots of the local-adiabatic t(s) table that make_schedule, and so the CLI
 # and the sweeps, build.
@@ -132,18 +138,18 @@ class NormDriftExceeded(RuntimeError):
 class Schedule:
     """A monotone mapping t in [0, total_time] -> s in [0, 1].
 
-    ``sample`` must accept scalars and numpy arrays alike.
+    ``sample`` and ``sample_x`` must accept scalars and numpy arrays alike.
     kind is one of 'partial', 'global_linear', 'local_adiabatic'.
-    ``sample_x``, where given, maps t to x = 2s - 1 without passing through
-    a float s: near s = 1/2 floats are 1.1e-16 apart, which at large N is a
-    visible fraction of the partial window, so its sampled H would be a
-    staircase.  The integrator samples x, as 2 * sample(t) - 1 otherwise.
+    ``sample_x`` maps t to x = 2s - 1, the offset the integrator samples.
+    The partial schedule forms it without passing through a float s: near
+    s = 1/2 floats are 1.1e-16 apart, which at large N is a visible fraction
+    of its window, so the sampled H would be a staircase.
     """
 
     kind: str
     total_time: float
     sample: Callable[[float], float]
-    sample_x: Callable[[float], float] | None = None
+    sample_x: Callable[[float], float]
 
 
 @dataclass(frozen=True)
@@ -216,13 +222,12 @@ def make_global_schedule(instance: SearchInstance, time_multiplier: float) -> Sc
     total_time = time_multiplier / (g_min * g_min)
     _require_positive_finite("total_time", total_time)
 
-    x_rate = 2.0 / total_time
 
     def sample(t):
         return t / total_time
 
     def sample_x(t):
-        return x_rate * t - 1.0
+        return 2.0 * sample(t) - 1.0
 
     return Schedule(
         kind="global_linear", total_time=total_time, sample=sample, sample_x=sample_x
@@ -274,7 +279,12 @@ def make_local_schedule(
     def sample(t):
         return np.interp(t, t_knots, s_knots)
 
-    return Schedule(kind="local_adiabatic", total_time=total_time, sample=sample)
+    def sample_x(t):
+        return 2.0 * sample(t) - 1.0
+
+    return Schedule(
+        kind="local_adiabatic", total_time=total_time, sample=sample, sample_x=sample_x
+    )
 
 
 def make_schedule(instance: SearchInstance, kind: str, time_multiplier: float) -> Schedule:
@@ -297,95 +307,67 @@ def make_schedule(instance: SearchInstance, kind: str, time_multiplier: float) -
     return builders[kind](instance, time_multiplier)
 
 
+def _step_count(span: float, steps_per_unit: int) -> int:
+    """steps_per_unit steps per unit of span, never fewer than 100.
+
+    A finite span whose product with steps_per_unit leaves the float range
+    still gets its exact count (which evolve then refuses), not an
+    OverflowError.
+    """
+    try:
+        return max(100, math.ceil(steps_per_unit * span))
+    except OverflowError:  # such a span is an integer already
+        return steps_per_unit * int(span)
+
+
 def default_step_count(total_time: float) -> int:
     """Fixed-step default: 64 Magnus steps per unit time (the Hamiltonian
     norm is at most 1), never fewer than 100.
 
-    The local-adiabatic schedule takes this count of its duration;
-    ``schedule_step_count`` gives the other two the same count of their
-    rotation angle.  A finite argument whose product with 64 leaves the
-    float range still gets its exact count (which evolve then refuses), not
-    an OverflowError.
+    The global_linear and local_adiabatic schedules take this count of
+    their duration; ``schedule_step_count`` counts the partial one by its
+    rotation angle.
     """
-    try:
-        return max(100, math.ceil(64.0 * total_time))
-    except OverflowError:  # such a duration is an integer already
-        return 64 * int(total_time)
+    return _step_count(total_time, 64)
 
 
-def rotation_angle(instance: SearchInstance, schedule: Schedule) -> float:
-    """The angle, integral of g(s(t))/2 dt, through which a linear sweep turns.
+def _rotation_angle(instance: SearchInstance, schedule: Schedule) -> float:
+    """The angle, integral of g(s(t))/2 dt, through which a partial round turns.
 
     H = I/2 + B . sigma with |B| = g/2, and the I/2 part is one exact phase,
-    so this angle is what the integrator must resolve.  The partial and
-    global_linear schedules sweep s linearly across [s_start, s_stop], so
-    the angle is total_time/2 times the mean gap there (spectrum's closed-
-    form gap integral over the width): at most total_time/2, and on the
-    partial schedule independent of N.
-
-    Raises ValueError for the local_adiabatic schedule, which is not linear.
+    so this angle is what the integrator must resolve.  s runs linearly
+    across the window, so the angle is (T / (2 omega)) times the closed-form
+    integral of g over the window: independent of N at a given multiplier.
     """
-    if schedule.kind == "partial":
-        window = evolution_window(instance)
-        s_start, s_stop = window.s_minus, window.s_plus
-    elif schedule.kind == "global_linear":
-        s_start, s_stop = 0.0, 1.0
-    else:
-        raise ValueError(f"no closed-form rotation angle for schedule kind {schedule.kind!r}")
-    mean_gap = gap_integral(instance, s_start, s_stop) / (s_stop - s_start)
-    return 0.5 * schedule.total_time * mean_gap
+    window = evolution_window(instance)
+    gap_area = gap_integral(instance, window.s_minus, window.s_plus)
+    return 0.5 * (schedule.total_time / window.omega) * gap_area
 
 
 def schedule_step_count(instance: SearchInstance, schedule: Schedule) -> int:
     """The default step count of a round of ``schedule``.
 
-    64 steps per radian of ``rotation_angle`` on the partial and
-    global_linear schedules, and 64 per unit time on the local_adiabatic
-    one, whose knot table is only piecewise linear in t: at counts set by
-    its angle the table's kinks fail the error guard.  Never fewer than 100.
+    96 steps per radian of its rotation angle on the partial schedule, never
+    fewer than 100; ``default_step_count`` of the duration on the other two.
     """
-    if schedule.kind == "local_adiabatic":
-        return default_step_count(schedule.total_time)
-    return default_step_count(rotation_angle(instance, schedule))
-
-
-def _chunk_gauss_times(
-    schedule: Schedule, steps: int, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two Gauss points of steps start..stop-1 of a ``steps``-step run.
-
-    Step n starts at n * dt and samples t = n * dt + (1/2 -/+ sqrt(3)/6) * dt.
-    """
-    dt = schedule.total_time / steps
-    times = np.arange(start, stop, dtype=float) * dt
-    return times + _GAUSS_LOW * dt, times + _GAUSS_HIGH * dt
-
-
-def _chunk_gauss_values(
-    schedule: Schedule, steps: int, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """s at the two Gauss points of steps start..stop-1 of a ``steps``-step run."""
-    t_low, t_high = _chunk_gauss_times(schedule, steps, start, stop)
-    return (
-        np.asarray(schedule.sample(t_low), dtype=float),
-        np.asarray(schedule.sample(t_high), dtype=float),
-    )
+    if schedule.kind == "partial":
+        return _step_count(_rotation_angle(instance, schedule), _STEPS_PER_RADIAN)
+    return default_step_count(schedule.total_time)
 
 
 def _chunk_gauss_offsets(
     schedule: Schedule, steps: int, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """x = 2s - 1 at the two Gauss points of steps start..stop-1."""
-    if schedule.sample_x is None:
-        s_low, s_high = _chunk_gauss_values(schedule, steps, start, stop)
-        x_low, x_high = 2.0 * s_low, 2.0 * s_high
-        x_low -= 1.0
-        x_high -= 1.0
-        return x_low, x_high
-    t_low, t_high = _chunk_gauss_times(schedule, steps, start, stop)
+    """x = 2s - 1 at the two Gauss points of steps start..stop-1 of a
+    ``steps``-step run.
+
+    Step n starts at n * dt and samples t = n * dt + (1/2 -/+ sqrt(3)/6) * dt.
+    """
+    dt = schedule.total_time / steps
+    times = np.arange(start, stop, dtype=float) * dt
     return (
-        np.asarray(schedule.sample_x(t_low), dtype=float),
-        np.asarray(schedule.sample_x(t_high), dtype=float),
+        np.asarray(schedule.sample_x(times + _GAUSS_LOW * dt), dtype=float),
+        np.asarray(schedule.sample_x(times + _GAUSS_HIGH * dt), dtype=float),
     )
 
 

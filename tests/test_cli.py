@@ -422,7 +422,7 @@ class TestEvolveCommand:
     def test_reports_error_estimate(self, capsys):
         assert run_cli(["evolve", "--n", "64", "--m", "1", "--c", "4"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["steps"] == 147  # 64 per radian of a 2.29 rad rotation
+        assert payload["steps"] == 220  # 96 per radian of a 2.29 rad rotation
         assert 0.0 <= payload["error_estimate"] < 1e-9
         assert list(payload)[5:9] == [
             "success_probability", "ground_fidelity", "norm_drift", "error_estimate"
@@ -457,7 +457,7 @@ class TestEvolveCommand:
         assert err == "error: total_time must be positive and finite, got inf\n"
 
     def test_finite_duration_past_the_step_range_is_usage_error(self, capsys):
-        # 64 steps per radian of a 5.6e306 rad rotation pass the float range;
+        # 96 steps per radian of a 5.6e306 rad rotation pass the float range;
         # the 309-digit count is named by its order of magnitude.
         assert run_cli(["evolve", "--n", "4", "--m", "1", "--c", "1e307"]) == 2
         err = capsys.readouterr().err

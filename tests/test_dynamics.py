@@ -29,7 +29,8 @@ from padia.dynamics import (
     NormDriftExceeded,
     RepeatStats,
     Schedule,
-    _chunk_gauss_values,
+    _chunk_gauss_offsets,
+    _rotation_angle,
     default_step_count,
     draw_repeat_stats,
     evolve,
@@ -37,7 +38,6 @@ from padia.dynamics import (
     make_local_schedule,
     make_partial_schedule,
     make_schedule,
-    rotation_angle,
     run_round,
     schedule_step_count,
     simulate_until_success,
@@ -121,16 +121,18 @@ def scalar_rk4(instance, schedule, steps, initial):
     return x, y, abs(math.sqrt(abs(x) ** 2 + abs(y) ** 2) - 1.0)
 
 
-def gauss_stage_values(schedule, steps):
-    """s at the two Gauss points t_n + (1/2 -/+ sqrt(3)/6) dt of every step,
-    the times formed one step at a time in plain Python floats."""
+def gauss_stage_values(schedule, steps, sampler=None):
+    """s (or what ``sampler`` maps t to) at the two Gauss points
+    t_n + (1/2 -/+ sqrt(3)/6) dt of every step, the times formed one step at
+    a time in plain Python floats."""
+    sampler = schedule.sample if sampler is None else sampler
     dt = schedule.total_time / steps
     low, high = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
     times_low = [n * dt + low * dt for n in range(steps)]
     times_high = [n * dt + high * dt for n in range(steps)]
     return (
-        np.asarray(schedule.sample(np.array(times_low)), dtype=float),
-        np.asarray(schedule.sample(np.array(times_high)), dtype=float),
+        np.asarray(sampler(np.array(times_low)), dtype=float),
+        np.asarray(sampler(np.array(times_high)), dtype=float),
     )
 
 
@@ -215,11 +217,19 @@ def comparison_case(kind, steps, dt=CASE_DT):
         c = total / local_total_time_closed_form(64, 16)
         sched = make_local_schedule(inst, c, 10_001)
     elif kind == "frozen":
-        sched = Schedule(kind="partial", total_time=total, sample=lambda t: win.s_minus + 0.0 * t)
+        sched = Schedule(
+            kind="partial",
+            total_time=total,
+            sample=lambda t: win.s_minus + 0.0 * t,
+            sample_x=lambda t: (2.0 * win.s_minus - 1.0) + 0.0 * t,
+        )
     else:
         forward = make_partial_schedule(inst, total / 0.5)
         sched = Schedule(
-            kind="partial", total_time=total, sample=lambda t: forward.sample(total - t)
+            kind="partial",
+            total_time=total,
+            sample=lambda t: forward.sample(total - t),
+            sample_x=lambda t: forward.sample_x(total - t),
         )
     psi0 = ground_state(inst, win.s_plus) if kind == "reversed" else initial_state(inst)
     return inst, sched, psi0
@@ -277,6 +287,12 @@ class TestGlobalSchedule:
         assert sched.total_time == pytest.approx(4.0, rel=1e-15)  # N/M
         assert sched.sample(0.0) == 0.0
         assert sched.sample(sched.total_time) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("kind", ["global_linear", "local_adiabatic"])
+    def test_offset_is_twice_s_less_one(self, kind):
+        sched = make_schedule(make_instance(64, 4), kind, 2.0)
+        ts = np.linspace(0.0, sched.total_time, 101)
+        assert np.array_equal(sched.sample_x(ts), 2.0 * sched.sample(ts) - 1.0)
 
 
 class TestLocalSchedule:
@@ -431,51 +447,48 @@ def trapezoid_angle(instance, schedule, points=20_001):
 
 
 class TestScheduleStepCount:
-    @pytest.mark.parametrize("kind", ["partial", "global_linear"])
     @pytest.mark.parametrize(
         "n, m, c",
         [(64, 1, 1.0), (64, 1, 16.0), (2**16, 16, 64.0), (2**20, 1, 256.0),
          (2**30, 1, 1.0), (4, 1, 0.25), (4, 4, 1.0), (2**20, 2**20, 3.0)],
     )
-    def test_angle_matches_quadrature(self, kind, n, m, c):
+    def test_angle_matches_quadrature(self, n, m, c):
         inst = make_instance(n, m)
-        sched = make_schedule(inst, kind, c)
-        assert rotation_angle(inst, sched) == pytest.approx(
+        sched = make_partial_schedule(inst, c)
+        assert _rotation_angle(inst, sched) == pytest.approx(
             trapezoid_angle(inst, sched), rel=1e-6
         )
 
     def test_rule_values(self):
-        # 64 steps per radian, never fewer than 100.
+        # 96 steps per radian, never fewer than 100.
         cases = [
-            ("partial", 64, 1, 1.0, 100),
-            ("partial", 64, 1, 16.0, 587),
-            ("partial", 2**16, 16, 64.0, 518),
-            ("partial", 2**20, 1, 256.0, 9403),
-            ("partial", 2**40, 1, 1.0, 100),
-            ("global_linear", 2**16, 16, 1.0, 65_614),
+            (64, 1, 1.0, 100),
+            (64, 1, 16.0, 880),
+            (2**16, 16, 64.0, 776),
+            (2**20, 1, 256.0, 14_105),
+            (2**40, 1, 1.0, 100),
         ]
-        for kind, n, m, c, steps in cases:
+        for n, m, c, steps in cases:
             inst = make_instance(n, m)
-            sched = make_schedule(inst, kind, c)
+            sched = make_partial_schedule(inst, c)
             assert schedule_step_count(inst, sched) == steps
-            assert steps == max(100, math.ceil(64.0 * rotation_angle(inst, sched)))
+            assert steps == max(100, math.ceil(96.0 * _rotation_angle(inst, sched)))
 
     def test_partial_angle_does_not_grow_with_n(self):
         angles = [
-            rotation_angle(inst, make_partial_schedule(inst, 1.0))
+            _rotation_angle(inst, make_partial_schedule(inst, 1.0))
             for inst in (make_instance(2**10, 1), make_instance(2**40, 1))
         ]
         assert angles[0] == pytest.approx(angles[1], rel=1e-2)
 
-    def test_local_keeps_the_duration_rule(self):
+    @pytest.mark.parametrize("kind", ["global_linear", "local_adiabatic"])
+    def test_baselines_keep_the_duration_rule(self, kind):
         inst = make_instance(256, 4)
-        sched = make_local_schedule(inst, 1.0)
+        sched = make_schedule(inst, kind, 1.0)
         assert schedule_step_count(inst, sched) == default_step_count(sched.total_time)
-        with pytest.raises(ValueError, match="no closed-form rotation angle"):
-            rotation_angle(inst, sched)
 
     def test_count_past_the_float_range_is_exact(self):
-        # The angle 5.6e306 is finite; 64 times it is not.
+        # The angle 5.6e306 is finite; 96 times it is not.
         inst = make_instance(4, 1)
         steps = schedule_step_count(inst, make_partial_schedule(inst, 1e307))
         assert 10**308 < steps < 10**309
@@ -485,11 +498,11 @@ class TestScheduleStepCount:
         assert out.error_estimate <= 1e-10
 
     # The step-halving estimate bounds the error at the default count.  At
-    # 64 steps per radian the error itself reaches about 2.6e-9 on short
-    # global sweeps (N = 64, M = 8, c = 0.64, 101 steps).  Had the steps
-    # sampled s and formed bz as 1/2 - a u, the examples at N = 2^40 and
-    # 2^62 would miss the second bound: 1.3e-9 against an estimate of
-    # 1.5e-10, and 9.9e-9 against 1.7e-9.
+    # 64 steps per radian the partial error reached about 1e-9 where the
+    # count leaves its floor of 100 (first example); at 96 it stays below
+    # 4.9e-10 on a grid of 400 multipliers per (N, M).  Had the steps sampled
+    # s and formed bz as 1/2 - a u, the examples at N = 2^40 and 2^62 would
+    # miss the second bound (1.3e-11 against 6.3e-12, 1.3e-8 against 8.3e-9).
     @settings(max_examples=60, deadline=None)
     @given(
         root=st.integers(2, 2**31),
@@ -497,6 +510,7 @@ class TestScheduleStepCount:
         c=st.floats(0.25, 256.0),
         kind=st.sampled_from(["partial", "global_linear"]),
     )
+    @example(root=3, marked="one", c=2.608930742846019, kind="partial")
     @example(root=2**20, marked="one", c=246.76996196859298, kind="partial")
     @example(root=2**31, marked="one", c=256.0, kind="partial")
     @example(root=8, marked="root", c=0.64, kind="global_linear")
@@ -511,7 +525,7 @@ class TestScheduleStepCount:
         out = evolve(inst, sched, steps, psi0)
         finer = evolve(inst, sched, 4 * steps, psi0)
         difference = abs(out.success_probability - finer.success_probability)
-        assert difference <= 5e-9
+        assert difference <= 1e-9
         assert difference <= 1.5 * out.error_estimate + 1e-13
 
 
@@ -527,7 +541,10 @@ class TestEvolve:
         inst = make_instance(16, 2)
         win = evolution_window(inst)
         frozen = Schedule(
-            kind="partial", total_time=5.0, sample=lambda t: win.s_minus + 0.0 * t
+            kind="partial",
+            total_time=5.0,
+            sample=lambda t: win.s_minus + 0.0 * t,
+            sample_x=lambda t: (2.0 * win.s_minus - 1.0) + 0.0 * t,
         )
         psi0 = initial_state(inst)
         out = evolve(inst, frozen, 5000, psi0)
@@ -593,7 +610,10 @@ class TestEvolve:
 
         total = forward.total_time
         backward = Schedule(
-            kind="partial", total_time=total, sample=lambda t: forward.sample(total - t)
+            kind="partial",
+            total_time=total,
+            sample=lambda t: forward.sample(total - t),
+            sample_x=lambda t: forward.sample_x(total - t),
         )
         f_rev = evolve(inst, backward, steps, ground_state(inst, win.s_plus)).ground_fidelity
         assert f_fwd == pytest.approx(f_rev, abs=1e-6)
@@ -613,13 +633,15 @@ class TestEvolve:
     @pytest.mark.parametrize("steps", CHUNK_EDGE_STEPS)
     @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
     def test_chunk_stage_values_are_bit_identical(self, kind, steps):
+        # The integrator samples x = 2s - 1 chunk by chunk; every chunk must
+        # give the bits of the times formed one step at a time.
         _, sched, _ = comparison_case(kind, steps)
-        s_low, s_high = gauss_stage_values(sched, steps)
+        x_low, x_high = gauss_stage_values(sched, steps, sched.sample_x)
         for start in range(0, steps, _CHUNK_STEPS):
             stop = min(start + _CHUNK_STEPS, steps)
-            chunk_low, chunk_high = _chunk_gauss_values(sched, steps, start, stop)
-            assert np.array_equal(chunk_low, s_low[start:stop])
-            assert np.array_equal(chunk_high, s_high[start:stop])
+            chunk_low, chunk_high = _chunk_gauss_offsets(sched, steps, start, stop)
+            assert np.array_equal(chunk_low, x_low[start:stop])
+            assert np.array_equal(chunk_high, x_high[start:stop])
 
     @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
     def test_agrees_with_rk4_at_fine_steps(self, kind):
