@@ -1,7 +1,8 @@
+import importlib.util
 import sys
 from pathlib import Path
 
-# Allow running the suite from a clean checkout without installing.
-_SRC = Path(__file__).resolve().parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+# Allow running the suite from a clean checkout without installing.  A padia
+# that is importable already (installed, or on PYTHONPATH) is the one tested.
+if importlib.util.find_spec("padia") is None:
+    sys.path.insert(0, str(Path(__file__).resolve().parent / "src"))

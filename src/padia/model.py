@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "STATE_NORM_TOL",
@@ -37,8 +37,7 @@ class NonEmptyMarkedSetRequired(ValueError):
     """Raised when an instance with zero marked items is requested."""
 
 
-@dataclass(frozen=True)
-class SearchInstance:
+class SearchInstance(NamedTuple):
     """A search problem: ``n_items`` items of which ``n_marked`` are marked.
 
     ``a`` and ``b`` are the squared overlaps of the uniform superposition with
@@ -52,8 +51,7 @@ class SearchInstance:
     b: float
 
 
-@dataclass(frozen=True)
-class EvolutionWindow:
+class EvolutionWindow(NamedTuple):
     """The narrow sweep window [s_minus, s_plus], symmetric about s = 1/2.
 
     s_minus = 1/2 - 1/(2 sqrt(N)), s_plus = 1/2 + 1/(2 sqrt(N)), and
@@ -65,8 +63,7 @@ class EvolutionWindow:
     omega: float
 
 
-@dataclass(frozen=True)
-class ReducedHamiltonian:
+class ReducedHamiltonian(NamedTuple):
     """Real symmetric 2x2 restriction of H(s) in the ordered basis (|alpha>, |beta>).
 
     Satisfies h_aa + h_bb = 1 and h_aa*h_bb - h_ab**2 = s(1-s)*a for every
@@ -79,8 +76,7 @@ class ReducedHamiltonian:
     s: float
 
 
-@dataclass(frozen=True)
-class ReducedState:
+class ReducedState(NamedTuple):
     """State in the invariant subspace: complex amplitudes on |alpha> and |beta>."""
 
     amp_alpha: complex
@@ -117,12 +113,7 @@ def make_instance(n_items: int, n_marked: int) -> SearchInstance:
         raise ValueError(f"need at least 2 items, got N={n_items}")
     if not 1 <= n_marked <= n_items:
         raise ValueError(f"need 1 <= M <= N, got M={n_marked}, N={n_items}")
-    return SearchInstance(
-        n_items=n_items,
-        n_marked=n_marked,
-        a=(n_items - n_marked) / n_items,
-        b=n_marked / n_items,
-    )
+    return SearchInstance(n_items, n_marked, (n_items - n_marked) / n_items, n_marked / n_items)
 
 
 def evolution_window(instance: SearchInstance) -> EvolutionWindow:
@@ -130,7 +121,7 @@ def evolution_window(instance: SearchInstance) -> EvolutionWindow:
     half_width = 0.5 / math.sqrt(instance.n_items)
     s_minus = 0.5 - half_width
     s_plus = 0.5 + half_width
-    return EvolutionWindow(s_minus=s_minus, s_plus=s_plus, omega=s_plus - s_minus)
+    return EvolutionWindow(s_minus, s_plus, s_plus - s_minus)
 
 
 def reduced_hamiltonian(instance: SearchInstance, s: float) -> ReducedHamiltonian:

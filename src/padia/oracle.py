@@ -42,8 +42,7 @@ dynamics).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -122,8 +121,7 @@ class ConvergenceFailure(RuntimeError):
     """A dense eigensolve failed, or its residual or certificate did not hold."""
 
 
-@dataclass(frozen=True)
-class FullInstance:
+class FullInstance(NamedTuple):
     """A search problem with its marked items spelled out explicitly."""
 
     n_items: int
@@ -137,8 +135,7 @@ class FullInstance:
         return make_instance(self.n_items, self.n_marked)
 
 
-@dataclass(frozen=True)
-class DenseSpectrum:
+class DenseSpectrum(NamedTuple):
     """Full eigendecomposition summary: all eigenvalues (ascending) plus the
     two lowest eigenvectors with a deterministic sign."""
 

@@ -44,7 +44,7 @@ between the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +74,7 @@ OV_BETA_LOWER_BOUND = 1.0 / 3.0
 P_LOWER_BOUND = 1.0 / 24.0
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
+class SpectralPoint(NamedTuple):
     """Spectral data of H(s) at one value of s.
 
     ``ov_psi_0`` and ``ov_beta_0`` are the squared overlaps of the ground
@@ -90,8 +89,7 @@ class SpectralPoint:
     ov_beta_0: float
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Numerical check of the inequality chain lower-bounding the one-round
     success probability.
 
@@ -160,14 +158,14 @@ def _denominators(b, s, g):
     """(d_e, d_se) = (1 - E0, 1 - s - E0) without cancellation, given g = g(s).
 
     The select between the two forms of d_se is the only code that differs
-    between floats and arrays.
+    between floats and arrays: an array computes both forms, a float only
+    the one it returns.
     """
     u = 1.0 - 2.0 * s
     d_e = 0.5 * (1.0 + g)
-    small = 2.0 * s * (1.0 - s) * b / (g + abs(u))
     if isinstance(u, np.ndarray):
-        return d_e, np.where(u >= 0.0, 0.5 * (u + g), small)
-    return d_e, (0.5 * (u + g) if u >= 0.0 else small)
+        return d_e, np.where(u >= 0.0, 0.5 * (u + g), 2.0 * s * (1.0 - s) * b / (g + abs(u)))
+    return d_e, (0.5 * (u + g) if u >= 0.0 else 2.0 * s * (1.0 - s) * b / (g + abs(u)))
 
 
 def _ground_overlaps(a, b, s, d_e, d_se):
@@ -279,7 +277,7 @@ def spectral_point(instance: SearchInstance, s: float) -> SpectralPoint:
     g = gap(instance, s)
     e0, e1 = _energies(g)
     ov_psi, ov_beta = _overlaps(instance, s, g, 0)
-    return SpectralPoint(s=s, e0=e0, e1=e1, gap=g, ov_psi_0=ov_psi, ov_beta_0=ov_beta)
+    return SpectralPoint(s, e0, e1, g, ov_psi, ov_beta)
 
 
 def spectral_columns(instance: SearchInstance, s_values) -> dict[str, np.ndarray]:
@@ -351,8 +349,15 @@ def bound_report(instance: SearchInstance) -> BoundReport:
     beta_weight = b / (d_se_minus * d_se_minus)
     end_ratio = d_se_plus / d_e_plus
 
-    ov_psi = _overlaps(instance, window.s_minus, g_minus, 0)[0]
-    ov_beta = _overlaps(instance, window.s_plus, g_plus, 0)[1]
+    # The window overlaps come from the same denominators, as in _overlaps.
+    if _ground_is_beta(instance, window.s_minus):
+        ov_psi = b
+    else:
+        ov_psi = _ground_overlaps(a, b, window.s_minus, d_e_minus, d_se_minus)[0]
+    if _ground_is_beta(instance, window.s_plus):
+        ov_beta = 1.0
+    else:
+        ov_beta = _ground_overlaps(a, b, window.s_plus, d_e_plus, d_se_plus)[1]
     p = ov_psi * ov_beta
 
     # g(s_plus) - omega = g + u = 2 d_se, since s_plus > 1/2, without
@@ -381,13 +386,6 @@ def bound_report(instance: SearchInstance) -> BoundReport:
     failures = tuple(name for name, ok in checks.items() if not ok)
 
     return BoundReport(
-        ov_psi_at_s_minus=ov_psi,
-        ov_beta_at_s_plus=ov_beta,
-        p_one_round=p,
-        window_factor=window_factor,
-        alpha_weight=alpha_weight,
-        beta_weight=beta_weight,
-        end_ratio=end_ratio,
-        all_bounds_hold=not failures,
-        failures=failures,
+        ov_psi, ov_beta, p, window_factor, alpha_weight, beta_weight, end_ratio,
+        not failures, failures,
     )

@@ -27,8 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -71,8 +70,7 @@ class DegenerateFit(ValueError):
     """The abscissa carries no information (all x values equal)."""
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Least-squares line through (log x, log y)."""
 
     slope: float
@@ -81,8 +79,7 @@ class FitResult:
     axis: str
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One grid point of a scaling sweep.
 
     t_prime is the schedule's duration for every kind: c * sqrt(N)/M for

@@ -796,6 +796,32 @@ class TestRepeatUntilSuccess:
         with pytest.raises(ValueError, match="max_rounds must lie in"):
             simulate_until_success(make_instance(4, 4), 1.0, max_rounds=10**12)
 
+    @given(
+        p=st.one_of(st.sampled_from([0.0, 1e-6, 1e-3, 1.0]), st.floats(0.0, 1.0)),
+        round_time=st.floats(0.01, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+        max_rounds=st.one_of(
+            st.integers(1, 10**5),
+            # The ends of the first blocks of 16, 128, 1024 and 8192 draws.
+            st.sampled_from([15, 16, 17, 143, 144, 145, 1167, 1168, 1169, 9359, 9360, 9361]),
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(p=1e-6, round_time=1.5, seed=0, max_rounds=10**5)
+    @example(p=1e-3, round_time=1.5, seed=3, max_rounds=10**5)
+    def test_block_draws_match_scalar_draws(self, p, round_time, seed, max_rounds):
+        rng = np.random.default_rng(seed)
+        expected = RepeatStats(max_rounds, max_rounds * round_time, False)
+        for rounds in range(1, max_rounds + 1):
+            if rng.random() < p:
+                expected = RepeatStats(rounds, rounds * round_time, True)
+                break
+        assert draw_repeat_stats(p, round_time, seed, max_rounds) == expected
+
+    def test_no_success_up_to_the_round_cap(self):
+        stats = draw_repeat_stats(0.0, 1.5, 0, MAX_ROUNDS)
+        assert stats == RepeatStats(MAX_ROUNDS, MAX_ROUNDS * 1.5, False)
+
     def test_round_cap_is_checked_before_integrating(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("integrated before checking max_rounds")

@@ -325,7 +325,7 @@ class TestSpectralColumns:
             [np.linspace(0.0, 1.0, points), [window.s_minus, window.s_plus], EDGE_S, extra]
         )
         columns = spectral_columns(inst, grid)
-        assert list(columns) == list(SpectralPoint.__dataclass_fields__)
+        assert list(columns) == list(SpectralPoint._fields)
         for i, s in enumerate(grid):
             point = spectral_point(inst, float(s))
             for field, column in columns.items():
