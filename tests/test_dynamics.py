@@ -771,6 +771,8 @@ class TestRepeatUntilSuccess:
     def test_exhaustion_path(self):
         stats = draw_repeat_stats(0.0, 1.5, seed=0, max_rounds=5)
         assert stats == RepeatStats(rounds_used=5, total_evolution_time=7.5, succeeded=False)
+        stats = draw_repeat_stats(0.0, 1.5, seed=0, max_rounds=MAX_ROUNDS)
+        assert stats == RepeatStats(MAX_ROUNDS, MAX_ROUNDS * 1.5, False)
 
     def test_mean_rounds_matches_geometric_expectation(self):
         p = 0.37
@@ -817,10 +819,6 @@ class TestRepeatUntilSuccess:
                 expected = RepeatStats(rounds, rounds * round_time, True)
                 break
         assert draw_repeat_stats(p, round_time, seed, max_rounds) == expected
-
-    def test_no_success_up_to_the_round_cap(self):
-        stats = draw_repeat_stats(0.0, 1.5, 0, MAX_ROUNDS)
-        assert stats == RepeatStats(MAX_ROUNDS, MAX_ROUNDS * 1.5, False)
 
     def test_round_cap_is_checked_before_integrating(self, monkeypatch):
         def refuse(*args, **kwargs):
