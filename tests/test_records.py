@@ -1,4 +1,9 @@
-"""padia's value records: immutable named tuples with a pinned field order."""
+"""padia's value records: immutable named tuples with a pinned field order.
+
+A named tuple compares equal to a plain tuple, or to a record of another
+type, that holds the same values.  So ``result == Kind(...)`` does not check
+the type of a result; ``test_results_have_their_record_type`` does.
+"""
 
 import pytest
 
@@ -17,6 +22,19 @@ from padia import (
     SearchInstance,
     SpectralPoint,
     SweepRecord,
+    bound_report,
+    dense_spectrum,
+    draw_repeat_stats,
+    evolution_window,
+    evolve,
+    fit_loglog,
+    initial_state,
+    make_full_instance,
+    make_instance,
+    make_schedule,
+    make_sweep_record,
+    reduced_hamiltonian,
+    spectral_point,
 )
 
 FIELDS = {
@@ -85,3 +103,26 @@ def test_named_tuple_access(kind):
     first = FIELDS[kind][0]
     changed = record._replace(**{first: -1})
     assert getattr(changed, first) == -1 and getattr(record, first) == 0
+
+
+def test_results_have_their_record_type():
+    inst = make_instance(16, 2)
+    schedule = make_schedule(inst, "partial", 1.0)
+    results = {
+        SearchInstance: inst,
+        EvolutionWindow: evolution_window(inst),
+        ReducedHamiltonian: reduced_hamiltonian(inst, 0.5),
+        ReducedState: initial_state(inst),
+        SpectralPoint: spectral_point(inst, 0.5),
+        BoundReport: bound_report(inst),
+        Schedule: schedule,
+        RoundOutcome: evolve(inst, schedule, 200, initial_state(inst)),
+        RepeatStats: draw_repeat_stats(0.5, 1.0, 0, 10),
+        FullInstance: make_full_instance(4, [1]),
+        DenseSpectrum: dense_spectrum(make_full_instance(4, [1]), 0.5),
+        FitResult: fit_loglog([1.0, 2.0, 4.0], [1.0, 4.0, 16.0]),
+        SweepRecord: make_sweep_record(inst),
+    }
+    assert set(results) == set(FIELDS)
+    for kind, result in results.items():
+        assert type(result) is kind, (kind.__name__, type(result))
