@@ -174,13 +174,24 @@ def _emit_table(columns: dict, args: argparse.Namespace, extra: dict | None = No
 
 
 def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    for i in range(1, math.isqrt(n) + 1):
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-    return small + large[::-1]
+    """The divisors of n >= 1 in increasing order, from n's prime factorisation.
+
+    Trial division stops at the square root of the cofactor still to be
+    split, so n = 2^62 costs one division per factor 2, while a prime n
+    still costs about sqrt(n)/2 trial divisions.
+    """
+    divisors, rest, p = [1], n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            powers = [1]
+            while rest % p == 0:
+                rest //= p
+                powers.append(powers[-1] * p)
+            divisors = [d * q for d in divisors for q in powers]
+        p += 1 if p == 2 else 2
+    if rest > 1:
+        divisors += [d * rest for d in divisors]
+    return sorted(divisors)
 
 
 def _m_values(n: int, rule: str) -> list[int]:

@@ -42,6 +42,7 @@ from .model import (
     SearchInstance,
     evolution_window,
     initial_state,
+    require_integer,
 )
 from .spectrum import (
     _gap_squared,
@@ -540,10 +541,13 @@ def run_round(
     return evolve(instance, schedule, steps, initial_state(instance))
 
 
-def check_max_rounds(max_rounds: int) -> None:
-    """Raise ValueError unless 1 <= max_rounds <= MAX_ROUNDS."""
+def check_max_rounds(max_rounds: int) -> int:
+    """``max_rounds`` as a Python int; ValueError unless it is an integer
+    (``bool`` excluded, as in ``make_instance``) with 1 <= max_rounds <= MAX_ROUNDS."""
+    max_rounds = require_integer("max_rounds", max_rounds)
     if not 1 <= max_rounds <= MAX_ROUNDS:
         raise ValueError(f"max_rounds must lie in [1, {MAX_ROUNDS}], got {max_rounds}")
+    return max_rounds
 
 
 def draw_repeat_stats(
@@ -558,10 +562,10 @@ def draw_repeat_stats(
     max_rounds draws all fail; the evolution time of failed rounds still
     counts toward the total.
 
-    Raises ValueError unless 1 <= max_rounds <= MAX_ROUNDS and the success
-    probability lies in [0, 1].
+    Raises ValueError unless max_rounds is an integer in [1, MAX_ROUNDS] and
+    the success probability lies in [0, 1].
     """
-    check_max_rounds(max_rounds)
+    max_rounds = check_max_rounds(max_rounds)
     if not 0.0 <= success_probability <= 1.0:
         raise ValueError(f"success probability must lie in [0, 1], got {success_probability}")
     rng = np.random.default_rng(seed)

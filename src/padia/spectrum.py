@@ -73,6 +73,27 @@ OV_PSI_LOWER_BOUND = 1.0 / 8.0
 OV_BETA_LOWER_BOUND = 1.0 / 3.0
 P_LOWER_BOUND = 1.0 / 24.0
 
+# Absorbs fp noise in the chain's non-strict links, where equality is
+# attained (M = N).
+_SLACK = 1.0 + 1e-12
+
+# The checks of bound_report, in the order it applies them; a report's
+# ``failures`` lists the names of those that fail, in this order.
+_CHECK_NAMES = (
+    "window_factor < 1",
+    "alpha_weight < 4",
+    "beta_weight <= 4M/(1+sqrt(M))^2",
+    "4M/(1+sqrt(M))^2 < 4",
+    "end_ratio >= 0",
+    "end_ratio <= g(s_plus) - omega",
+    "end_ratio < sqrt(2b)",
+    "ov_psi > 1/8",
+    "ov_beta >= 1/(2a+1)",
+    "1/(2a+1) >= 1/3",
+    "ov_beta > 1/3",
+    "p > 1/24",
+)
+
 
 class SpectralPoint(NamedTuple):
     """Spectral data of H(s) at one value of s.
@@ -104,6 +125,10 @@ class BoundReport(NamedTuple):
 
     which together force ``ov_psi_at_s_minus`` > 1/8,
     ``ov_beta_at_s_plus`` > 1/3, and ``p_one_round`` > 1/24.
+
+    The link ``end_ratio <= g(s_plus) - omega`` holds for every instance by
+    construction: with end_ratio = d_se/d_e, its right side is 2 d_se, and
+    d_e = (1 + g)/2 >= 1/2.  It is still checked, as a link of the chain.
     """
 
     ov_psi_at_s_minus: float
@@ -332,20 +357,20 @@ def bound_report(instance: SearchInstance) -> BoundReport:
     """Evaluate every link of the success-probability bound chain.
 
     ``all_bounds_hold`` is True iff every intermediate inequality and all
-    three final bounds (> 1/8, > 1/3, > 1/24) hold.  Two kinds of comparison
-    are deliberately non-strict: those that become exact equalities when all
+    three final bounds (> 1/8, > 1/3, > 1/24) hold; ``failures`` names the
+    checks that fail, in chain order.  Two kinds of comparison are
+    deliberately non-strict: those that become exact equalities when all
     items are marked (a = 0), and 1/(2a+1) vs 1/3, whose true margin 2/(9N)
     drops below double resolution for N beyond ~4e15 and rounds to equality.
     """
-    window = evolution_window(instance)
-    a, b = instance.a, instance.b
-    m = instance.n_marked
-    g_minus = gap(instance, window.s_minus)
-    g_plus = gap(instance, window.s_plus)
-    d_e_minus, d_se_minus = _denominators(b, window.s_minus, g_minus)
-    d_e_plus, d_se_plus = _denominators(b, window.s_plus, g_plus)
+    s_minus, s_plus, _ = evolution_window(instance)
+    _, m, a, b = instance
+    # The window edges lie inside (0, 1) for every N >= 2, so gap's domain
+    # check is not needed there.
+    d_e_minus, d_se_minus = _denominators(b, s_minus, math.sqrt(_gap_squared(b, s_minus)))
+    d_e_plus, d_se_plus = _denominators(b, s_plus, math.sqrt(_gap_squared(b, s_plus)))
 
-    window_factor = (1.0 - window.s_minus) ** 2
+    window_factor = (1.0 - s_minus) ** 2
     alpha_weight = a / (d_e_minus * d_e_minus)
     beta_weight = b / (d_se_minus * d_se_minus)
     end_ratio = d_se_plus / d_e_plus
@@ -356,35 +381,34 @@ def bound_report(instance: SearchInstance) -> BoundReport:
     if a == 0.0:
         ov_psi, ov_beta = b, 1.0
     else:
-        ov_psi = _ground_overlaps(a, b, window.s_minus, d_e_minus, d_se_minus)[0]
-        ov_beta = _ground_overlaps(a, b, window.s_plus, d_e_plus, d_se_plus)[1]
+        ov_psi = _ground_overlaps(a, b, s_minus, d_e_minus, d_se_minus)[0]
+        ov_beta = _ground_overlaps(a, b, s_plus, d_e_plus, d_se_plus)[1]
     p = ov_psi * ov_beta
 
-    # g(s_plus) - omega = g + u = 2 d_se, since s_plus > 1/2, without
-    # cancellation.  Taking it from the same d_se as end_ratio's numerator
-    # means the comparison below cannot be lost to rounding noise of the
-    # window edge itself (at N ~ 1e17 that noise exceeds the true
-    # separation factor 1/(1+g)).
-    chain_numerator = 2.0 * d_se_plus
     beta_weight_cap = 4.0 * m / (1.0 + math.sqrt(m)) ** 2
-    slack = 1.0 + 1e-12  # absorbs fp noise where equality is attained (M = N)
-
-    checks = {
-        "window_factor < 1": window_factor < 1.0,
-        "alpha_weight < 4": alpha_weight < 4.0,
-        "beta_weight <= 4M/(1+sqrt(M))^2": beta_weight <= beta_weight_cap * slack,
-        "4M/(1+sqrt(M))^2 < 4": beta_weight_cap < 4.0,
-        "end_ratio >= 0": end_ratio >= 0.0,
-        "end_ratio <= g(s_plus) - omega": end_ratio <= chain_numerator * slack,
-        "end_ratio < sqrt(2b)": end_ratio < math.sqrt(2.0 * b),
-        "ov_psi > 1/8": ov_psi > OV_PSI_LOWER_BOUND,
-        "ov_beta >= 1/(2a+1)": ov_beta * slack >= 1.0 / (2.0 * a + 1.0),
-        "1/(2a+1) >= 1/3": 1.0 / (2.0 * a + 1.0) >= OV_BETA_LOWER_BOUND,
-        "ov_beta > 1/3": ov_beta > OV_BETA_LOWER_BOUND,
-        "p > 1/24": p > P_LOWER_BOUND,
-    }
-    failures = tuple(name for name, ok in checks.items() if not ok)
-
+    ov_beta_floor = 1.0 / (2.0 * a + 1.0)
+    checks = (
+        window_factor < 1.0,
+        alpha_weight < 4.0,
+        beta_weight <= beta_weight_cap * _SLACK,
+        beta_weight_cap < 4.0,
+        end_ratio >= 0.0,
+        # g(s_plus) - omega = g + u = 2 d_se, since s_plus > 1/2, without
+        # cancellation.  Taking it from the same d_se as end_ratio's
+        # numerator means this comparison cannot be lost to rounding noise
+        # of the window edge itself (at N ~ 1e17 that noise exceeds the
+        # true separation factor 1/(1+g)).
+        end_ratio <= 2.0 * d_se_plus * _SLACK,
+        end_ratio < math.sqrt(2.0 * b),
+        ov_psi > OV_PSI_LOWER_BOUND,
+        ov_beta * _SLACK >= ov_beta_floor,
+        ov_beta_floor >= OV_BETA_LOWER_BOUND,
+        ov_beta > OV_BETA_LOWER_BOUND,
+        p > P_LOWER_BOUND,
+    )
+    failures = () if all(checks) else tuple(
+        name for name, ok in zip(_CHECK_NAMES, checks) if not ok
+    )
     return BoundReport(
         ov_psi, ov_beta, p, window_factor, alpha_weight, beta_weight, end_ratio,
         not failures, failures,

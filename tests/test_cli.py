@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from padia import cli, dynamics, sweeps
+from padia import cli, dynamics, spectrum, sweeps
 from padia.dynamics import (
     default_step_count,
     evolve,
@@ -228,6 +228,24 @@ class TestScripts:
         for c_text, success, *_ in rows:
             assert success == f"{run_round(inst, float(c_text)).success_probability:.6f}"
 
+    def test_percall(self):
+        proc = self.run_script("percall.py", "--number", "3", "--repeat", "2")
+        assert proc.returncode == 0, proc.stderr
+        header, *rows = proc.stdout.splitlines()
+        assert header == "per-call time at N=4096, M=32 (fastest of 2 x 3 calls)"
+        assert [row.split()[0] for row in rows] == [
+            "make_instance", "evolution_window", "spectral_point(s=0.3)",
+            "spectral_point(s=0.7)", "bound_report",
+        ]
+        for row in rows:
+            _, ns, unit = row.split()
+            assert unit == "ns" and float(ns) > 0.0
+
+    def test_percall_refuses_zero_repeats(self):
+        proc = self.run_script("percall.py", "--repeat", "0")
+        assert proc.returncode == 2
+        assert "must be at least 1" in proc.stderr
+
 
 class TestAtomicOut:
     def test_failed_run_keeps_existing_file(self, tmp_path):
@@ -375,6 +393,30 @@ class TestBoundsCommand:
         with pytest.raises(SystemExit) as exc:
             run_cli(["bounds", "--n-list", "4", "--m-rule", "mystery"])
         assert exc.value.code == 2
+
+    def test_divisors_match_brute_force(self):
+        limit = 5000
+        expected = [[] for _ in range(limit + 1)]
+        for d in range(1, limit + 1):
+            for multiple in range(d, limit + 1, d):
+                expected[multiple].append(d)
+        for n in range(1, limit + 1):
+            assert cli._divisors(n) == expected[n], n
+
+    def test_divisors_of_a_large_power_of_two(self):
+        assert cli._divisors(2**62) == [2**k for k in range(63)]
+
+    def test_chain_failure_names_in_order(self, monkeypatch, capsys):
+        for name in ("OV_PSI_LOWER_BOUND", "OV_BETA_LOWER_BOUND", "P_LOWER_BOUND"):
+            monkeypatch.setattr(spectrum, name, 1.0)
+        expected = ("ov_psi > 1/8", "1/(2a+1) >= 1/3", "ov_beta > 1/3", "p > 1/24")
+        report = bound_report(make_instance(64, 1))
+        assert report.failures == expected
+        assert report.all_bounds_hold is False
+        assert run_cli(["bounds", "--n-list", "64", "--m-rule", "one"]) == 1
+        assert capsys.readouterr().err == (
+            f"bound violation at N=64, M=1: {', '.join(expected)}\n"
+        )
 
 
 class TestEvolveCommand:

@@ -798,6 +798,19 @@ class TestRepeatUntilSuccess:
         with pytest.raises(ValueError, match="max_rounds must lie in"):
             simulate_until_success(make_instance(4, 4), 1.0, max_rounds=10**12)
 
+    @pytest.mark.parametrize("max_rounds", [True, 5.0])
+    def test_round_cap_must_be_an_integer(self, max_rounds):
+        message = rf"max_rounds must be an integer, got {max_rounds!r}$"
+        with pytest.raises(ValueError, match=message):
+            draw_repeat_stats(0.0, 1.0, 0, max_rounds)
+        with pytest.raises(ValueError, match=message):
+            simulate_until_success(make_instance(4, 1), 1.0, max_rounds=max_rounds)
+
+    def test_numpy_round_cap_is_taken_as_int(self):
+        stats = draw_repeat_stats(0.0, 1.0, 0, np.int64(5))
+        assert type(stats.rounds_used) is int
+        assert stats == RepeatStats(5, 5.0, False)
+
     @given(
         p=st.one_of(st.sampled_from([0.0, 1e-6, 1e-3, 1.0]), st.floats(0.0, 1.0)),
         round_time=st.floats(0.01, 100.0),
