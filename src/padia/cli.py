@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -59,6 +60,11 @@ CERTIFY_N_CAP = 1024
 _DEFAULT_BOUNDS_N = tuple(4**k for k in range(1, 13))  # 2^2 .. 2^24
 _DEFAULT_SWEEP_N = tuple(2**k for k in range(6, 17))
 _DEFAULT_SWEEP_M = tuple(2**k for k in range(0, 9))
+
+# _divisors tries prime factors below this bound only, at most 2^21 divisions.
+# A cofactor left without a factor below it is prime if it is below 2^44, the
+# bound's square; from 2^44 on it is refused.
+_TRIAL_DIVISION_LIMIT = 2**22
 
 # The --schedule choices of evolve and sweep, mapped to Schedule.kind.
 _SCHEDULE_KINDS = {"partial": "partial", "global": "global_linear", "local": "local_adiabatic"}
@@ -177,18 +183,25 @@ def _divisors(n: int) -> list[int]:
     """The divisors of n >= 1 in increasing order, from n's prime factorisation.
 
     Trial division stops at the square root of the cofactor still to be
-    split, so n = 2^62 costs one division per factor 2, while a prime n
-    still costs about sqrt(n)/2 trial divisions.
+    split, so n = 2^62 costs one division per factor 2, and at
+    _TRIAL_DIVISION_LIMIT.  Every n below 2^44 gets all its divisors; a
+    cofactor of 2^44 or more left at the limit raises ValueError.
     """
-    divisors, rest, p = [1], n, 2
-    while p * p <= rest:
+    divisors, rest = [1], n
+    for p in itertools.chain((2,), range(3, _TRIAL_DIVISION_LIMIT, 2)):
+        if p * p > rest:
+            break
         if rest % p == 0:
             powers = [1]
             while rest % p == 0:
                 rest //= p
                 powers.append(powers[-1] * p)
             divisors = [d * q for d in divisors for q in powers]
-        p += 1 if p == 2 else 2
+    if rest >= _TRIAL_DIVISION_LIMIT**2:
+        raise ValueError(
+            f"cannot list the divisors of N={n}: a cofactor of 2^44 or more has "
+            f"no prime factor below 2^22"
+        )
     if rest > 1:
         divisors += [d * rest for d in divisors]
     return sorted(divisors)
@@ -397,7 +410,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--steps",
         type=_positive_int,
         default=None,
-        help="integration steps (default: 64/unit time, at least 100)",
+        help="integration steps (default: 96 per radian of the rotation angle for "
+        "partial, 64 per unit time for global and local; at least 100)",
     )
     p_evolve.add_argument("--schedule", choices=tuple(_SCHEDULE_KINDS), default="partial")
     p_evolve.add_argument(

@@ -492,11 +492,13 @@ def evolve(
     Runs ``steps`` Magnus-4 steps, and ``steps // 2`` more for the error
     estimate max|amplitude difference| / 15 of step halving.
 
-    Raises ValueError for fewer than 10 or more than MAX_STEPS steps, and
+    Raises ValueError for a step count that is not an integer (``bool``
+    excluded, as in ``make_instance``) or lies outside [10, MAX_STEPS], and
     NormDriftExceeded when the final norm strays from 1, or the error
     estimate exceeds, NORM_DRIFT_LIMIT (NaN included): the signature of an
     insufficient step count.
     """
+    steps = require_integer("steps", steps)
     if steps < 10:
         raise ValueError(f"need at least 10 steps, got {steps}")
     if steps > MAX_STEPS:

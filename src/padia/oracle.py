@@ -1,11 +1,11 @@
 """Dense full-Hilbert-space cross-checks of the two-level reduction.
 
-Everything here works with the explicit N x N Hamiltonian
+Everything here works with the N x N Hamiltonian given by its entry rule
 
     H(s)[x, y] = delta_xy - (1-s)/N - s * [x in S][y in S] / M
 
-built from an explicit marked set S, and solves or evolves it without using
-the subspace structure:
+for an explicit marked set S, and solves or evolves it without using the
+subspace structure:
 
 * ``dense_spectrum`` runs a full eigendecomposition and checks every
   eigenpair's residual.
@@ -29,14 +29,14 @@ the subspace structure:
   an independent check.
 * ``full_evolve`` integrates the N-dimensional Schroedinger equation with
   classical fixed-step RK4, a different scheme from the reduced model's
-  Magnus-4 propagator, so the two integrators check each other.  H(s) is
-  real, so the state is kept as two real rows (its real and imaginary
-  parts), and each RK4 stage is one batched real product of those rows
-  with the stack (H(0), H(1) - H(0)).
+  Magnus-4 propagator, so the two integrators check each other.  It applies
+  the entry rule as H(s) = I - B D(s) B^T, B = [1 | 1_S], D(s) =
+  diag((1-s)/N, s/M), at O(N) per RK4 stage, projecting onto no basis of
+  the plane.  The state is kept as two real rows (its real and imaginary
+  parts), since H(s) is real.
 
 This is deliberately brute force: the point is certification at desk scale,
-so capacities are capped (N <= 4096 for diagonalization, N <= 512 for
-dynamics).
+so N is capped at 4096 (DIAGONALIZATION_CAP).
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .spectrum import spectral_columns
 
 __all__ = [
     "DIAGONALIZATION_CAP",
-    "DYNAMICS_CAP",
     "CapacityExceeded",
     "ConvergenceFailure",
     "FullInstance",
@@ -70,8 +69,8 @@ __all__ = [
     "full_evolve",
 ]
 
+# The oracle's one size cap, checked by make_full_instance.
 DIAGONALIZATION_CAP = 4096
-DYNAMICS_CAP = 512
 
 # Worst acceptable eigen-residual ||H v - e v|| relative to ||H|| for
 # dense_spectrum, and worst acceptable residual-over-gap bound on the angle
@@ -421,69 +420,67 @@ def full_evolve(full: FullInstance, schedule: Schedule, steps: int) -> float:
     them), and returns the probability of measuring a marked item at the
     end.
 
-    Raises ValueError for fewer than 10 steps, or for more than MAX_STEPS
-    after splitting, before any matrix is built.
+    Raises ValueError, before any work, for a step count that is not an
+    integer under ``make_instance``'s rule, below 10, or above MAX_STEPS
+    after splitting.
     """
-    if full.n_items > DYNAMICS_CAP:
-        raise CapacityExceeded(
-            f"dense dynamics supports N <= {DYNAMICS_CAP}, got {full.n_items}"
-        )
+    steps = require_integer("steps", steps)
     if steps < 10:
         raise ValueError(f"need at least 10 steps, got {steps}")
     steps *= min(_MAX_RK4_SPLIT, math.ceil(schedule.total_time / steps / _MAX_RK4_DT))
     if steps > MAX_STEPS:
         raise _step_cap_error(steps, schedule.total_time)
-    n = full.n_items
+    n, marked = full.n_items, sorted(full.marked_set)
     s_nodes, s_mids = schedule_stage_values(schedule, steps)
     nodes, mids = s_nodes.tolist(), s_mids.tolist()
-    dt = schedule.total_time / steps
-    # H(s) = c0 + s c1 is real and symmetric, so the state is kept as the real
-    # rows X = (Re psi, Im psi), and -i H psi becomes dX/dt = (H Im psi,
-    # -H Re psi) = J X H(s) with J = [[0, 1], [-1, 0]].  RK4 runs on the
-    # half-step increments k = (dt/2) dX/dt, with c0 and c1 scaled by dt/2
-    # once: the stages start from x + k1, x + k2 and x + 2 k3, and the step
-    # ends at x + (k1 + 2 k2 + 2 k3 + k4) / 3, one product with ``weights``.
-    # A stage is one batched product P = X @ (c0, c1), two (2, N) @ (N, N)
-    # products, and k = J (P0 + s P1) is the (2, 4) @ (4, N) product
-    # G(s) @ (P0 ; P1), with G(s) = [J | s J].
-    c01 = _hamiltonians(full, np.array([0.0, 1.0]), np.empty((2, n, n)))
-    c01[1] -= c01[0]
-    c01 *= 0.5 * dt
-    products = np.empty((2, 2, n))
-    stacked_products = products.reshape(4, n)
-    combine = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
+    half_dt = 0.5 * schedule.total_time / steps
+    # H(s) is real, so the state is kept as the real rows X = (Re psi, Im psi)
+    # and -i H psi becomes dX/dt = J X H(s), J = [[0, 1], [-1, 0]].  RK4 runs on
+    # the half-step increments k = (dt/2) dX/dt: the stages start from x + k1,
+    # x + k2 and x + 2 k3, and the step ends at x + (k1 + 2 k2 + 2 k3 + k4) / 3.
+    # By the entry rule X H(s) = X - P D(s) B^T, where P = X B holds each row's
+    # sum and marked sum.  The state and the stage rows each sit above B^T in a
+    # (4, N) buffer R, so a stage is P and k = (dt/2) [J | -J P D(s)] @ R.
+    buffers = np.zeros((2, 4, n))
+    buffers[:, 2] = 1.0
+    buffers[:, 3, marked] = 1.0
+    state, stage = buffers
+    x, y = state[:2], stage[:2]
+    b = state[2:].T
+    sums = np.empty((2, 2))
+    combine = np.array([[0.0, half_dt, 0.0, 0.0], [-half_dt, 0.0, 0.0, 0.0]])
+    scale_all, scale_marked = half_dt / n, half_dt / full.n_marked
     increments = np.empty((4, 2, n))
     k1, k2, k3, k4 = increments
     weights = np.array([1.0, 2.0, 2.0, 1.0]) / 3.0
     stacked_increments = increments.reshape(4, 2 * n)
-    stage = np.empty((2, n))
+    update = np.empty(2 * n)
 
-    def increment(s: float, x: np.ndarray, out: np.ndarray) -> None:
-        np.matmul(x, c01, out=products)
-        combine[0, 3] = s
-        combine[1, 2] = -s
-        np.matmul(combine, stacked_products, out=out)
+    def increment(s: float, rows: np.ndarray, buffer: np.ndarray, out: np.ndarray) -> None:
+        (re_all, re_marked), (im_all, im_marked) = np.dot(rows, b, out=sums).tolist()
+        d_all, d_marked = (1.0 - s) * scale_all, s * scale_marked
+        combine[0, 2], combine[0, 3] = -d_all * im_all, -d_marked * im_marked
+        combine[1, 2], combine[1, 3] = d_all * re_all, d_marked * re_marked
+        np.dot(combine, buffer, out=out)
 
-    x = np.zeros((2, n))
     x[0] = uniform_vector(full)
     flat_x = x.reshape(2 * n)
     # A blown-up state overflows to inf/NaN; the norm guard reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps):
-            increment(nodes[i], x, k1)
-            np.add(x, k1, out=stage)
-            increment(mids[i], stage, k2)
-            np.add(x, k2, out=stage)
-            increment(mids[i], stage, k3)
-            np.add(x, k3, out=stage)
-            stage += k3
-            increment(nodes[i + 1], stage, k4)
-            flat_x += weights @ stacked_increments
+            increment(nodes[i], x, state, k1)
+            np.add(x, k1, out=y)
+            increment(mids[i], y, stage, k2)
+            np.add(x, k2, out=y)
+            increment(mids[i], y, stage, k3)
+            np.add(x, k3, out=y)
+            y += k3
+            increment(nodes[i + 1], y, stage, k4)
+            flat_x += np.dot(weights, stacked_increments, out=update)
         drift = abs(float(np.linalg.norm(x)) - 1.0)
     if not drift <= NORM_DRIFT_LIMIT:  # NaN fails this test too
         raise NormDriftExceeded(
             f"norm drifted by {drift:.3e} after {steps} steps over duration "
             f"{schedule.total_time:g}; increase steps"
         )
-    marked = sorted(full.marked_set)
     return float(np.sum(x[:, marked] ** 2))

@@ -12,6 +12,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -405,6 +406,20 @@ class TestBoundsCommand:
 
     def test_divisors_of_a_large_power_of_two(self):
         assert cli._divisors(2**62) == [2**k for k in range(63)]
+
+    def test_divisors_below_2_to_the_44(self):
+        # The largest prime below 2^44, and the two largest primes below 2^22
+        # with their product.
+        assert cli._divisors(17592186044399) == [1, 17592186044399]
+        assert cli._divisors(4194287 * 4194301) == [1, 4194287, 4194301, 4194287 * 4194301]
+
+    def test_unsplit_cofactor_is_refused_quickly(self, capsys):
+        n = 2**61 - 1  # prime
+        start = time.perf_counter()
+        assert run_cli(["bounds", "--n-list", str(n), "--m-rule", "all-divisors"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"N={n}" in err
 
     def test_chain_failure_names_in_order(self, monkeypatch, capsys):
         for name in ("OV_PSI_LOWER_BOUND", "OV_BETA_LOWER_BOUND", "P_LOWER_BOUND"):

@@ -751,6 +751,12 @@ class TestEvolve:
         sched = make_partial_schedule(inst, 1.0)
         with pytest.raises(ValueError):
             evolve(inst, sched, 5, initial_state(inst))
+        for steps in (100.0, True, np.float64(100.0)):
+            with pytest.raises(ValueError, match="^steps must be an integer"):
+                evolve(inst, sched, steps, initial_state(inst))
+        assert evolve(inst, sched, np.int64(100), initial_state(inst)) == evolve(
+            inst, sched, 100, initial_state(inst)
+        )
         with pytest.raises(ValueError):
             evolve(inst, sched, 100, ReducedState(1.0 + 0j, 1.0 + 0j))
 

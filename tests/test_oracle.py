@@ -429,10 +429,16 @@ def complex_full_evolve(full, schedule, steps):
     return float(np.sum(np.abs(psi[sorted(full.marked_set)]) ** 2))
 
 
+def random_marked(n, m):
+    """m distinct marked indices in [0, n), drawn with a seed fixed by (n, m)."""
+    return sorted(np.random.default_rng([n, m]).choice(n, m, replace=False).tolist())
+
+
 class TestFullEvolve:
     @pytest.mark.parametrize(
         "n, marked",
-        [(4, {1}), (64, {3, 17, 40}), (128, range(0, 128, 16)), (512, range(0, 512, 8))],
+        [(4, {1}), (64, {3, 17, 40}), (128, range(0, 128, 16)), (512, range(0, 512, 8)),
+         (16, range(16)), (97, random_marked(97, 13))],
     )
     @pytest.mark.parametrize(
         "builder, c", [(make_partial_schedule, 4.0), (make_global_schedule, 1.0)]
@@ -477,11 +483,18 @@ class TestFullEvolve:
         reduced = run_round(inst, 8.0, steps=steps).success_probability
         assert dense == pytest.approx(reduced, abs=1e-8)
 
-    def test_capacity(self):
-        full = make_full_instance(1024, {0})
-        sched = make_partial_schedule(full.reduced(), 1.0)
-        with pytest.raises(CapacityExceeded):
-            full_evolve(full, sched, 1000)
+    @pytest.mark.parametrize(
+        "n, marked, c", [(4096, [4095], 1.0), (3000, random_marked(3000, 7), 4.0)]
+    )
+    def test_matches_reduced_dynamics_at_the_cap(self, n, marked, c):
+        # The largest N the oracle takes, with one marked item and with an
+        # odd marked set, at the steps of the reduced round.
+        full = make_full_instance(n, marked)
+        inst = full.reduced()
+        steps = 8000
+        dense = full_evolve(full, make_partial_schedule(inst, c), steps)
+        reduced = run_round(inst, c, steps=steps).success_probability
+        assert dense == pytest.approx(reduced, rel=0.0, abs=1e-8)
 
     @pytest.mark.parametrize(
         "steps, total", [(MAX_STEPS + 1, MAX_STEPS + 1), (MAX_STEPS // 2 + 1, MAX_STEPS + 2)]
@@ -498,6 +511,19 @@ class TestFullEvolve:
         sched = make_partial_schedule(full.reduced(), 1e6)
         with pytest.raises(ValueError, match=f"^{total} steps over duration 4e\\+06 exceed"):
             full_evolve(full, sched, steps)
+
+    @pytest.mark.parametrize(
+        "steps", [9, 100.0, True, np.float64(100.0)], ids=["9", "float", "bool", "numpy-float"]
+    )
+    def test_step_count_domain_is_checked_before_any_work(self, monkeypatch, steps):
+        def no_work(*args):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr(oracle, "schedule_stage_values", no_work)
+        monkeypatch.setattr(oracle, "uniform_vector", no_work)
+        full = make_full_instance(16, [0])
+        with pytest.raises(ValueError, match="^(need at least 10 steps|steps must be an integer)"):
+            full_evolve(full, make_partial_schedule(full.reduced(), 1.0), steps)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("c", [1e6, 1e9])
