@@ -14,9 +14,13 @@ exponential of the Magnus-4 exponent, so every step is unitary by
 construction.  With tr H = 1 pulled out as one global phase, a step is a
 unit quaternion, held as its Cayley-Klein pair of complex numbers; the steps
 are evaluated as numpy arrays, chunk by chunk, and each chunk's pairs are
-folded by ordered pairwise products.  For a given (schedule, steps) every
-run on the same numpy build gives the same bits.  Unitarity makes the norm drift blind to a coarse grid, so every round
-is integrated a second time with half the steps, and the difference of the
+folded by ordered pairwise products.  The schedule is sampled only through
+its offset x = 2s - 1, chunk by chunk, by a sampler that the dense oracle's
+RK4 shares.  For a given (schedule, steps) every run on the same numpy build
+gives the same bits.
+
+Unitarity makes the norm drift blind to a coarse grid, so every round is
+integrated a second time with half the steps, and the difference of the
 two, divided by 15, is reported as the error estimate and guarded.
 The default step count follows what the steps must resolve: with the phase
 of tr H taken out, H is a rotation B . sigma with |B| = g(s)/2, so the
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -112,13 +116,32 @@ LOCAL_KNOTS = 20_001
 _SHOWN_STEP_DIGITS = 18
 
 
-def _step_cap_error(steps: int, total_time: float) -> ValueError:
-    """The usage error for a run of ``steps`` > MAX_STEPS over ``total_time``."""
-    digits = len(str(steps))
-    shown = str(steps) if digits <= _SHOWN_STEP_DIGITS else f"at least 10^{digits - 1}"
-    return ValueError(
-        f"{shown} steps over duration {total_time:g} exceed the cap of {MAX_STEPS} steps"
-    )
+def _checked_steps(steps: int) -> int:
+    """``steps`` as a Python int; ValueError unless it is an integer
+    (``bool`` excluded, as in ``make_instance``) of at least 10."""
+    steps = require_integer("steps", steps)
+    if steps < 10:
+        raise ValueError(f"need at least 10 steps, got {steps}")
+    return steps
+
+
+def _check_step_cap(steps: int, total_time: float) -> None:
+    """Raise ValueError, naming the count, when ``steps`` exceeds MAX_STEPS."""
+    if steps > MAX_STEPS:
+        digits = len(str(steps))
+        shown = str(steps) if digits <= _SHOWN_STEP_DIGITS else f"at least 10^{digits - 1}"
+        raise ValueError(
+            f"{shown} steps over duration {total_time:g} exceed the cap of {MAX_STEPS} steps"
+        )
+
+
+def _check_drift(label: str, value: float, steps: int, total_time: float) -> None:
+    """Raise NormDriftExceeded unless ``value`` is at most NORM_DRIFT_LIMIT."""
+    if not value <= NORM_DRIFT_LIMIT:  # NaN fails this test too
+        raise NormDriftExceeded(
+            f"{label} {value:.3e} after {steps} steps over duration {total_time:g}; "
+            "increase steps"
+        )
 
 
 # Steps integrated per vectorised chunk.  Memory stays O(chunk) for any run
@@ -144,19 +167,19 @@ class NormDriftExceeded(RuntimeError):
 
 
 class Schedule(NamedTuple):
-    """A monotone mapping t in [0, total_time] -> s in [0, 1].
+    """A monotone sweep of s over t in [0, total_time], given by its offset
+    x(t) = 2 s(t) - 1 in [-1, 1].
 
-    ``sample`` and ``sample_x`` must accept scalars and numpy arrays alike.
     kind is one of 'partial', 'global_linear', 'local_adiabatic'.
-    ``sample_x`` maps t to x = 2s - 1, the offset the integrator samples.
-    The partial schedule forms it without passing through a float s: near
+    ``sample_x`` maps t to x and must accept scalars and numpy arrays alike;
+    it is all the integrators sample, and s = (1 + x)/2 where s is needed.
+    The partial schedule forms x without passing through a float s: near
     s = 1/2 floats are 1.1e-16 apart, which at large N is a visible fraction
     of its window, so the sampled H would be a staircase.
     """
 
     kind: str
     total_time: float
-    sample: Callable[[float], float]
     sample_x: Callable[[float], float]
 
 
@@ -199,22 +222,17 @@ def make_partial_schedule(instance: SearchInstance, time_multiplier: float) -> S
     regime is reached as it grows.
     """
     _require_positive_finite("time_multiplier", time_multiplier)
-    window = evolution_window(instance)
     total_time = time_multiplier * one_round_time(instance)
     _require_positive_finite("total_time", total_time)
-    s_minus, omega = window.s_minus, window.omega
     # x = 2s - 1 runs over [-x_plus, x_plus]; 1/sqrt(N) is twice the
     # window's half-width to the last bit.
     x_plus = 1.0 / math.sqrt(instance.n_items)
     x_rate = 2.0 * x_plus / total_time
 
-    def sample(t):
-        return s_minus + omega * (t / total_time)
-
     def sample_x(t):
         return x_rate * t - x_plus
 
-    return Schedule(kind="partial", total_time=total_time, sample=sample, sample_x=sample_x)
+    return Schedule(kind="partial", total_time=total_time, sample_x=sample_x)
 
 
 def make_global_schedule(instance: SearchInstance, time_multiplier: float) -> Schedule:
@@ -228,28 +246,23 @@ def make_global_schedule(instance: SearchInstance, time_multiplier: float) -> Sc
     total_time = time_multiplier / (g_min * g_min)
     _require_positive_finite("total_time", total_time)
 
-
-    def sample(t):
-        return t / total_time
-
     def sample_x(t):
-        return 2.0 * sample(t) - 1.0
+        return 2.0 * (t / total_time) - 1.0
 
-    return Schedule(
-        kind="global_linear", total_time=total_time, sample=sample, sample_x=sample_x
-    )
+    return Schedule(kind="global_linear", total_time=total_time, sample_x=sample_x)
 
 
 def make_local_schedule(
-    instance: SearchInstance, time_multiplier: float, steps: int = LOCAL_KNOTS
+    instance: SearchInstance, time_multiplier: float, knots: int = LOCAL_KNOTS
 ) -> Schedule:
     """Sweep of [0, 1] whose rate adapts to the gap: ds/dt = g(s)^2 / c.
 
     c = time_multiplier is 1/epsilon of Roland & Cerf's local adiabatic
     search (PRA 65, 042308 (2002)), so the duration is c times that of the
-    epsilon = 1 sweep.  The mapping t -> s is tabulated on ``steps`` knots
+    epsilon = 1 sweep.  The mapping t -> s is tabulated on ``knots`` knots
     by accumulating dt/ds = c/g^2 with the trapezoid rule and inverted by
-    linear interpolation; total_time is the accumulated endpoint.
+    linear interpolation, and x = 2s - 1 is formed from the interpolated s;
+    total_time is the accumulated endpoint.
 
     The table is built in place.  Besides the two knot arrays the schedule
     keeps, the build allocates two knot-sized scratch arrays (the g^2 column
@@ -260,12 +273,12 @@ def make_local_schedule(
     ``cumsum((dt_ds[1:] + dt_ds[:-1]) * 0.5 * diff(s_knots))``.
 
     Raises ValueError unless time_multiplier is positive and finite,
-    steps >= 100 and the duration is finite.
+    knots >= 100 and the duration is finite.
     """
     _require_positive_finite("time_multiplier", time_multiplier)
-    if steps < 100:
-        raise ValueError(f"need at least 100 tabulation knots, got {steps}")
-    s_knots = np.linspace(0.0, 1.0, steps)
+    if knots < 100:
+        raise ValueError(f"need at least 100 tabulation knots, got {knots}")
+    s_knots = np.linspace(0.0, 1.0, knots)
     dt_ds = _gap_squared(instance.b, s_knots)
     t_knots = np.empty_like(s_knots)
     t_knots[0] = 0.0
@@ -282,15 +295,10 @@ def make_local_schedule(
     total_time = float(t_knots[-1])
     _require_positive_finite("total_time", total_time)
 
-    def sample(t):
-        return np.interp(t, t_knots, s_knots)
-
     def sample_x(t):
-        return 2.0 * sample(t) - 1.0
+        return 2.0 * np.interp(t, t_knots, s_knots) - 1.0
 
-    return Schedule(
-        kind="local_adiabatic", total_time=total_time, sample=sample, sample_x=sample_x
-    )
+    return Schedule(kind="local_adiabatic", total_time=total_time, sample_x=sample_x)
 
 
 def make_schedule(instance: SearchInstance, kind: str, time_multiplier: float) -> Schedule:
@@ -361,20 +369,19 @@ def schedule_step_count(instance: SearchInstance, schedule: Schedule) -> int:
     return default_step_count(schedule.total_time)
 
 
-def _chunk_gauss_offsets(
-    schedule: Schedule, steps: int, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """x = 2s - 1 at the two Gauss points of steps start..stop-1 of a
-    ``steps``-step run.
+def _stage_offsets(
+    schedule: Schedule, steps: int, fractions: tuple[float, ...]
+) -> Iterator[list[np.ndarray]]:
+    """x = 2s - 1 at the given fractions of every step of a ``steps``-step
+    run, one chunk of _CHUNK_STEPS steps at a time.
 
-    Step n starts at n * dt and samples t = n * dt + (1/2 -/+ sqrt(3)/6) * dt.
+    Step n starts at n * dt and, for a fraction f, samples t = n * dt + f * dt.
+    Each chunk yields one array per fraction, so memory stays O(chunk).
     """
     dt = schedule.total_time / steps
-    times = np.arange(start, stop, dtype=float) * dt
-    return (
-        np.asarray(schedule.sample_x(times + _GAUSS_LOW * dt), dtype=float),
-        np.asarray(schedule.sample_x(times + _GAUSS_HIGH * dt), dtype=float),
-    )
+    for start in range(0, steps, _CHUNK_STEPS):
+        times = np.arange(start, min(start + _CHUNK_STEPS, steps), dtype=float) * dt
+        yield [np.asarray(schedule.sample_x(times + f * dt), dtype=float) for f in fractions]
 
 
 def _step_pairs(
@@ -463,9 +470,7 @@ def _propagate(
     dt = schedule.total_time / steps
     sqrt_ab = math.sqrt(instance.a * instance.b)
     total = _IDENTITY
-    for start in range(0, steps, _CHUNK_STEPS):
-        stop = min(start + _CHUNK_STEPS, steps)
-        x_low, x_high = _chunk_gauss_offsets(schedule, steps, start, stop)
+    for x_low, x_high in _stage_offsets(schedule, steps, (_GAUSS_LOW, _GAUSS_HIGH)):
         chunk = _ordered_product(
             _step_pairs(instance.a, instance.b, sqrt_ab, x_low, x_high, dt)
         )
@@ -498,11 +503,8 @@ def evolve(
     estimate exceeds, NORM_DRIFT_LIMIT (NaN included): the signature of an
     insufficient step count.
     """
-    steps = require_integer("steps", steps)
-    if steps < 10:
-        raise ValueError(f"need at least 10 steps, got {steps}")
-    if steps > MAX_STEPS:
-        raise _step_cap_error(steps, schedule.total_time)
+    steps = _checked_steps(steps)
+    _check_step_cap(steps, schedule.total_time)
     if abs(initial.norm() - 1.0) > STATE_NORM_TOL:
         raise ValueError("initial state must be normalized")
     # A huge duration can turn the step angles to inf/NaN; the guards below
@@ -512,13 +514,9 @@ def evolve(
         x_half, y_half = _propagate(instance, schedule, steps // 2, initial)
     error_estimate = max(abs(x - x_half), abs(y - y_half)) / 15.0
     drift = abs(math.hypot(abs(x), abs(y)) - 1.0)
-    for label, value in (("norm drifted by", drift), ("error estimate is", error_estimate)):
-        if not value <= NORM_DRIFT_LIMIT:  # NaN fails this test too
-            raise NormDriftExceeded(
-                f"{label} {value:.3e} after {steps} steps over duration "
-                f"{schedule.total_time:g}; increase steps"
-            )
-    s_end = float(schedule.sample(schedule.total_time))
+    _check_drift("norm drifted by", drift, steps, schedule.total_time)
+    _check_drift("error estimate is", error_estimate, steps, schedule.total_time)
+    s_end = 0.5 * (1.0 + float(schedule.sample_x(schedule.total_time)))
     c_alpha, c_beta = eigenvector_components(instance, s_end, 0)
     p_alpha, p_beta = abs(x) ** 2, abs(y) ** 2
     return RoundOutcome(

@@ -31,9 +31,11 @@ subspace structure:
   classical fixed-step RK4, a different scheme from the reduced model's
   Magnus-4 propagator, so the two integrators check each other.  It applies
   the entry rule as H(s) = I - B D(s) B^T, B = [1 | 1_S], D(s) =
-  diag((1-s)/N, s/M), at O(N) per RK4 stage, projecting onto no basis of
-  the plane.  The state is kept as two real rows (its real and imaginary
-  parts), since H(s) is real.
+  diag((1-s)/N, s/M) = diag((1-x)/(2N), (1+x)/(2M)), at O(N) per RK4 stage,
+  projecting onto no basis of the plane.  The stage offsets x = 2s - 1 come
+  from the sampler the reduced model uses, one chunk of steps at a time, so
+  memory does not grow with the step count.  The state is kept as two real
+  rows (its real and imaginary parts), since H(s) is real.
 
 This is deliberately brute force: the point is certification at desk scale,
 so N is capped at 4096 (DIAGONALIZATION_CAP).
@@ -47,11 +49,11 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .dynamics import (
-    MAX_STEPS,
-    NORM_DRIFT_LIMIT,
-    NormDriftExceeded,
     Schedule,
-    _step_cap_error,
+    _check_drift,
+    _check_step_cap,
+    _checked_steps,
+    _stage_offsets,
 )
 from .model import NonEmptyMarkedSetRequired, SearchInstance, make_instance, require_integer
 from .spectrum import spectral_columns
@@ -402,37 +404,24 @@ def certify_reduction(full: FullInstance, s_grid: Sequence[float]) -> float:
     return float(np.max(np.abs(dense - closed_form)))
 
 
-def schedule_stage_values(schedule: Schedule, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample s at the step endpoints and midpoints of a fixed-step RK4 run."""
-    times = np.linspace(0.0, schedule.total_time, steps + 1)
-    mids = times[:-1] + 0.5 * (schedule.total_time / steps)
-    s_nodes = np.asarray(schedule.sample(times), dtype=float)
-    s_mids = np.asarray(schedule.sample(mids), dtype=float)
-    return s_nodes, s_mids
-
-
 def full_evolve(full: FullInstance, schedule: Schedule, steps: int) -> float:
     """Integrate the N-dimensional Schroedinger equation for one round.
 
     Starts from the uniform superposition, takes ``steps`` classical RK4
-    steps on the stage times of ``schedule_stage_values``, each split into
-    equal RK4 steps no longer than _MAX_RK4_DT (at most _MAX_RK4_SPLIT of
-    them), and returns the probability of measuring a marked item at the
-    end.
+    steps, each split into equal RK4 steps no longer than _MAX_RK4_DT (at
+    most _MAX_RK4_SPLIT of them), and returns the probability of measuring a
+    marked item at the end.  The schedule's offset x is sampled at the start,
+    middle and end of every step, one chunk of steps at a time.
 
     Raises ValueError, before any work, for a step count that is not an
     integer under ``make_instance``'s rule, below 10, or above MAX_STEPS
-    after splitting.
+    after splitting, and NormDriftExceeded when the final norm strays from 1
+    by more than NORM_DRIFT_LIMIT (NaN included).
     """
-    steps = require_integer("steps", steps)
-    if steps < 10:
-        raise ValueError(f"need at least 10 steps, got {steps}")
+    steps = _checked_steps(steps)
     steps *= min(_MAX_RK4_SPLIT, math.ceil(schedule.total_time / steps / _MAX_RK4_DT))
-    if steps > MAX_STEPS:
-        raise _step_cap_error(steps, schedule.total_time)
+    _check_step_cap(steps, schedule.total_time)
     n, marked = full.n_items, sorted(full.marked_set)
-    s_nodes, s_mids = schedule_stage_values(schedule, steps)
-    nodes, mids = s_nodes.tolist(), s_mids.tolist()
     half_dt = 0.5 * schedule.total_time / steps
     # H(s) is real, so the state is kept as the real rows X = (Re psi, Im psi)
     # and -i H psi becomes dX/dt = J X H(s), J = [[0, 1], [-1, 0]].  RK4 runs on
@@ -441,6 +430,8 @@ def full_evolve(full: FullInstance, schedule: Schedule, steps: int) -> float:
     # By the entry rule X H(s) = X - P D(s) B^T, where P = X B holds each row's
     # sum and marked sum.  The state and the stage rows each sit above B^T in a
     # (4, N) buffer R, so a stage is P and k = (dt/2) [J | -J P D(s)] @ R.
+    # D(s) = diag((1 - offset)/(2N), (1 + offset)/(2M)) is formed from the
+    # offset 2s - 1 that the schedule samples.
     buffers = np.zeros((2, 4, n))
     buffers[:, 2] = 1.0
     buffers[:, 3, marked] = 1.0
@@ -449,16 +440,16 @@ def full_evolve(full: FullInstance, schedule: Schedule, steps: int) -> float:
     b = state[2:].T
     sums = np.empty((2, 2))
     combine = np.array([[0.0, half_dt, 0.0, 0.0], [-half_dt, 0.0, 0.0, 0.0]])
-    scale_all, scale_marked = half_dt / n, half_dt / full.n_marked
+    scale_all, scale_marked = 0.5 * half_dt / n, 0.5 * half_dt / full.n_marked
     increments = np.empty((4, 2, n))
     k1, k2, k3, k4 = increments
     weights = np.array([1.0, 2.0, 2.0, 1.0]) / 3.0
     stacked_increments = increments.reshape(4, 2 * n)
     update = np.empty(2 * n)
 
-    def increment(s: float, rows: np.ndarray, buffer: np.ndarray, out: np.ndarray) -> None:
+    def increment(offset: float, rows: np.ndarray, buffer: np.ndarray, out: np.ndarray) -> None:
         (re_all, re_marked), (im_all, im_marked) = np.dot(rows, b, out=sums).tolist()
-        d_all, d_marked = (1.0 - s) * scale_all, s * scale_marked
+        d_all, d_marked = (1.0 - offset) * scale_all, (1.0 + offset) * scale_marked
         combine[0, 2], combine[0, 3] = -d_all * im_all, -d_marked * im_marked
         combine[1, 2], combine[1, 3] = d_all * re_all, d_marked * re_marked
         np.dot(combine, buffer, out=out)
@@ -467,20 +458,17 @@ def full_evolve(full: FullInstance, schedule: Schedule, steps: int) -> float:
     flat_x = x.reshape(2 * n)
     # A blown-up state overflows to inf/NaN; the norm guard reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps):
-            increment(nodes[i], x, state, k1)
-            np.add(x, k1, out=y)
-            increment(mids[i], y, stage, k2)
-            np.add(x, k2, out=y)
-            increment(mids[i], y, stage, k3)
-            np.add(x, k3, out=y)
-            y += k3
-            increment(nodes[i + 1], y, stage, k4)
-            flat_x += np.dot(weights, stacked_increments, out=update)
+        for starts, mids, ends in _stage_offsets(schedule, steps, (0.0, 0.5, 1.0)):
+            for start, mid, end in zip(starts.tolist(), mids.tolist(), ends.tolist()):
+                increment(start, x, state, k1)
+                np.add(x, k1, out=y)
+                increment(mid, y, stage, k2)
+                np.add(x, k2, out=y)
+                increment(mid, y, stage, k3)
+                np.add(x, k3, out=y)
+                y += k3
+                increment(end, y, stage, k4)
+                flat_x += np.dot(weights, stacked_increments, out=update)
         drift = abs(float(np.linalg.norm(x)) - 1.0)
-    if not drift <= NORM_DRIFT_LIMIT:  # NaN fails this test too
-        raise NormDriftExceeded(
-            f"norm drifted by {drift:.3e} after {steps} steps over duration "
-            f"{schedule.total_time:g}; increase steps"
-        )
+    _check_drift("norm drifted by", drift, steps, schedule.total_time)
     return float(np.sum(x[:, marked] ** 2))

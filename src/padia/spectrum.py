@@ -337,10 +337,10 @@ def adiabatic_success_probability(instance: SearchInstance) -> float:
 
     P = |<Psi|E(0,s_minus)>|^2 * |<beta|E(0,s_plus)>|^2: the chance of
     starting in the sweep's ground state times the chance that the final
-    ground state measures as a marked item.
+    ground state measures as a marked item.  It is ``bound_report``'s
+    ``p_one_round``, so the bound chain and this value cannot drift apart.
     """
-    window = evolution_window(instance)
-    return overlap_psi(instance, window.s_minus, 0) * overlap_beta(instance, window.s_plus, 0)
+    return bound_report(instance).p_one_round
 
 
 def one_round_time(instance: SearchInstance) -> float:

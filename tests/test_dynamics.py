@@ -23,14 +23,16 @@ from hypothesis import strategies as st
 from padia import dynamics
 from padia.dynamics import (
     _CHUNK_STEPS,
+    _GAUSS_HIGH,
+    _GAUSS_LOW,
     MAX_ROUNDS,
     MAX_STEPS,
     NORM_DRIFT_LIMIT,
     NormDriftExceeded,
     RepeatStats,
     Schedule,
-    _chunk_gauss_offsets,
     _rotation_angle,
+    _stage_offsets,
     default_step_count,
     draw_repeat_stats,
     evolve,
@@ -43,7 +45,6 @@ from padia.dynamics import (
     simulate_until_success,
 )
 from padia.model import ReducedState, evolution_window, initial_state, make_instance
-from padia.oracle import schedule_stage_values
 from padia.spectrum import _gap_squared, eigenvector_components, overlap_beta, overlap_psi
 from padia.sweeps import fit_loglog
 
@@ -75,13 +76,24 @@ def ground_state(instance, s):
     return ReducedState(complex(c_alpha), complex(c_beta))
 
 
+def linspace_stage_values(schedule, steps):
+    """s = (1 + x)/2 at the step endpoints and midpoints of a fixed-step RK4
+    run, the endpoints laid out by linspace."""
+    times = np.linspace(0.0, schedule.total_time, steps + 1)
+    mids = times[:-1] + 0.5 * (schedule.total_time / steps)
+    return [
+        (0.5 * (1.0 + np.asarray(schedule.sample_x(t), dtype=float))).tolist()
+        for t in (times, mids)
+    ]
+
+
 def scalar_rk4(instance, schedule, steps, initial):
     """Reference: one classical RK4 step at a time in plain Python complex
     arithmetic, h_bb = (1-s)a, h_aa = 1 - h_bb, h_ab = -(1-s)sqrt(ab).
     Returns the final amplitudes and the norm drift."""
     a = instance.a
     sqrt_ab = math.sqrt(instance.a * instance.b)
-    s_nodes, s_mids = (v.tolist() for v in schedule_stage_values(schedule, steps))
+    s_nodes, s_mids = linspace_stage_values(schedule, steps)
     dt = schedule.total_time / steps
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -121,19 +133,21 @@ def scalar_rk4(instance, schedule, steps, initial):
     return x, y, abs(math.sqrt(abs(x) ** 2 + abs(y) ** 2) - 1.0)
 
 
-def gauss_stage_values(schedule, steps, sampler=None):
-    """s (or what ``sampler`` maps t to) at the two Gauss points
-    t_n + (1/2 -/+ sqrt(3)/6) dt of every step, the times formed one step at
-    a time in plain Python floats."""
-    sampler = schedule.sample if sampler is None else sampler
+# The two Gauss points of a step, and the start, middle and end the RK4
+# stages sample, as fractions of the step.
+GAUSS_FRACTIONS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+RK4_FRACTIONS = (0.0, 0.5, 1.0)
+
+
+def stepwise_offsets(schedule, steps, fractions):
+    """x = 2s - 1 at t_n + f dt for each fraction f, over every step, the
+    times formed one step at a time in plain Python floats."""
     dt = schedule.total_time / steps
-    low, high = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
-    times_low = [n * dt + low * dt for n in range(steps)]
-    times_high = [n * dt + high * dt for n in range(steps)]
-    return (
-        np.asarray(sampler(np.array(times_low)), dtype=float),
-        np.asarray(sampler(np.array(times_high)), dtype=float),
-    )
+    offsets = []
+    for f in fractions:
+        times = np.array([n * dt + f * dt for n in range(steps)])
+        offsets.append(np.asarray(schedule.sample_x(times), dtype=float))
+    return offsets
 
 
 def scalar_magnus4(instance, schedule, steps, initial):
@@ -145,18 +159,18 @@ def scalar_magnus4(instance, schedule, steps, initial):
     drift."""
     a = instance.a
     sqrt_ab = math.sqrt(instance.a * instance.b)
-    s_low, s_high = (v.tolist() for v in gauss_stage_values(schedule, steps))
+    x_low, x_high = (v.tolist() for v in stepwise_offsets(schedule, steps, GAUSS_FRACTIONS))
     h = schedule.total_time / steps
     comm = math.sqrt(3.0) / 12.0 * h * h
 
-    def hamiltonian(s):
-        om = 1.0 - s
+    def hamiltonian(x_gauss):
+        om = 0.5 * (1.0 - x_gauss)  # 1 - s
         return 1.0 - om * a, -om * sqrt_ab, om * a  # h_aa, h_ab, h_bb
 
     x, y = complex(initial.amp_alpha), complex(initial.amp_beta)
     for n in range(steps):
-        a1, b1, d1 = hamiltonian(s_low[n])
-        a2, b2, d2 = hamiltonian(s_high[n])
+        a1, b1, d1 = hamiltonian(x_low[n])
+        a2, b2, d2 = hamiltonian(x_high[n])
         # [H2, H1] of two real symmetric matrices is antisymmetric: [[0, k], [-k, 0]].
         k = a2 * b1 + b2 * d1 - b2 * a1 - d2 * b1
         o11 = -0.5j * h * (a1 + a2)
@@ -220,7 +234,6 @@ def comparison_case(kind, steps, dt=CASE_DT):
         sched = Schedule(
             kind="partial",
             total_time=total,
-            sample=lambda t: win.s_minus + 0.0 * t,
             sample_x=lambda t: (2.0 * win.s_minus - 1.0) + 0.0 * t,
         )
     else:
@@ -228,7 +241,6 @@ def comparison_case(kind, steps, dt=CASE_DT):
         sched = Schedule(
             kind="partial",
             total_time=total,
-            sample=lambda t: forward.sample(total - t),
             sample_x=lambda t: forward.sample_x(total - t),
         )
     psi0 = ground_state(inst, win.s_plus) if kind == "reversed" else initial_state(inst)
@@ -243,14 +255,14 @@ class TestPartialSchedule:
         sched = make_partial_schedule(make_instance(100, 1), 1.0)
         assert sched.kind == "partial"
         assert sched.total_time == pytest.approx(10.0, rel=1e-15)
-        assert sched.sample(0.0) == pytest.approx(0.45, abs=1e-12)
-        assert sched.sample(10.0) == pytest.approx(0.55, abs=1e-12)
+        assert sched.sample_x(0.0) == pytest.approx(-0.1, abs=1e-12)  # s = 0.45
+        assert sched.sample_x(10.0) == pytest.approx(0.1, abs=1e-12)  # s = 0.55
 
     def test_small_all_marked(self):
         sched = make_partial_schedule(make_instance(4, 4), 1.0)
         assert sched.total_time == pytest.approx(0.5, rel=1e-15)
-        assert sched.sample(0.0) == pytest.approx(0.25, abs=1e-12)
-        assert sched.sample(0.5) == pytest.approx(0.75, abs=1e-12)
+        assert sched.sample_x(0.0) == pytest.approx(-0.5, abs=1e-12)  # s = 0.25
+        assert sched.sample_x(0.5) == pytest.approx(0.5, abs=1e-12)  # s = 0.75
 
     def test_multiplier_scales_duration(self):
         sched = make_partial_schedule(make_instance(64, 1), 16.0)
@@ -259,10 +271,10 @@ class TestPartialSchedule:
     def test_linear_and_monotone(self):
         sched = make_partial_schedule(make_instance(64, 1), 2.0)
         ts = np.linspace(0.0, sched.total_time, 11)
-        ss = sched.sample(ts)
-        assert np.all(np.diff(ss) > 0.0)
-        mid = sched.sample(sched.total_time / 2)
-        assert mid == pytest.approx(0.5, abs=1e-12)
+        xs = sched.sample_x(ts)
+        assert np.all(np.diff(xs) > 0.0)
+        mid = sched.sample_x(sched.total_time / 2)
+        assert mid == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_nonpositive_multiplier(self):
         with pytest.raises(ValueError):
@@ -276,8 +288,6 @@ class TestPartialSchedule:
         assert xs[0] == -1.0 / math.sqrt(n)
         assert xs[-1] == pytest.approx(1.0 / math.sqrt(n), rel=1e-15)
         assert np.all(np.diff(xs) > 0.0)
-        # The float s near 1/2 is only good to about 1.1e-16.
-        np.testing.assert_allclose(xs, 2.0 * sched.sample(ts) - 1.0, rtol=0.0, atol=3e-16)
 
 
 class TestGlobalSchedule:
@@ -285,14 +295,21 @@ class TestGlobalSchedule:
         sched = make_global_schedule(make_instance(16, 4), 1.0)
         assert sched.kind == "global_linear"
         assert sched.total_time == pytest.approx(4.0, rel=1e-15)  # N/M
-        assert sched.sample(0.0) == 0.0
-        assert sched.sample(sched.total_time) == pytest.approx(1.0, rel=1e-15)
+        assert sched.sample_x(0.0) == -1.0
+        assert sched.sample_x(sched.total_time) == pytest.approx(1.0, rel=1e-15)
 
     @pytest.mark.parametrize("kind", ["global_linear", "local_adiabatic"])
-    def test_offset_is_twice_s_less_one(self, kind):
-        sched = make_schedule(make_instance(64, 4), kind, 2.0)
+    def test_offset_is_the_plain_expression(self, kind):
+        # x is 2 s - 1 of the plain s: t/T, or the knot table interpolated.
+        inst = make_instance(64, 4)
+        sched = make_schedule(inst, kind, 2.0)
         ts = np.linspace(0.0, sched.total_time, 101)
-        assert np.array_equal(sched.sample_x(ts), 2.0 * sched.sample(ts) - 1.0)
+        if kind == "global_linear":
+            s = ts / sched.total_time
+        else:
+            _, t_knots, s_knots = plain_local_table(inst, 2.0, dynamics.LOCAL_KNOTS)
+            s = np.interp(ts, t_knots, s_knots)
+        assert np.array_equal(sched.sample_x(ts), 2.0 * s - 1.0)
 
 
 class TestLocalSchedule:
@@ -326,10 +343,10 @@ class TestLocalSchedule:
     def test_monotone_sampling(self):
         sched = make_local_schedule(make_instance(64, 2), 1.0, 5001)
         ts = np.linspace(0.0, sched.total_time, 200)
-        ss = sched.sample(ts)
-        assert np.all(np.diff(ss) >= 0.0)
-        assert ss[0] == 0.0
-        assert ss[-1] == pytest.approx(1.0, abs=1e-12)
+        xs = sched.sample_x(ts)
+        assert np.all(np.diff(xs) >= 0.0)
+        assert xs[0] == -1.0
+        assert xs[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_validations(self):
         with pytest.raises(ValueError):
@@ -353,7 +370,8 @@ class TestLocalSchedule:
         assert np.float64(sched.total_time).tobytes() == np.float64(total).tobytes()
         midpoints = 0.5 * (t_knots[1:] + t_knots[:-1])
         t_ref = np.concatenate([t_knots, midpoints, [-1.0, 2.0 * total]])
-        assert sched.sample(t_ref).tobytes() == np.interp(t_ref, t_knots, s_knots).tobytes()
+        plain_x = 2.0 * np.interp(t_ref, t_knots, s_knots) - 1.0
+        assert sched.sample_x(t_ref).tobytes() == plain_x.tobytes()
 
     def test_build_holds_at_most_four_knot_arrays(self):
         knots = 20_001
@@ -442,7 +460,8 @@ class TestDefaultSteps:
 def trapezoid_angle(instance, schedule, points=20_001):
     """The rotation angle as the trapezoid sum of g(s(t))/2 dt."""
     t = np.linspace(0.0, schedule.total_time, points)
-    half_gap = 0.5 * np.sqrt(_gap_squared(instance.b, np.asarray(schedule.sample(t))))
+    s = 0.5 * (1.0 + np.asarray(schedule.sample_x(t)))
+    half_gap = 0.5 * np.sqrt(_gap_squared(instance.b, s))
     return float(np.sum((half_gap[1:] + half_gap[:-1]) * 0.5 * np.diff(t)))
 
 
@@ -543,7 +562,6 @@ class TestEvolve:
         frozen = Schedule(
             kind="partial",
             total_time=5.0,
-            sample=lambda t: win.s_minus + 0.0 * t,
             sample_x=lambda t: (2.0 * win.s_minus - 1.0) + 0.0 * t,
         )
         psi0 = initial_state(inst)
@@ -612,7 +630,6 @@ class TestEvolve:
         backward = Schedule(
             kind="partial",
             total_time=total,
-            sample=lambda t: forward.sample(total - t),
             sample_x=lambda t: forward.sample_x(total - t),
         )
         f_rev = evolve(inst, backward, steps, ground_state(inst, win.s_plus)).ground_fidelity
@@ -633,15 +650,20 @@ class TestEvolve:
     @pytest.mark.parametrize("steps", CHUNK_EDGE_STEPS)
     @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
     def test_chunk_stage_values_are_bit_identical(self, kind, steps):
-        # The integrator samples x = 2s - 1 chunk by chunk; every chunk must
-        # give the bits of the times formed one step at a time.
+        # Both integrators sample x = 2s - 1 chunk by chunk, Magnus-4 at the
+        # Gauss points and the dense RK4 at each step's start, middle and
+        # end; every chunk must give the bits of the times formed one step
+        # at a time.
         _, sched, _ = comparison_case(kind, steps)
-        x_low, x_high = gauss_stage_values(sched, steps, sched.sample_x)
-        for start in range(0, steps, _CHUNK_STEPS):
-            stop = min(start + _CHUNK_STEPS, steps)
-            chunk_low, chunk_high = _chunk_gauss_offsets(sched, steps, start, stop)
-            assert np.array_equal(chunk_low, x_low[start:stop])
-            assert np.array_equal(chunk_high, x_high[start:stop])
+        assert (_GAUSS_LOW, _GAUSS_HIGH) == GAUSS_FRACTIONS
+        for fractions in (GAUSS_FRACTIONS, RK4_FRACTIONS):
+            expected = stepwise_offsets(sched, steps, fractions)
+            chunks = list(_stage_offsets(sched, steps, fractions))
+            assert len(chunks) == -(-steps // _CHUNK_STEPS)
+            for start, chunk in zip(range(0, steps, _CHUNK_STEPS), chunks):
+                stop = min(start + _CHUNK_STEPS, steps)
+                for values, reference in zip(chunk, expected, strict=True):
+                    assert np.array_equal(values, reference[start:stop])
 
     @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
     def test_agrees_with_rk4_at_fine_steps(self, kind):

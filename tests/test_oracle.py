@@ -1,6 +1,7 @@
 """Dense full-space Hamiltonian, diagonalization, and dynamics cross-checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from padia.oracle import (
     full_hamiltonian,
     make_full_instance,
     marked_vector,
-    schedule_stage_values,
     uniform_vector,
 )
 
@@ -416,7 +416,10 @@ def complex_full_evolve(full, schedule, steps):
     def deriv(s, psi):
         return -1j * (c0 @ psi + s * (c1 @ psi))
 
-    s_nodes, s_mids = schedule_stage_values(schedule, steps)
+    # s = (1 + x)/2 at the step endpoints, laid out by linspace, and midpoints.
+    times = np.linspace(0.0, schedule.total_time, steps + 1)
+    mids = times[:-1] + 0.5 * (schedule.total_time / steps)
+    s_nodes, s_mids = (0.5 * (1.0 + np.asarray(schedule.sample_x(t))) for t in (times, mids))
     dt = schedule.total_time / steps
     psi = uniform_vector(full).astype(complex)
     for i in range(steps):
@@ -506,7 +509,7 @@ class TestFullEvolve:
             raise AssertionError("integration started")
 
         monkeypatch.setattr(oracle, "_hamiltonians", no_work)
-        monkeypatch.setattr(oracle, "schedule_stage_values", no_work)
+        monkeypatch.setattr(oracle, "_stage_offsets", no_work)
         full = make_full_instance(16, [0])
         sched = make_partial_schedule(full.reduced(), 1e6)
         with pytest.raises(ValueError, match=f"^{total} steps over duration 4e\\+06 exceed"):
@@ -519,11 +522,24 @@ class TestFullEvolve:
         def no_work(*args):
             raise AssertionError("integration started")
 
-        monkeypatch.setattr(oracle, "schedule_stage_values", no_work)
+        monkeypatch.setattr(oracle, "_stage_offsets", no_work)
         monkeypatch.setattr(oracle, "uniform_vector", no_work)
         full = make_full_instance(16, [0])
         with pytest.raises(ValueError, match="^(need at least 10 steps|steps must be an integer)"):
             full_evolve(full, make_partial_schedule(full.reduced(), 1.0), steps)
+
+    def test_memory_does_not_grow_with_the_steps(self):
+        # The stage offsets are sampled one chunk of steps at a time, so the
+        # peak stays near 1 MB; sampled whole they take 80 bytes a step.
+        full = make_full_instance(4, [0])
+        sched = make_partial_schedule(full.reduced(), 64.0)
+        tracemalloc.start()
+        try:
+            full_evolve(full, sched, 200_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("c", [1e6, 1e9])

@@ -47,7 +47,7 @@ FIELDS = {
         "ov_psi_at_s_minus", "ov_beta_at_s_plus", "p_one_round", "window_factor",
         "alpha_weight", "beta_weight", "end_ratio", "all_bounds_hold", "failures",
     ),
-    Schedule: ("kind", "total_time", "sample", "sample_x"),
+    Schedule: ("kind", "total_time", "sample_x"),
     RoundOutcome: (
         "final_state", "success_probability", "ground_fidelity", "norm_drift",
         "error_estimate",
