@@ -22,12 +22,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from padia.dynamics import run_round  # noqa: E402
-from padia.model import evolution_window, make_instance  # noqa: E402
-from padia.spectrum import (  # noqa: E402
-    adiabatic_success_probability,
-    overlap_beta,
-    overlap_psi,
-)
+from padia.model import make_instance  # noqa: E402
+from padia.spectrum import bound_report  # noqa: E402
 
 
 def main() -> int:
@@ -40,10 +36,8 @@ def main() -> int:
     args = parser.parse_args()
 
     inst = make_instance(args.n, args.m)
-    window = evolution_window(inst)
-    a0_sq = overlap_psi(inst, window.s_minus, 0)
-    b0_sq = overlap_beta(inst, window.s_plus, 0)
-    p = adiabatic_success_probability(inst)
+    report = bound_report(inst)
+    a0_sq, b0_sq, p = report.ov_psi_at_s_minus, report.ov_beta_at_s_plus, report.p_one_round
     cross = 2.0 * (a0_sq * b0_sq * (1.0 - a0_sq) * (1.0 - b0_sq)) ** 0.5
     offset = (1.0 - a0_sq) * (1.0 - b0_sq)
 

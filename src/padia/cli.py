@@ -276,13 +276,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         stats = draw_repeat_stats(
             outcome.success_probability, schedule.total_time, args.seed, args.max_rounds
         )
-        payload["repeat"] = {
-            "seed": args.seed,
-            "max_rounds": args.max_rounds,
-            "rounds_used": stats.rounds_used,
-            "total_evolution_time": stats.total_evolution_time,
-            "succeeded": stats.succeeded,
-        }
+        payload["repeat"] = {"seed": args.seed, "max_rounds": args.max_rounds, **stats._asdict()}
     _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     return 0
 
@@ -300,13 +294,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         simulate=args.simulate,
         workers=args.workers,
     )
-    fit_payload = {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "axis": fit.axis,
-    }
-    _emit_table(rows_to_columns(sweep_records_to_rows(records)), args, {"fit": fit_payload})
+    _emit_table(rows_to_columns(sweep_records_to_rows(records)), args, {"fit": fit._asdict()})
     if args.output == "csv":
         print(
             f"fit [{fit.axis}]: slope={fit.slope:.6f} intercept={fit.intercept:.6f} "

@@ -505,7 +505,7 @@ def evolve(
     """
     steps = _checked_steps(steps)
     _check_step_cap(steps, schedule.total_time)
-    if abs(initial.norm() - 1.0) > STATE_NORM_TOL:
+    if not abs(initial.norm() - 1.0) <= STATE_NORM_TOL:  # NaN fails this test too
         raise ValueError("initial state must be normalized")
     # A huge duration can turn the step angles to inf/NaN; the guards below
     # report it.
@@ -562,12 +562,13 @@ def draw_repeat_stats(
     max_rounds draws all fail; the evolution time of failed rounds still
     counts toward the total.
 
-    Raises ValueError unless max_rounds is an integer in [1, MAX_ROUNDS] and
-    the success probability lies in [0, 1].
+    Raises ValueError unless max_rounds is an integer in [1, MAX_ROUNDS], the
+    success probability lies in [0, 1] and round_time is positive and finite.
     """
     max_rounds = check_max_rounds(max_rounds)
     if not 0.0 <= success_probability <= 1.0:
         raise ValueError(f"success probability must lie in [0, 1], got {success_probability}")
+    _require_positive_finite("round_time", round_time)
     rng = np.random.default_rng(seed)
     drawn, block = 0, _FIRST_DRAWS
     while drawn < max_rounds:

@@ -123,8 +123,12 @@ class BoundReport(NamedTuple):
     * ``end_ratio``      = (1 - s_plus - E0(s_plus)) / (1 - E0(s_plus)),
       must be < sqrt(2b);
 
-    which together force ``ov_psi_at_s_minus`` > 1/8,
-    ``ov_beta_at_s_plus`` > 1/3, and ``p_one_round`` > 1/24.
+    which together force the three conclusions, each read off the members:
+
+    * ``ov_psi_at_s_minus`` = 1 / ((1 - s_minus)^2 (alpha_weight +
+      beta_weight)) > 1/8;
+    * ``ov_beta_at_s_plus`` = b / (a end_ratio^2 + b) > 1/3;
+    * ``p_one_round``       = ov_psi_at_s_minus * ov_beta_at_s_plus > 1/24.
 
     The link ``end_ratio <= g(s_plus) - omega`` holds for every instance by
     construction: with end_ratio = d_se/d_e, its right side is 2 d_se, and
@@ -375,14 +379,15 @@ def bound_report(instance: SearchInstance) -> BoundReport:
     beta_weight = b / (d_se_minus * d_se_minus)
     end_ratio = d_se_plus / d_e_plus
 
-    # The window overlaps come from the same denominators, as in _overlaps.
-    # Both edges lie below s = 1 for N >= 2, so the ground state there is
-    # |beta> only when a = 0.
+    # The window overlaps, read off the chain members, round as in
+    # _ground_overlaps.  Both edges lie below s = 1 for N >= 2, so the
+    # ground state there is |beta> only when a = 0.
     if a == 0.0:
         ov_psi, ov_beta = b, 1.0
     else:
-        ov_psi = _ground_overlaps(a, b, s_minus, d_e_minus, d_se_minus)[0]
-        ov_beta = _ground_overlaps(a, b, s_plus, d_e_plus, d_se_plus)[1]
+        one_minus_s = 1.0 - s_minus
+        ov_psi = 1.0 / (one_minus_s * one_minus_s * (alpha_weight + beta_weight))
+        ov_beta = b / (end_ratio * end_ratio * a + b)
     p = ov_psi * ov_beta
 
     beta_weight_cap = 4.0 * m / (1.0 + math.sqrt(m)) ** 2

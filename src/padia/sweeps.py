@@ -105,16 +105,16 @@ class SweepRecord(NamedTuple):
 def fit_loglog(xs: Sequence[float], ys: Sequence[float], axis: str = "x") -> FitResult:
     """Ordinary least squares on (log x, log y).
 
-    Requires equal lengths, at least three points, and strictly positive
-    data.  r_squared is the squared correlation; a perfectly flat response is
-    reported as 1.0.
+    Requires equal lengths, at least three points, and strictly positive,
+    finite data.  r_squared is the squared correlation; a perfectly flat
+    response is reported as 1.0.
     """
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} x values vs {len(ys)} y values")
     if len(xs) < 3:
         raise ValueError(f"need at least 3 points to fit, got {len(xs)}")
-    if any(x <= 0.0 for x in xs) or any(y <= 0.0 for y in ys):
-        raise ValueError("log-log fit needs strictly positive data")
+    if not all(0.0 < v < math.inf for v in (*xs, *ys)):  # NaN fails this test too
+        raise ValueError("log-log fit needs strictly positive, finite data")
     lx = [math.log(x) for x in xs]
     ly = [math.log(y) for y in ys]
     mean_x = sum(lx) / len(lx)
@@ -243,17 +243,7 @@ def sweep_records_to_rows(records: Iterable[SweepRecord]) -> list[dict]:
 
 
 def spectral_points_to_rows(points: Iterable[SpectralPoint]) -> list[dict]:
-    return [
-        {
-            "s": p.s,
-            "e0": p.e0,
-            "e1": p.e1,
-            "gap": p.gap,
-            "ov_psi_0": p.ov_psi_0,
-            "ov_beta_0": p.ov_beta_0,
-        }
-        for p in points
-    ]
+    return [point._asdict() for point in points]
 
 
 def bound_reports_to_rows(reports: Iterable[tuple[int, int, BoundReport]]) -> list[dict]:

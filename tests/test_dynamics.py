@@ -781,6 +781,8 @@ class TestEvolve:
         )
         with pytest.raises(ValueError):
             evolve(inst, sched, 100, ReducedState(1.0 + 0j, 1.0 + 0j))
+        with pytest.raises(ValueError, match="initial state must be normalized"):
+            evolve(inst, sched, 100, ReducedState(complex(math.nan), 0j))
 
 
 class TestRepeatUntilSuccess:
@@ -816,6 +818,9 @@ class TestRepeatUntilSuccess:
             draw_repeat_stats(1.2, 1.0, 0, 10)
         with pytest.raises(ValueError):
             draw_repeat_stats(0.5, 1.0, 0, 0)
+        for round_time in (math.nan, -3.0, 0.0, math.inf):
+            with pytest.raises(ValueError, match="round_time must be positive and finite"):
+                draw_repeat_stats(0.5, round_time, 0, 10)
 
     def test_round_cap(self):
         stats = draw_repeat_stats(1.0, 1.0, 0, MAX_ROUNDS)

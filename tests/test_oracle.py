@@ -530,12 +530,13 @@ class TestFullEvolve:
 
     def test_memory_does_not_grow_with_the_steps(self):
         # The stage offsets are sampled one chunk of steps at a time, so the
-        # peak stays near 1 MB; sampled whole they take 80 bytes a step.
+        # peak stays near 1 MB; sampled whole they take 80 bytes a step, 4 MB
+        # at this step count.
         full = make_full_instance(4, [0])
         sched = make_partial_schedule(full.reduced(), 64.0)
         tracemalloc.start()
         try:
-            full_evolve(full, sched, 200_000)
+            full_evolve(full, sched, 50_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

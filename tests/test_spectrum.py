@@ -493,6 +493,20 @@ class TestBoundReport:
             report.ov_psi_at_s_minus * report.ov_beta_at_s_plus, rel=1e-15
         )
 
+    @given(st.integers(min_value=2, max_value=2**63 - 1).flatmap(
+        lambda n: st.tuples(st.just(n), st.sampled_from([1, math.isqrt(n), n // 2, n]))
+    ))
+    @example((2**53, 1))
+    @settings(max_examples=300)
+    def test_window_overlaps_are_the_spectral_points(self, n_m):
+        # Read off the chain members, the overlaps keep every bit of the
+        # kernel's; at (2^53, 1) (1 - s_minus)**2 would move the last one.
+        inst = make_instance(*n_m)
+        win = evolution_window(inst)
+        report = bound_report(inst)
+        assert report.ov_psi_at_s_minus == spectral_point(inst, win.s_minus).ov_psi_0
+        assert report.ov_beta_at_s_plus == spectral_point(inst, win.s_plus).ov_beta_0
+
     @given(instances())
     @settings(max_examples=300)
     def test_chain_holds_everywhere(self, inst):

@@ -161,6 +161,11 @@ class TestFitLogLog:
             fit_loglog([1.0, 2.0, 3.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             fit_loglog([0.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="strictly positive"):
+                fit_loglog([1.0, 2.0, 3.0], [1.0, bad, 3.0])
+            with pytest.raises(ValueError, match="strictly positive"):
+                fit_loglog([1.0, 2.0, bad], [1.0, 2.0, 3.0])
 
 
 class TestSweepRecord:
