@@ -7,9 +7,16 @@ Each directory holds the ``<workload>-seed<n>-trace0.json`` files that
 ``perfbench/run.py`` writes to ``perfbench/results/`` of its checkout.  A
 parent run and a change run of the same workload and seed form a pair.  For
 every workload and every end-to-end metric of ``BENCHMARK.json`` the output
-gives each side's median and quartiles over its runs, and the number of pairs
-the change wins (ties count for neither side).  It also gives the failed and
-attempted job counts of each side, and the source hash of each side's runs.
+gives each side's median and quartiles over its runs, the number of pairs
+the change wins (ties count for neither side) and two verdicts:
+
+- ``claim_met``: the change wins at least 9 pairs in 10, and its median beats
+  the parent's by more than the parent's interquartile range (q3 - q1);
+- ``worse_than_bound``: the change's median is worse than the parent's by
+  more than the metric's relative ``bound``.
+
+It also gives the failed and attempted job counts of each side, and the
+source hash of each side's runs.
 
 The two runs of a pair must have run the same job list (``jobs_sha256``) for
 the same ``seconds`` under the same Python, numpy, CPU model and BLAS thread
@@ -119,14 +126,19 @@ def summarise(parent: dict, change: dict, metrics: list[dict]) -> dict:
             wins = sum(
                 sign * (p - c) > 0.0 for p, c in zip(values["parent"], values["change"])
             )
+            before, after = quartiles(values["parent"]), quartiles(values["change"])
+            gain = sign * (before["median"] - after["median"])
             entry["metrics"][name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
                 "bound": metric["bound"],
-                "parent": quartiles(values["parent"]),
-                "change": quartiles(values["change"]),
+                "parent": before,
+                "change": after,
                 "change_wins": wins,
                 "pairs": len(seeds),
+                "claim_met": 10 * wins >= 9 * len(seeds)
+                and gain > before["q3"] - before["q1"],
+                "worse_than_bound": -gain > metric["bound"] * abs(before["median"]),
             }
         report[workload] = entry
     return report

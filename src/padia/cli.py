@@ -8,7 +8,10 @@ bounds, sweep) take ``--output csv|json`` and ``--out``; JSON documents put
 the rows under ``records`` and, for sweeps, the power-law fit under ``fit``.
 ``evolve`` always writes JSON, to stdout or ``--out``; ``certify`` prints a
 text report to stdout.  Every table is built column-wise and written in
-fixed blocks of rows; an ``--out`` regular file is replaced atomically.
+fixed blocks of rows (``spectrum`` also computes its columns a block at a
+time); an ``--out`` regular file is replaced atomically.  A standard output
+that is closed early (``padia spectrum ... | head``) is reported like an
+``--out`` that cannot be written.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import sweeps
 from .dynamics import (
     NormDriftExceeded,
     check_max_rounds,
@@ -55,6 +59,9 @@ __all__ = ["main"]
 
 CERTIFY_TOLERANCE = 1e-9
 CERTIFY_N_CAP = 1024
+# At 3-5 microseconds a row, a spectrum table of this many points takes under
+# a minute; more is refused up front rather than run for hours.
+MAX_POINTS = 10**7
 
 # Tuples: the parser is reused, so every call gets the same default object.
 _DEFAULT_BOUNDS_N = tuple(4**k for k in range(1, 13))  # 2^2 .. 2^24
@@ -140,10 +147,21 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     such as ``/dev/stdout``, a FIFO, a process-substitution pipe) is opened
     and written in place.  A path that cannot be opened, written or renamed
     into place (a directory, a missing parent, a busy mount point) raises
-    ``_UnwritableOut``, and no temporary file is left.
+    ``_UnwritableOut``, and no temporary file is left.  So does a standard
+    output that cannot be written (a pipe whose reader has gone); fd 1 is
+    then pointed at the null device, so the flush at interpreter exit
+    neither prints an "Exception ignored" line nor changes the exit status.
     """
     if out_path is None:
-        sys.stdout.writelines(chunks)
+        try:
+            with _writing("<stdout>"):
+                sys.stdout.writelines(chunks)
+                sys.stdout.flush()
+        except _UnwritableOut:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise
         return
     target = os.path.realpath(out_path)
     try:
@@ -169,13 +187,18 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
         raise
 
 
-def _emit_table(columns: dict, args: argparse.Namespace, extra: dict | None = None) -> None:
-    """Write a table as ``--output`` asks; ``extra`` joins a JSON document only.
+def _emit_table(
+    table: Iterable[dict], args: argparse.Namespace, extra: dict | None = None
+) -> None:
+    """Write a table of column blocks as ``--output`` asks; ``extra`` joins a
+    JSON document only.
 
-    The columns are checked before anything is written; the text then goes
-    out in blocks of ``sweeps.BLOCK_ROWS`` rows.
+    A whole table is one block, ``[columns]``.  The first block is checked
+    before anything is written; each later block is computed and checked when
+    the text reaches it, and every block goes out in pieces of at most
+    ``sweeps.BLOCK_ROWS`` rows.
     """
-    chunks = json_chunks(columns, extra) if args.output == "json" else csv_chunks(columns)
+    chunks = json_chunks(table, extra) if args.output == "json" else csv_chunks(table)
     _emit(chunks, args.out)
 
 
@@ -221,8 +244,10 @@ def _m_values(n: int, rule: str) -> list[int]:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     instance = make_instance(args.n, args.m)
-    columns = spectral_columns(instance, np.linspace(0.0, 1.0, args.points))
-    _emit_table(columns, args)
+    # The grid is the one whole-table array; the columns exist a block at a time.
+    grid, step = np.linspace(0.0, 1.0, args.points), sweeps.BLOCK_ROWS
+    blocks = (spectral_columns(instance, grid[i:i + step]) for i in range(0, args.points, step))
+    _emit_table(blocks, args)
     return 0
 
 
@@ -245,7 +270,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         "end_ratio": [rep.end_ratio for rep in reports],
         "bounds_hold": [rep.all_bounds_hold for rep in reports],
     }
-    _emit_table(columns, args)
+    _emit_table([columns], args)
     violations = [
         (n, m, rep.failures) for (n, m), rep in zip(cases, reports) if not rep.all_bounds_hold
     ]
@@ -294,7 +319,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         simulate=args.simulate,
         workers=args.workers,
     )
-    _emit_table(rows_to_columns(sweep_records_to_rows(records)), args, {"fit": fit._asdict()})
+    _emit_table([rows_to_columns(sweep_records_to_rows(records))], args, {"fit": fit._asdict()})
     if args.output == "csv":
         print(
             f"fit [{fit.axis}]: slope={fit.slope:.6f} intercept={fit.intercept:.6f} "
@@ -367,7 +392,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--n", type=_positive_int, required=True, help="number of items")
     p_spec.add_argument("--m", type=_positive_int, required=True, help="number of marked items")
     p_spec.add_argument(
-        "--points", type=_int_range(2), default=21, help="number of s grid points (>= 2)"
+        "--points",
+        type=_int_range(2, MAX_POINTS),
+        default=21,
+        help=f"number of s grid points (2 to {MAX_POINTS})",
     )
     p_spec.set_defaults(handler=_cmd_spectrum)
 

@@ -37,18 +37,39 @@ class NonEmptyMarkedSetRequired(ValueError):
     """Raised when an instance with zero marked items is requested."""
 
 
-class SearchInstance(NamedTuple):
-    """A search problem: ``n_items`` items of which ``n_marked`` are marked.
-
-    ``a`` and ``b`` are the squared overlaps of the uniform superposition with
-    the unmarked-uniform and marked-uniform states: a = (N-M)/N, b = M/N.
-    They are always derived from the exact integers, never stored drifted.
-    """
-
+class _InstanceFields(NamedTuple):
     n_items: int
     n_marked: int
     a: float
     b: float
+
+
+class SearchInstance(_InstanceFields):
+    """A search problem: ``n_items`` items of which ``n_marked`` are marked.
+
+    ``a`` and ``b`` are the squared overlaps of the uniform superposition with
+    the unmarked-uniform and marked-uniform states: a = (N-M)/N, b = M/N.
+    They are stored, so reading them costs nothing, and they are always the
+    correctly rounded ratios of the exact integers: the constructor, ``_make``
+    and ``_replace`` check (N, M) as ``make_instance`` does and refuse an
+    ``a`` or ``b`` that differs from its ratio with ValueError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n_items: int, n_marked: int, a: float, b: float) -> SearchInstance:
+        fields = _checked_fields(n_items, n_marked)
+        if (a, b) != fields[2:]:
+            raise ValueError(
+                f"a and b must be (N-M)/N = {fields[2]!r} and M/N = {fields[3]!r} "
+                f"at N={fields[0]}, M={fields[1]}, got a={a!r}, b={b!r}"
+            )
+        return tuple.__new__(cls, fields)
+
+    @classmethod
+    def _make(cls, iterable) -> SearchInstance:
+        # namedtuple's _make (and _replace, which calls it) skips __new__.
+        return cls(*iterable)
 
 
 class EvolutionWindow(NamedTuple):
@@ -97,14 +118,8 @@ def require_integer(name: str, value: object) -> int:
     return int(value)
 
 
-def make_instance(n_items: int, n_marked: int) -> SearchInstance:
-    """Validate (N, M) and derive the squared overlaps a = (N-M)/N, b = M/N.
-
-    Both must be integers (any ``numbers.Integral`` except ``bool``; numpy
-    integers are taken as Python ints), the marked set must be nonempty
-    (1 <= M <= N) and there must be at least two items.  Integers up to
-    2**63 - 1 are handled exactly; a and b are the correctly rounded ratios.
-    """
+def _checked_fields(n_items: int, n_marked: int) -> tuple[int, int, float, float]:
+    """(N, M, a, b) of a valid (N, M); the one check behind every SearchInstance."""
     # Python ints keep the ratios below correctly rounded for numpy integers.
     n_items, n_marked = require_integer("N", n_items), require_integer("M", n_marked)
     if n_marked == 0:
@@ -113,7 +128,19 @@ def make_instance(n_items: int, n_marked: int) -> SearchInstance:
         raise ValueError(f"need at least 2 items, got N={n_items}")
     if not 1 <= n_marked <= n_items:
         raise ValueError(f"need 1 <= M <= N, got M={n_marked}, N={n_items}")
-    return SearchInstance(n_items, n_marked, (n_items - n_marked) / n_items, n_marked / n_items)
+    return n_items, n_marked, (n_items - n_marked) / n_items, n_marked / n_items
+
+
+def make_instance(n_items: int, n_marked: int) -> SearchInstance:
+    """Validate (N, M) and derive the squared overlaps a = (N-M)/N, b = M/N.
+
+    Both must be integers (any ``numbers.Integral`` except ``bool``; numpy
+    integers are taken as Python ints), the marked set must be nonempty
+    (1 <= M <= N) and there must be at least two items.  Integers up to
+    2**63 - 1 are handled exactly; a and b are the correctly rounded ratios.
+    """
+    # The fields are derived here, so SearchInstance's comparison is skipped.
+    return tuple.__new__(SearchInstance, _checked_fields(n_items, n_marked))
 
 
 def evolution_window(instance: SearchInstance) -> EvolutionWindow:

@@ -13,11 +13,16 @@ significant digits so they round-trip losslessly) or a JSON document with
 the records under ``records`` and the fit under ``fit``.
 
 Tables are written column-wise and streamed: ``csv_chunks`` and
-``json_chunks`` take one sequence (or numpy array) per column, check the
-column lengths and pick one printf spec per column in one pass over the
-whole table, then yield the text in fixed blocks of ``BLOCK_ROWS`` rows.
-Each block slices every column and fills one per-row template, so peak
-memory no longer grows with the row count.  Joined, the chunks are
+``json_chunks`` take a table as an iterable of column blocks (mappings of
+equal-length columns with one key order; a whole table is ``[columns]``).
+They check each block's column lengths and pick one printf spec per column
+of it, the first block when they are called and every later one when the
+text reaches it, then yield the text in pieces of at most ``BLOCK_ROWS``
+rows.  Each piece slices every column and fills one per-row template.  A
+producer that yields its columns a block at a time (``padia spectrum``
+computes ``spectral_columns`` on ``BLOCK_ROWS`` grid points per block) keeps
+the whole command's peak memory from growing with the row count; its input
+grid is the one array left that does.  Joined, the chunks are
 byte-identical to the row-by-row rendering (``json.dumps(payload,
 indent=2)`` for JSON); ``rows_to_csv`` joins the CSV chunks of a row list.
 """
@@ -297,16 +302,21 @@ def _float_array(column) -> np.ndarray | None:
 
 
 def _plan(
-    columns: Mapping[str, Sequence], float_spec: str, finite_only: bool
+    columns: Mapping[str, Sequence], keys: list[str], float_spec: str, finite_only: bool
 ) -> tuple[int, list[str], list[tuple[np.ndarray | None, Sequence]]]:
-    """Row count, one printf spec per column and each column's source.
+    """Row count, one printf spec per column and each column's source, of one block.
 
-    This is the eager pass over the whole table: it checks that the columns
-    have one length and picks each column's spec.  A float column (with
-    ``finite_only``, one without NaN or infinities anywhere) is printed under
-    ``float_spec`` from its float64 array; any other column keeps ``None``
-    there and is formatted cell by cell under ``%s``.
+    This is the eager pass over a block: it checks that the block has the
+    table's ``keys`` in their order and columns of one length, and picks each
+    column's spec.  A float column (with ``finite_only``, one without NaN or
+    infinities in this block) is printed under ``float_spec`` from its
+    float64 array; any other column keeps ``None`` there and is formatted
+    cell by cell under ``%s``.  Choosing per block prints what choosing per
+    table would: ``_cell(x)`` is ``"%.17g" % x`` for every float, and
+    ``_json_cell(x)`` is ``repr(x)`` for every finite one.
     """
+    if list(columns) != keys:
+        raise ValueError(f"block keys {list(columns)} differ from the first block's {keys}")
     specs, sources = [], []
     for column in columns.values():
         floats = _float_array(column)
@@ -322,10 +332,26 @@ def _plan(
     return (lengths.pop() if lengths else 0), specs, sources
 
 
+def _plans(
+    table: Iterable[Mapping[str, Sequence]], float_spec: str, finite_only: bool
+) -> tuple[list[str], Iterator[tuple[int, list[str], list]]]:
+    """The table's keys (its first block's) and the ``_plan`` of each block.
+
+    The first block is planned now, so a malformed one-block table raises
+    before any text exists; each later block is planned when the iterator
+    reaches it.  A table without blocks has no keys and no rows.
+    """
+    blocks = iter(table)
+    first = next(blocks, {})
+    keys = list(first)
+    rest = (_plan(block, keys, float_spec, finite_only) for block in blocks)
+    return keys, itertools.chain([_plan(first, keys, float_spec, finite_only)], rest)
+
+
 def _blocks(
     n_rows: int, sources: list[tuple[np.ndarray | None, Sequence]], cell: Callable[[object], str]
 ) -> Iterator[tuple[int, tuple]]:
-    """Row count and row-major arguments of each block of ``BLOCK_ROWS`` rows."""
+    """Row count and row-major arguments of each piece of ``BLOCK_ROWS`` rows."""
     for start in range(0, n_rows, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n_rows)
         parts = []
@@ -340,60 +366,61 @@ def _blocks(
         yield stop - start, tuple(itertools.chain.from_iterable(zip(*parts)))
 
 
-def csv_chunks(columns: Mapping[str, Sequence]) -> Iterator[str]:
-    """Equal-length columns as CSV with a header line, in blocks of rows.
+def csv_chunks(table: Iterable[Mapping[str, Sequence]]) -> Iterator[str]:
+    """A table of column blocks as CSV with a header line, in pieces of rows.
 
-    Floats carry 17 significant digits (``format_float``); an empty table
-    yields nothing.  The columns are checked when this is called; the
-    returned iterator formats ``BLOCK_ROWS`` rows per item.
+    ``table`` yields blocks: mappings of equal-length columns, with the same
+    keys in the same order in every block (a whole table is ``[columns]``).
+    Floats carry 17 significant digits (``format_float``); a table without
+    rows yields nothing.  The first block is checked when this is called;
+    the returned iterator formats at most ``BLOCK_ROWS`` rows per item.
     """
-    n_rows, specs, sources = _plan(columns, "%.17g", finite_only=False)
-    header = ",".join(columns) + "\n"
-    row = ",".join(specs) + "\n"
+    keys, plans = _plans(table, "%.17g", finite_only=False)
+    header = ",".join(keys) + "\n"
 
     def chunks() -> Iterator[str]:
-        if n_rows:
-            yield header
-        for k, values in _blocks(n_rows, sources, _cell):
-            yield (row * k) % values
+        prefix = header
+        for n_rows, specs, sources in plans:
+            row = ",".join(specs) + "\n"
+            for k, values in _blocks(n_rows, sources, _cell):
+                yield prefix + (row * k) % values
+                prefix = ""
 
     return chunks()
 
 
-def json_chunks(columns: Mapping[str, Sequence], extra: dict | None = None) -> Iterator[str]:
-    """Equal-length columns as ``{"records": [...], **extra}``, in blocks of rows.
+def json_chunks(
+    table: Iterable[Mapping[str, Sequence]], extra: dict | None = None
+) -> Iterator[str]:
+    """A table of column blocks as ``{"records": [...], **extra}``, in pieces of rows.
 
-    Joined, the text equals ``json.dumps(payload, indent=2) + "\\n"`` for the
-    payload holding one dict per row.  Finite float columns are written with
-    ``float.__repr__``; a column holding NaN or an infinity is written cell
-    by cell, as ``NaN``/``Infinity``/``-Infinity``.  The columns are checked
-    and ``extra`` is rendered when this is called; the returned iterator
-    formats ``BLOCK_ROWS`` records per item.
+    ``table`` is read as by ``csv_chunks``.  Joined, the text equals
+    ``json.dumps(payload, indent=2) + "\\n"`` for the payload holding one
+    dict per row.  Finite float columns are written with ``float.__repr__``;
+    a block's column holding NaN or an infinity is written cell by cell, as
+    ``NaN``/``Infinity``/``-Infinity``.  The first block is checked and
+    ``extra`` is rendered when this is called; the returned iterator formats
+    at most ``BLOCK_ROWS`` records per item.
     """
-    n_rows, specs, sources = _plan(columns, "%r", finite_only=True)
-    fields = ",\n".join(
-        f"      {json.dumps(key).replace('%', '%%')}: {spec}"
-        for key, spec in zip(columns, specs)
-    )
-    row = "    {\n" + fields + "\n    }"
+    keys, plans = _plans(table, "%r", finite_only=True)
+    names = [f"      {json.dumps(key).replace('%', '%%')}: " for key in keys]
     tail = "".join(
         f",\n  {json.dumps(key)}: " + json.dumps(value, indent=2).replace("\n", "\n  ")
         for key, value in (extra or {}).items()
     ) + "\n}\n"
 
     def chunks() -> Iterator[str]:
-        if not n_rows:
-            yield '{\n  "records": []' + tail
-            return
         separator = '{\n  "records": [\n'
-        for k, values in _blocks(n_rows, sources, _json_cell):
-            yield separator + ",\n".join([row] * k) % values
-            separator = ",\n"
-        yield "\n  ]" + tail
+        for n_rows, specs, sources in plans:
+            row = "    {\n" + ",\n".join(name + spec for name, spec in zip(names, specs)) + "\n    }"
+            for k, values in _blocks(n_rows, sources, _json_cell):
+                yield separator + ",\n".join([row] * k) % values
+                separator = ",\n"
+        yield ("\n  ]" if separator == ",\n" else '{\n  "records": []') + tail
 
     return chunks()
 
 
 def rows_to_csv(rows: Sequence[dict]) -> str:
     """Render rows (all sharing one key order) as CSV with a header line."""
-    return "".join(csv_chunks(rows_to_columns(rows)))
+    return "".join(csv_chunks([rows_to_columns(rows)]))

@@ -104,3 +104,53 @@ def test_pair_with_different_settings_is_an_error(tmp_path, capsys, field, value
     expected = f"error: rounds seed 2: the parent and change runs differ in {shown}\n"
     assert capsys.readouterr().err == expected
     assert not out.exists()
+
+
+def _runs(values, source):
+    """In-memory ``rounds`` runs, one per seed, holding ``values`` as metric ``m``."""
+    environment = {
+        "source_sha256": source, "python": "3.11.7", "numpy": "2.4.6",
+        "cpu_model": "Example CPU", "blas_threads": 1,
+    }
+    return {
+        ("rounds", seed): {
+            "seconds": 30.0, "jobs_sha256": "j", "environment": environment,
+            "attempted": 100, "failed": 0, "metrics": {"m": value},
+        }
+        for seed, value in enumerate(values)
+    }
+
+
+PARENT = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.0]  # q1 9.925, q3 10.075
+
+
+@pytest.mark.parametrize("change, better, claim_met, worse", [
+    ([v - 1.0 for v in PARENT], "lower", True, False),  # wins 10 of 10, gain 1 > IQR
+    ([v - 1.0 for v in PARENT[:9]] + [11.0], "lower", True, False),  # wins 9 of 10
+    ([v - 1.0 for v in PARENT[:8]] + [11.0, 11.0], "lower", False, False),  # 8 of 10
+    ([v - 0.1 for v in PARENT], "lower", False, False),  # wins 10, gain 0.1 < IQR 0.15
+    ([v * 1.2 for v in PARENT], "lower", False, False),  # 20% worse, within the bound
+    ([v * 1.3 for v in PARENT], "lower", False, True),  # 30% worse, past the bound
+    ([v + 1.0 for v in PARENT], "higher", True, False),
+    ([v * 0.7 for v in PARENT], "higher", False, True),
+])
+def test_claim_and_bound_verdicts(change, better, claim_met, worse):
+    metric = {"name": "m", "unit": "s", "better": better, "bound": 0.25}
+    report = bench_pairs.summarise(_runs(PARENT, "p"), _runs(change, "c"), [metric])
+    entry = report["rounds"]["metrics"]["m"]
+    assert (entry["claim_met"], entry["worse_than_bound"]) == (claim_met, worse)
+
+
+def test_verdicts_are_written(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    for seed in range(10):
+        write_run(parent, "rounds", seed, 2.0 + seed / 100, "p")
+        write_run(change, "rounds", seed, 1.0, "c")
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(parent), str(change), "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())["rounds"]["metrics"]
+    assert metrics["wall_s"]["claim_met"] is True
+    assert metrics["setup_s"]["claim_met"] is False  # 1.0 on both sides: no win
+    assert not any(entry["worse_than_bound"] for entry in metrics.values())

@@ -32,7 +32,6 @@ from padia.spectrum import (
     BoundReport,
     adiabatic_success_probability,
     bound_report,
-    spectral_columns,
     spectral_point,
 )
 from padia.sweeps import (
@@ -47,13 +46,17 @@ def run_cli(args):
     return cli.main(args)
 
 
+def fresh_env():
+    """The environment of a new process that imports this checkout's sources."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_fresh(args):
     """``python -m padia`` in a new process, on this checkout's sources."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "padia", *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=fresh_env(), timeout=120)
 
 
 def read_csv(path):
@@ -105,6 +108,30 @@ class TestSpectrumCommand:
         with pytest.raises(SystemExit) as exc:
             run_cli(["spectrum", "--n", "4", "--m", "1", "--points", "1"])
         assert exc.value.code == 2
+
+    def test_points_above_the_cap_are_usage_error(self, capsys):
+        argv = ["spectrum", "--n", "4", "--m", "1", "--points"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + [str(cli.MAX_POINTS + 1)])
+        assert exc.value.code == 2
+        assert f"in [2, {cli.MAX_POINTS}]" in capsys.readouterr().err
+        # Parsed only: a table this large would run for half a minute.
+        assert cli._build_parser().parse_args(argv + [str(cli.MAX_POINTS)]).points == (
+            cli.MAX_POINTS
+        )
+
+    def test_closed_stdout_is_usage_error(self):
+        # The reader goes after one line of a 12-MB table, as `| head -1` does.
+        with subprocess.Popen(
+            [sys.executable, "-m", "padia", "spectrum", "--n", "64", "--m", "1",
+             "--points", "100001"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=fresh_env(),
+        ) as proc:
+            assert proc.stdout.readline() == "s,e0,e1,gap,ov_psi_0,ov_beta_0\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 2
+        assert re.fullmatch(r"error: cannot write <stdout>: .+\n", err), err
 
     def test_invalid_instance_is_usage_error(self, capsys):
         assert run_cli(["spectrum", "--n", "4", "--m", "9"]) == 2
@@ -295,7 +322,7 @@ class TestAtomicOut:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unequal_columns_write_nothing(self, fmt, tmp_path, capsys):
-        columns = {"a": [1.0, 2.0], "b": [1.0]}
+        columns = [{"a": [1.0, 2.0], "b": [1.0]}]
         with pytest.raises(ValueError, match="columns differ in length"):
             cli._emit_table(columns, argparse.Namespace(output=fmt, out=None))
         assert capsys.readouterr().out == ""
@@ -309,17 +336,19 @@ class TestAtomicOut:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_peak_memory_does_not_grow_with_the_table(self, fmt, tmp_path):
-        # 12 MB of CSV or 21 MB of JSON, formatted and written in blocks.
-        columns = spectral_columns(make_instance(1024, 3), np.linspace(0.0, 1.0, 100_001))
+        # 12 MB of CSV or 21 MB of JSON, computed, formatted and written in
+        # blocks; the 0.8 MB s grid is the one whole-table array.
         out = tmp_path / f"table.{fmt}"
+        argv = ["spectrum", "--n", "1024", "--m", "3", "--points", "100001",
+                "--output", fmt, "--out", str(out)]
         tracemalloc.start()
         try:
-            cli._emit_table(columns, argparse.Namespace(output=fmt, out=str(out)))
+            assert run_cli(argv) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert out.stat().st_size > 12 * 10**6
-        assert peak < 8 * 2**20
+        assert peak < 4 * 2**20
 
     def test_success_replaces_file(self, tmp_path, capsys):
         out = tmp_path / "table.json"

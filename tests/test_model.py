@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from padia.model import (
     NonEmptyMarkedSetRequired,
+    SearchInstance,
     evolution_window,
     initial_state,
     make_instance,
@@ -81,6 +82,57 @@ class TestMakeInstance:
         assert inst.a == (inst.n_items - inst.n_marked) / inst.n_items
         assert inst.b == inst.n_marked / inst.n_items
         assert abs(inst.a + inst.b - 1.0) <= 2.3e-16  # one ulp
+
+
+def _nudged(value, data):
+    """``value``, or one of the floats beside it, or a value far off."""
+    return data.draw(st.sampled_from(
+        [value, math.nextafter(value, -math.inf), math.nextafter(value, math.inf), 0.5, math.nan]
+    ))
+
+
+class TestSearchInstanceFields:
+    """The constructor, ``_make`` and ``_replace`` accept only what make_instance builds."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_instance(2**20, 3)._replace(n_marked=4),
+        lambda: SearchInstance(4, 1, 0.5, 0.5),
+        lambda: SearchInstance._make((4, 1, 0.5, 0.5)),
+        lambda: SearchInstance(0, 1, 2, 3),
+        lambda: SearchInstance(4, 0, 1.0, 0.0),
+        lambda: SearchInstance(4.0, 1, 0.75, 0.25),
+    ], ids=["replace", "constructor", "make", "no-items", "no-marked", "float-n"])
+    def test_inconsistent_fields_refused(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    @given(st.integers(min_value=2, max_value=2**63 - 1), st.data())
+    @settings(max_examples=300)
+    def test_every_entry_point_checks_the_fields(self, n, data):
+        base = make_instance(n, data.draw(st.integers(min_value=1, max_value=n)))
+        new_n = data.draw(st.sampled_from([n, n - 1, n + 1, 1]))
+        new_m = data.draw(st.one_of(st.integers(min_value=-1, max_value=n + 1),
+                                    st.just(base.n_marked + 1)))
+        try:
+            expected = make_instance(new_n, new_m)
+        except ValueError:
+            expected = None
+        reference = expected or base
+        fields = (new_n, new_m, _nudged(reference.a, data), _nudged(reference.b, data))
+        builds = {
+            "constructor": lambda: SearchInstance(*fields),
+            "make": lambda: SearchInstance._make(fields),
+            "replace": lambda: base._replace(**dict(zip(SearchInstance._fields, fields))),
+        }
+        for name, build in builds.items():
+            # Neighbouring M can share both correctly rounded ratios at large N.
+            if expected is not None and fields[2:] == expected[2:]:
+                built = build()
+                assert type(built) is SearchInstance, name
+                assert built == expected, name
+            else:
+                with pytest.raises(ValueError):
+                    build()
 
 
 class TestEvolutionWindow:

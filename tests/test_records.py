@@ -63,11 +63,18 @@ FIELDS = {
 }
 DEFAULTS = {BoundReport: {"failures": ()}, SweepRecord: {"sim_success": None}}
 RECORDS = list(FIELDS)
+# Records whose constructor checks its fields: the values of ``_record`` and
+# a valid ``_replace`` of them.
+CHECKED = {SearchInstance: ((4, 1, 0.75, 0.25), {"n_items": 8, "a": 0.875, "b": 0.125})}
+
+
+def _values(kind):
+    """The field values of ``_record(kind)``: 0, 1, 2, ... unless ``kind`` checks them."""
+    return CHECKED[kind][0] if kind in CHECKED else tuple(range(len(FIELDS[kind])))
 
 
 def _record(kind):
-    """A record of ``kind`` whose fields hold 0, 1, 2, ..."""
-    return kind(*range(len(FIELDS[kind])))
+    return kind(*_values(kind))
 
 
 def test_every_record_is_listed():
@@ -91,18 +98,20 @@ def test_fields_refuse_assignment(kind):
     for name in FIELDS[kind]:
         with pytest.raises(AttributeError):
             setattr(record, name, -1)
-    assert tuple(record) == tuple(range(len(FIELDS[kind])))
+    assert tuple(record) == _values(kind)
 
 
 @pytest.mark.parametrize("kind", RECORDS, ids=lambda kind: kind.__name__)
 def test_named_tuple_access(kind):
     record = _record(kind)
-    values = dict(zip(FIELDS[kind], range(len(FIELDS[kind]))))
+    values = dict(zip(FIELDS[kind], _values(kind)))
     assert record._asdict() == values
     assert [getattr(record, name) for name in FIELDS[kind]] == list(values.values())
-    first = FIELDS[kind][0]
-    changed = record._replace(**{first: -1})
-    assert getattr(changed, first) == -1 and getattr(record, first) == 0
+    changes = CHECKED[kind][1] if kind in CHECKED else {FIELDS[kind][0]: -1}
+    changed = record._replace(**changes)
+    assert type(changed) is kind
+    assert {name: getattr(changed, name) for name in changes} == changes
+    assert record._asdict() == values
 
 
 def test_results_have_their_record_type():

@@ -32,11 +32,20 @@ SWEEP_CSV_HEADER = (
 
 
 def columns_to_csv(columns) -> str:
-    return "".join(csv_chunks(columns))
+    return "".join(csv_chunks([columns]))
 
 
 def columns_to_json(columns, extra=None) -> str:
-    return "".join(json_chunks(columns, extra))
+    return "".join(json_chunks([columns], extra))
+
+
+def split_columns(columns, cuts):
+    """The table as blocks of its rows, cut at the sorted row indices ``cuts``."""
+    bounds = [0, *cuts, len(next(iter(columns.values())))]
+    return [
+        {key: column[start:stop] for key, column in columns.items()}
+        for start, stop in zip(bounds, bounds[1:])
+    ]
 
 
 def reference_cell(value) -> str:
@@ -321,3 +330,73 @@ class TestEmission:
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError):
             columns_to_csv({"a": [1.0, 2.0], "b": [1.0]})
+
+
+class TestBlocks:
+    """A table given as several column blocks prints as the same table in one."""
+
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.data(),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.booleans(),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_special_float_in_one_block(self, n_rows, data, special, arrays, block_rows):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        columns = {
+            "x": data.draw(st.lists(finite, min_size=n_rows, max_size=n_rows)),
+            "y": data.draw(st.lists(finite, min_size=n_rows, max_size=n_rows)),
+        }
+        columns["y"][data.draw(st.integers(min_value=0, max_value=n_rows - 1))] = special
+        if arrays:
+            columns = {key: np.array(column) for key, column in columns.items()}
+        cuts = sorted(data.draw(st.lists(st.integers(min_value=0, max_value=n_rows), max_size=4)))
+        blocks = split_columns(columns, cuts)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweeps, "BLOCK_ROWS", block_rows)
+            assert "".join(csv_chunks(blocks)) == columns_to_csv(columns)
+            assert "".join(json_chunks(blocks, {"k": 1})) == columns_to_json(columns, {"k": 1})
+
+    @given(tables(), st.data(), st.one_of(st.none(), extras))
+    @settings(max_examples=200, deadline=None)
+    def test_empty_blocks_change_nothing(self, table, data, extra):
+        columns, rows = table
+        cuts = sorted(data.draw(st.lists(st.integers(min_value=0, max_value=len(rows)),
+                                         max_size=5)))
+        blocks = split_columns(columns, cuts)  # repeated and end cuts make empty blocks
+        assert "".join(csv_chunks(blocks)) == reference_csv(rows)
+        assert "".join(json_chunks(blocks, extra)) == reference_json(rows, extra)
+
+    @pytest.mark.parametrize("blocks", [
+        [],
+        [{"a": [], "b": []}],
+        [{"a": [], "b": []}, {"a": [], "b": []}],
+    ], ids=["no-blocks", "one-empty", "two-empty"])
+    def test_table_without_rows(self, blocks):
+        assert "".join(csv_chunks(blocks)) == ""
+        assert "".join(json_chunks(blocks)) == '{\n  "records": []\n}\n'
+        assert "".join(json_chunks(blocks, {"fit": 1})) == reference_json([], {"fit": 1})
+
+    @pytest.mark.parametrize("later", [
+        {"b": [2.0], "a": [2.0]},
+        {"a": [2.0]},
+        {"a": [2.0], "b": [2.0], "c": [2.0]},
+        {"a": [2.0], "c": [2.0]},
+    ], ids=["order", "fewer", "more", "other"])
+    @pytest.mark.parametrize("chunks", [csv_chunks, json_chunks])
+    def test_later_block_with_other_keys_raises(self, chunks, later):
+        blocks = [{"a": [1.0], "b": [1.0]}, later]
+        text = chunks(blocks)
+        with pytest.raises(ValueError, match="block keys"):
+            "".join(text)
+
+    @pytest.mark.parametrize("chunks", [csv_chunks, json_chunks])
+    def test_first_block_is_checked_when_called(self, chunks):
+        def blocks():
+            yield {"a": [1.0, 2.0], "b": [1.0]}
+            raise AssertionError("a later block was read")
+
+        with pytest.raises(ValueError, match="columns differ in length"):
+            chunks(blocks())
