@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-call time of the closed-form layer's scalar calls at (N, M) = (4096, 32).
+"""Per-call time of the closed-form layer's scalar calls, and of one round of
+the reduced dynamics, at (N, M) = (4096, 32).
 
 Usage:
     python scripts/percall.py [--number 20000] [--repeat 7]
@@ -8,8 +9,10 @@ For each call the script times ``--repeat`` runs of ``--number`` calls with
 ``timeit`` and prints the fastest run's time per call in nanoseconds: on a
 shared host the slower runs measure other processes rather than padia.
 ``spectral_point`` is timed on both sides of the avoided crossing, where its
-denominators take different forms.  The run is single-threaded; give the CPU
-model beside any number taken from it.
+denominators take different forms.  ``run_round(c=1)`` is a 100-step round
+and its step-halving twin, the shape of most benchmark rounds; at about
+0.1 ms a call it takes most of the script's time.  The run is
+single-threaded; give the CPU model beside any number taken from it.
 """
 
 import argparse
@@ -19,6 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from padia.dynamics import run_round  # noqa: E402
 from padia.model import evolution_window, make_instance  # noqa: E402
 from padia.spectrum import bound_report, spectral_point  # noqa: E402
 
@@ -34,6 +38,7 @@ def per_call_ns(number: int, repeat: int) -> dict[str, float]:
         "spectral_point(s=0.3)": lambda: spectral_point(inst, 0.3),
         "spectral_point(s=0.7)": lambda: spectral_point(inst, 0.7),
         "bound_report": lambda: bound_report(inst),
+        "run_round(c=1)": lambda: run_round(inst, 1.0),
     }
     return {
         name: 1e9 * min(timeit.repeat(call, number=number, repeat=repeat)) / number

@@ -59,6 +59,10 @@ __all__ = ["main"]
 
 CERTIFY_TOLERANCE = 1e-9
 CERTIFY_N_CAP = 1024
+# A certify s point costs about 0.2-0.3 s over the 37 cases up to N = 1024 on
+# one BLAS thread, so a grid of this many points takes under an hour there;
+# more is refused up front rather than run for days.
+_CERTIFY_MAX_POINTS = 10**4
 # At 3-5 microseconds a row, a spectrum table of this many points takes under
 # a minute; more is refused up front rather than run for hours.
 MAX_POINTS = 10**7
@@ -475,7 +479,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"largest N (2 to {CERTIFY_N_CAP})",
     )
     p_cert.add_argument(
-        "--points", type=_positive_int, default=21, help="s grid points per case"
+        "--points",
+        type=_int_range(1, _CERTIFY_MAX_POINTS),
+        default=21,
+        help=f"s grid points per case (1 to {_CERTIFY_MAX_POINTS})",
     )
     p_cert.set_defaults(handler=_cmd_certify)
 

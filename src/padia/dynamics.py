@@ -19,9 +19,12 @@ its offset x = 2s - 1, chunk by chunk, by a sampler that the dense oracle's
 RK4 shares.  For a given (schedule, steps) every run on the same numpy build
 gives the same bits.
 
-Unitarity makes the norm drift blind to a coarse grid, so every round is
-integrated a second time with half the steps, and the difference of the
-two, divided by 15, is reported as the error estimate and guarded.
+Unitarity makes the norm drift blind to a coarse grid, so every round also
+runs a step-halving twin with half the steps, and the difference of the
+two, divided by 15, is reported as the error estimate and guarded.  Both
+share one vectorised pass, whose fold pads each run with identity pairs
+where its own fold would carry an odd pair over, so that each run keeps the
+fold tree, and the bits, that it has alone.
 The default step count follows what the steps must resolve: with the phase
 of tr H taken out, H is a rotation B . sigma with |B| = g(s)/2, so the
 partial sweep gets 96 steps per radian of the rotation angle integral of
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -148,6 +151,12 @@ def _check_drift(label: str, value: float, steps: int, total_time: float) -> Non
 # length, while the numpy call overhead is spread over thousands of steps.
 _CHUNK_STEPS = 8192
 
+# Steps of a round per chunk.  The chunk also holds the matching 2560 steps
+# of its step-halving twin, 7680 <= _CHUNK_STEPS pairs in all; both counts are
+# multiples of 2^8, the fold passes the twin's share takes, so a full chunk
+# needs no identity padding.
+_TWIN_CHUNK = 5120
+
 # The two-point Gauss-Legendre nodes as fractions of a step, and the
 # coefficient of the Magnus-4 commutator term.
 _GAUSS_LOW = 0.5 - math.sqrt(3.0) / 6.0
@@ -190,8 +199,9 @@ class RoundOutcome(NamedTuple):
     norm, i.e. the chance a computational-basis measurement lands in the
     marked set.  ground_fidelity is the squared overlap with the
     instantaneous ground state at the end of the schedule.  error_estimate is
-    max|amplitude difference| / 15 between the run and a run at half the
-    steps, the step-halving estimate of the error of a fourth-order scheme.
+    max|amplitude difference| / 15 between the run and its twin at half the
+    steps, integrated in the same pass, the step-halving estimate of the
+    error of a fourth-order scheme.
     """
 
     final_state: ReducedState
@@ -370,24 +380,29 @@ def schedule_step_count(instance: SearchInstance, schedule: Schedule) -> int:
 
 
 def _stage_offsets(
-    schedule: Schedule, steps: int, fractions: tuple[float, ...]
-) -> Iterator[list[np.ndarray]]:
-    """x = 2s - 1 at the given fractions of every step of a ``steps``-step
-    run, one chunk of _CHUNK_STEPS steps at a time.
-
-    Step n starts at n * dt and, for a fraction f, samples t = n * dt + f * dt.
-    Each chunk yields one array per fraction, so memory stays O(chunk).
+    schedule: Schedule, fractions: tuple[float, ...], runs: list[tuple[int, int, float]]
+) -> np.ndarray:
+    """x = 2s - 1 at the given fractions of each run's (first, count, dt)
+    steps first, ..., first + count - 1: one row per fraction, the runs back
+    to back.  Step n starts at n * dt and samples t = n * dt + f * dt.
     """
-    dt = schedule.total_time / steps
-    for start in range(0, steps, _CHUNK_STEPS):
-        times = np.arange(start, min(start + _CHUNK_STEPS, steps), dtype=float) * dt
-        yield [np.asarray(schedule.sample_x(times + f * dt), dtype=float) for f in fractions]
+    times = np.empty((len(fractions), sum(count for _, count, _ in runs)))
+    end = 0
+    for first, count, dt in runs:
+        start, end = end, end + count
+        base = np.arange(first, first + count, dtype=float) * dt
+        for row, f in enumerate(fractions):
+            np.add(base, f * dt, out=times[row, start:end])
+    return np.asarray(schedule.sample_x(times), dtype=float)
 
 
 def _step_pairs(
-    a: float, b: float, sqrt_ab: float, x_low: np.ndarray, x_high: np.ndarray, h: float
+    a: float, b: float, sqrt_ab: float, x_low: np.ndarray, x_high: np.ndarray, runs: list
 ) -> np.ndarray:
-    """The Magnus-4 steps of the 2x2 reduction as a (2, K) complex stack.
+    """The Magnus-4 steps of one or more runs as a (2, K) complex stack.
+
+    x_low and x_high (overwritten) hold the runs' Gauss-point offsets back to
+    back; each run's (steps, width, h) fills a slice of ``width`` columns.
 
     With x = 2s - 1 and u = 1 - s = (1 - x)/2, H(s) = I/2 + bx sigma_x +
     bz sigma_z, bx = -u sqrt(ab), bz = 1/2 - u a = (b + a x)/2, and the
@@ -407,13 +422,31 @@ def _step_pairs(
     builds w = -v, so that alpha = cos theta + i s w_z, beta = s w_y + i s w_x
     with s = sin(theta)/theta.  bz is formed from x as (b + a x)/2, so that
     near s = 1/2 it does not cancel 1/2 against a u; x_sum is twice the
-    mean x of the two Gauss points.
+    mean x of the two Gauss points.  Unfilled columns hold identity pairs.
     """
+    # Every temporary is overwritten in place or dropped once spent, so that a
+    # long round's chunks have few pages to fault in.
     x_sum = x_low + x_high
-    wx = (0.25 * h * sqrt_ab) * (2.0 - x_sum)
-    wy = (0.5 * _COMMUTATOR * h * h * sqrt_ab) * (x_high - x_low)
-    wz = (-0.25 * h * a) * x_sum - 0.5 * h * b
-    theta = np.sqrt(wx * wx + wy * wy + wz * wz)
+    x_diff = np.subtract(x_high, x_low, out=x_high)
+    x_rest = np.subtract(2.0, x_sum, out=x_low)
+    total = sum(width for _, width, _ in runs)
+    wx, wy, wz = np.empty(total), np.empty(total), np.empty(total)
+    source = target = 0
+    for size, width, h in runs:
+        taken, put = slice(source, source + size), slice(target, target + size)
+        np.multiply(0.25 * h * sqrt_ab, x_rest[taken], out=wx[put])
+        np.multiply(0.5 * _COMMUTATOR * h * h * sqrt_ab, x_diff[taken], out=wy[put])
+        z = np.multiply(-0.25 * h * a, x_sum[taken], out=wz[put])
+        z -= 0.5 * h * b
+        if width > size:
+            pad = slice(target + size, target + width)
+            wx[pad] = wy[pad] = wz[pad] = 0.0
+        source, target = source + size, target + width
+    del x_sum
+    theta = wx * wx
+    theta += wy * wy
+    theta += wz * wz
+    np.sqrt(theta, out=theta)
     scale = np.divide(np.sin(theta), theta, out=np.ones_like(theta), where=theta > 0.0)
     pairs = np.empty((2, theta.size), dtype=complex)
     np.cos(theta, out=pairs.real[0])
@@ -430,14 +463,11 @@ def _pair_product(later: tuple[complex, complex], earlier: tuple[complex, comple
     return a1 * a2 - b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate()
 
 
-def _ordered_product(pairs: np.ndarray) -> tuple[complex, complex]:
-    """The pair of U[K-1] @ ... @ U[0] for a (2, K) stack of pairs.
-
-    Each pass multiplies neighbours in order, U[1::2] @ U[0::2], and carries
-    an odd last pair over to the next pass; the last _FOLD_TAIL pairs are
-    multiplied in plain Python, where a numpy pass costs more than it saves.
-    """
-    while pairs.shape[-1] > _FOLD_TAIL:
+def _fold(pairs: np.ndarray, until: int) -> np.ndarray:
+    """Pass after pass of ordered neighbour products U[1::2] @ U[0::2] over a
+    (2, K) stack of pairs, an odd last pair carried over, until at most
+    ``until`` pairs are left."""
+    while pairs.shape[-1] > until:
         count = pairs.shape[-1]
         half = count // 2
         a1, b1 = pairs[:, 1 : 2 * half : 2]
@@ -451,39 +481,58 @@ def _ordered_product(pairs: np.ndarray) -> tuple[complex, complex]:
         if count % 2:
             folded[:, -1] = pairs[:, -1]
         pairs = folded
-    total = _IDENTITY
-    for pair in zip(*pairs.tolist()):
-        total = _pair_product(pair, total)
-    return total
+    return pairs
+
+
+def _ordered_product(pairs: np.ndarray) -> tuple[complex, complex]:
+    """The pair of U[K-1] @ ... @ U[0] for a (2, K) stack of pairs.
+
+    Numpy passes fold it down to at most _FOLD_TAIL pairs, which takes
+    ((K - 1) // _FOLD_TAIL).bit_length() passes; the rest are multiplied in
+    plain Python, where a numpy pass costs more than it saves.
+    """
+    alpha, beta = _IDENTITY
+    # _pair_product written out: in this loop the call costs more than the product.
+    for a1, b1 in zip(*_fold(pairs, _FOLD_TAIL).tolist()):
+        alpha, beta = a1 * alpha - b1 * beta.conjugate(), a1 * beta + b1 * alpha.conjugate()
+    return alpha, beta
 
 
 def _propagate(
     instance: SearchInstance, schedule: Schedule, steps: int, initial: ReducedState
-) -> tuple[complex, complex]:
-    """The state after ``steps`` Magnus-4 steps from ``initial``.
+) -> list[tuple[complex, complex]]:
+    """The states after ``steps`` Magnus-4 steps from ``initial`` and after
+    the ``steps // 2`` of its step-halving twin, integrated in one pass.
 
-    The steps run in chunks of _CHUNK_STEPS; each chunk's pairs are folded in
-    order and multiplied onto the round's propagator, which is renormalised
-    (it is unitary but for rounding) and applied once, with the global phase
-    e^{-iT/2} of tr H = 1, at the end.
+    A chunk stacks up to _TWIN_CHUNK steps of the round and the twin's steps
+    over the same stretch, each run's slice padded with identity pairs to a
+    multiple of 2^p, and folds it for the p passes of the twin's own fold.
+    Each run then finishes its fold and renormalises its propagator (unitary
+    but for rounding), applied with the phase e^{-iT/2} of tr H = 1 at the end.
     """
-    dt = schedule.total_time / steps
+    dts = schedule.total_time / steps, schedule.total_time / (steps // 2)
     sqrt_ab = math.sqrt(instance.a * instance.b)
-    total = _IDENTITY
-    for x_low, x_high in _stage_offsets(schedule, steps, (_GAUSS_LOW, _GAUSS_HIGH)):
-        chunk = _ordered_product(
-            _step_pairs(instance.a, instance.b, sqrt_ab, x_low, x_high, dt)
-        )
-        alpha, beta = _pair_product(chunk, total)
-        norm = math.hypot(abs(alpha), abs(beta))
-        total = alpha / norm, beta / norm
-    alpha, beta = total
+    totals = [_IDENTITY, _IDENTITY]
+    for first in range(0, steps, _TWIN_CHUNK):
+        sizes = min(_TWIN_CHUNK, steps - first), min(_TWIN_CHUNK, steps - first) // 2
+        passes = (max(sizes[1] - 1, 0) // _FOLD_TAIL).bit_length()
+        folded = [-(-size >> passes) for size in sizes]
+        spans = [(first, sizes[0], dts[0]), (first // 2, sizes[1], dts[1])]
+        x_low, x_high = _stage_offsets(schedule, (_GAUSS_LOW, _GAUSS_HIGH), spans)
+        runs = [(size, n << passes, dt) for size, n, dt in zip(sizes, folded, dts)]
+        pairs = _step_pairs(instance.a, instance.b, sqrt_ab, x_low, x_high, runs)
+        pairs = _fold(pairs, pairs.shape[-1] >> passes)
+        for run, (n, at) in enumerate(zip(folded, (0, folded[0]))):
+            if n:
+                alpha, beta = _pair_product(_ordered_product(pairs[:, at : at + n]), totals[run])
+                norm = math.hypot(abs(alpha), abs(beta))
+                totals[run] = alpha / norm, beta / norm
     phase = cmath.exp(-0.5j * schedule.total_time)
     x, y = complex(initial.amp_alpha), complex(initial.amp_beta)
-    return (
-        phase * (alpha * x + beta * y),
-        phase * (alpha.conjugate() * y - beta.conjugate() * x),
-    )
+    return [
+        (phase * (alpha * x + beta * y), phase * (alpha.conjugate() * y - beta.conjugate() * x))
+        for alpha, beta in totals
+    ]
 
 
 def evolve(
@@ -494,8 +543,9 @@ def evolve(
 ) -> RoundOutcome:
     """Integrate one round of the given schedule from ``initial``.
 
-    Runs ``steps`` Magnus-4 steps, and ``steps // 2`` more for the error
-    estimate max|amplitude difference| / 15 of step halving.
+    Runs ``steps`` Magnus-4 steps and, in the same vectorised pass, the
+    ``steps // 2`` of its step-halving twin, for the error estimate
+    max|amplitude difference| / 15; each run gives the bits it gives alone.
 
     Raises ValueError for a step count that is not an integer (``bool``
     excluded, as in ``make_instance``) or lies outside [10, MAX_STEPS], and
@@ -510,8 +560,7 @@ def evolve(
     # A huge duration can turn the step angles to inf/NaN; the guards below
     # report it.
     with np.errstate(over="ignore", invalid="ignore"):
-        x, y = _propagate(instance, schedule, steps, initial)
-        x_half, y_half = _propagate(instance, schedule, steps // 2, initial)
+        (x, y), (x_half, y_half) = _propagate(instance, schedule, steps, initial)
     error_estimate = max(abs(x - x_half), abs(y - y_half)) / 15.0
     drift = abs(math.hypot(abs(x), abs(y)) - 1.0)
     _check_drift("norm drifted by", drift, steps, schedule.total_time)

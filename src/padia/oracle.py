@@ -49,6 +49,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .dynamics import (
+    _CHUNK_STEPS,
     Schedule,
     _check_drift,
     _check_step_cap,
@@ -458,7 +459,9 @@ def full_evolve(full: FullInstance, schedule: Schedule, steps: int) -> float:
     flat_x = x.reshape(2 * n)
     # A blown-up state overflows to inf/NaN; the norm guard reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for starts, mids, ends in _stage_offsets(schedule, steps, (0.0, 0.5, 1.0)):
+        for first in range(0, steps, _CHUNK_STEPS):
+            run = (first, min(_CHUNK_STEPS, steps - first), schedule.total_time / steps)
+            starts, mids, ends = _stage_offsets(schedule, (0.0, 0.5, 1.0), [run])
             for start, mid, end in zip(starts.tolist(), mids.tolist(), ends.tolist()):
                 increment(start, x, state, k1)
                 np.add(x, k1, out=y)

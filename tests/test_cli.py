@@ -263,7 +263,7 @@ class TestScripts:
         assert header == "per-call time at N=4096, M=32 (fastest of 2 x 3 calls)"
         assert [row.split()[0] for row in rows] == [
             "make_instance", "evolution_window", "spectral_point(s=0.3)",
-            "spectral_point(s=0.7)", "bound_report",
+            "spectral_point(s=0.7)", "bound_report", "run_round(c=1)",
         ]
         for row in rows:
             _, ns, unit = row.split()
@@ -643,6 +643,20 @@ class TestCertifyCommand:
         with pytest.raises(SystemExit) as exc:
             run_cli(["certify", "--n-max", "2048"])
         assert exc.value.code == 2
+
+    def test_points_above_the_cap_are_usage_error(self, capsys):
+        # Parsed only: the largest grid allowed already takes the better
+        # part of an hour at --n-max 1024.
+        cap = cli._CERTIFY_MAX_POINTS
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["certify", "--n-max", "1024", "--points", str(cap + 1)])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [
+            f"padia certify: error: argument --points: expected an integer in [1, {cap}], "
+            f"got {cap + 1}"
+        ]
+        assert cli._build_parser().parse_args(["certify", "--points", str(cap)]).points == cap
 
     def test_empty_case_grid_is_usage_error(self, capsys):
         # N starts at 2, so --n-max 1 would leave no case to certify.

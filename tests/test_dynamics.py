@@ -25,6 +25,7 @@ from padia.dynamics import (
     _CHUNK_STEPS,
     _GAUSS_HIGH,
     _GAUSS_LOW,
+    _TWIN_CHUNK,
     MAX_ROUNDS,
     MAX_STEPS,
     NORM_DRIFT_LIMIT,
@@ -191,6 +192,82 @@ def scalar_magnus4(instance, schedule, steps, initial):
     return x, y, abs(math.sqrt(abs(x) ** 2 + abs(y) ** 2) - 1.0)
 
 
+def pair_product(later, earlier):
+    """The Cayley-Klein pair of the matrix product later @ earlier."""
+    a1, b1 = later
+    a2, b2 = earlier
+    return a1 * a2 - b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate()
+
+
+def single_run_propagate(instance, schedule, steps, initial):
+    """Reference: the vectorised Magnus-4 propagator of one run on its own,
+    the round or its step-halving twin.
+
+    Chunks of 8192 steps sample the Gauss points, form the step pairs and
+    fold them by ordered neighbour products, an odd last pair carried over,
+    until at most 16 are left for a plain Python product.  Returns the final
+    amplitudes."""
+    a, b = instance.a, instance.b
+    sqrt_ab = math.sqrt(a * b)
+    dt = schedule.total_time / steps
+    total = (1.0 + 0.0j, 0.0j)
+    for start in range(0, steps, 8192):
+        times = np.arange(start, min(start + 8192, steps), dtype=float) * dt
+        x_low, x_high = (np.asarray(schedule.sample_x(times + f * dt)) for f in GAUSS_FRACTIONS)
+        x_sum = x_low + x_high
+        wx = (0.25 * dt * sqrt_ab) * (2.0 - x_sum)
+        wy = (0.5 * (math.sqrt(3.0) / 12.0) * dt * dt * sqrt_ab) * (x_high - x_low)
+        wz = (-0.25 * dt * a) * x_sum - 0.5 * dt * b
+        theta = np.sqrt(wx * wx + wy * wy + wz * wz)
+        scale = np.divide(np.sin(theta), theta, out=np.ones_like(theta), where=theta > 0.0)
+        pairs = np.empty((2, theta.size), dtype=complex)
+        np.cos(theta, out=pairs.real[0])
+        np.multiply(scale, wz, out=pairs.imag[0])
+        np.multiply(scale, wy, out=pairs.real[1])
+        np.multiply(scale, wx, out=pairs.imag[1])
+        while pairs.shape[-1] > 16:
+            count = pairs.shape[-1]
+            half = count // 2
+            a1, b1 = pairs[:, 1 : 2 * half : 2]
+            a2, b2 = pairs[:, 0 : 2 * half : 2]
+            folded = np.empty((2, half + count % 2), dtype=complex)
+            alpha, beta = folded[:, :half]
+            np.multiply(a1, a2, out=alpha)
+            alpha -= b1 * b2.conj()
+            np.multiply(a1, b2, out=beta)
+            beta += b1 * a2.conj()
+            if count % 2:
+                folded[:, -1] = pairs[:, -1]
+            pairs = folded
+        chunk = (1.0 + 0.0j, 0.0j)
+        for pair in zip(*pairs.tolist()):
+            chunk = pair_product(pair, chunk)
+        alpha, beta = pair_product(chunk, total)
+        norm = math.hypot(abs(alpha), abs(beta))
+        total = alpha / norm, beta / norm
+    alpha, beta = total
+    phase = cmath.exp(-0.5j * schedule.total_time)
+    x, y = complex(initial.amp_alpha), complex(initial.amp_beta)
+    return phase * (alpha * x + beta * y), phase * (alpha.conjugate() * y - beta.conjugate() * x)
+
+
+def check_against_single_runs(instance, schedule, steps, initial):
+    """evolve against the round and its twin run apart: the same bits while
+    the round fits in one shared chunk, amplitudes within 1e-14 beyond."""
+    out = evolve(instance, schedule, steps, initial)
+    x, y = single_run_propagate(instance, schedule, steps, initial)
+    x_half, y_half = single_run_propagate(instance, schedule, steps // 2, initial)
+    error_estimate = max(abs(x - x_half), abs(y - y_half)) / 15.0
+    if steps <= _TWIN_CHUNK:
+        assert out.final_state == ReducedState(x, y)
+        assert out.success_probability == abs(y) ** 2 / (abs(x) ** 2 + abs(y) ** 2)
+        assert out.error_estimate == error_estimate
+    else:
+        assert abs(out.final_state.amp_alpha - x) <= 1e-14
+        assert abs(out.final_state.amp_beta - y) <= 1e-14
+        assert abs(out.error_estimate - error_estimate) <= 1e-14
+
+
 def next_prime(n):
     while True:
         n += 1
@@ -208,6 +285,9 @@ CHUNK_EDGE_STEPS = (
     next_prime(2 * _CHUNK_STEPS),
     16_000,
 )
+# Step counts on both sides of the chunks that a round shares with its twin;
+# the last one leaves the twin no step in the third chunk.
+TWIN_EDGE_STEPS = (_TWIN_CHUNK - 1, _TWIN_CHUNK, _TWIN_CHUNK + 1, 2 * _TWIN_CHUNK + 1)
 # Every case runs at this step size, so the 10-step runs stay within the
 # norm-drift limit and the long ones still sweep a sizeable duration.
 CASE_DT = 0.05
@@ -647,23 +727,56 @@ class TestEvolve:
         assert abs(out.final_state.amp_beta - y) <= 1e-12
         assert abs(out.norm_drift - drift) <= 1e-12
 
-    @pytest.mark.parametrize("steps", CHUNK_EDGE_STEPS)
+    @pytest.mark.parametrize("steps", CHUNK_EDGE_STEPS + TWIN_EDGE_STEPS)
     @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
     def test_chunk_stage_values_are_bit_identical(self, kind, steps):
-        # Both integrators sample x = 2s - 1 chunk by chunk, Magnus-4 at the
-        # Gauss points and the dense RK4 at each step's start, middle and
-        # end; every chunk must give the bits of the times formed one step
-        # at a time.
+        # Both integrators sample x = 2s - 1 chunk by chunk: the dense RK4 at
+        # each step's start, middle and end, _CHUNK_STEPS steps a chunk, and
+        # Magnus-4 at the Gauss points of _TWIN_CHUNK steps of the round and
+        # of its twin's steps over the same stretch.  Every chunk must give
+        # the bits of the times formed one step at a time.
         _, sched, _ = comparison_case(kind, steps)
         assert (_GAUSS_LOW, _GAUSS_HIGH) == GAUSS_FRACTIONS
-        for fractions in (GAUSS_FRACTIONS, RK4_FRACTIONS):
-            expected = stepwise_offsets(sched, steps, fractions)
-            chunks = list(_stage_offsets(sched, steps, fractions))
-            assert len(chunks) == -(-steps // _CHUNK_STEPS)
-            for start, chunk in zip(range(0, steps, _CHUNK_STEPS), chunks):
-                stop = min(start + _CHUNK_STEPS, steps)
-                for values, reference in zip(chunk, expected, strict=True):
-                    assert np.array_equal(values, reference[start:stop])
+        dt = sched.total_time / steps
+        expected = stepwise_offsets(sched, steps, RK4_FRACTIONS)
+        for start in range(0, steps, _CHUNK_STEPS):
+            run = (start, min(_CHUNK_STEPS, steps - start), dt)
+            chunk = _stage_offsets(sched, RK4_FRACTIONS, [run])
+            for values, reference in zip(chunk, expected, strict=True):
+                assert np.array_equal(values, reference[start : start + run[1]])
+        twin = steps // 2
+        expected = [
+            np.concatenate(pair)
+            for pair in zip(
+                stepwise_offsets(sched, steps, GAUSS_FRACTIONS),
+                stepwise_offsets(sched, twin, GAUSS_FRACTIONS),
+            )
+        ]
+        done = 0
+        for start in range(0, steps, _TWIN_CHUNK):
+            count = min(_TWIN_CHUNK, steps - start)
+            runs = [(start, count, dt), (start // 2, count // 2, sched.total_time / twin)]
+            chunk = _stage_offsets(sched, GAUSS_FRACTIONS, runs)
+            rows = np.r_[start : start + count, steps + start // 2 : steps + (start + count) // 2]
+            for values, reference in zip(chunk, expected, strict=True):
+                assert np.array_equal(values, reference[rows])
+            done += count + count // 2
+        assert done == steps + twin
+
+    @pytest.mark.parametrize("steps", (10, 11, 17, 33, 34, 100, 101, 255) + TWIN_EDGE_STEPS)
+    @pytest.mark.parametrize("kind", ["partial", "global_linear", "local_adiabatic"])
+    def test_shared_pass_matches_two_single_runs(self, kind, steps):
+        inst, sched, psi0 = comparison_case(kind, steps)
+        check_against_single_runs(inst, sched, steps, psi0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["partial", "global_linear", "local_adiabatic"]),
+        steps=st.integers(10, 3 * _CHUNK_STEPS),
+    )
+    def test_shared_pass_matches_two_single_runs_at_any_count(self, kind, steps):
+        inst, sched, psi0 = comparison_case(kind, steps)
+        check_against_single_runs(inst, sched, steps, psi0)
 
     @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
     def test_agrees_with_rk4_at_fine_steps(self, kind):
