@@ -3,6 +3,12 @@ import os
 import sys
 from pathlib import Path
 
+# BLAS on one thread, set before anything imports numpy: the suite's dense
+# solves are small, and a second BLAS thread only contends with whatever
+# else runs on the host.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 
 def _on_pythonpath(origin: str) -> bool:
     """Whether a module file lies under an entry of PYTHONPATH."""

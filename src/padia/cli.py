@@ -430,8 +430,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--steps",
         type=_positive_int,
         default=None,
-        help="integration steps (default: 96 per radian of the rotation angle for "
-        "partial, 64 per unit time for global and local; at least 100)",
+        help="integration steps (default: from Magnus-4's error bound for partial and "
+        "global, at least 10; 64 per unit time for local, at least 100)",
     )
     p_evolve.add_argument("--schedule", choices=tuple(_SCHEDULE_KINDS), default="partial")
     p_evolve.add_argument(

@@ -25,11 +25,10 @@ two, divided by 15, is reported as the error estimate and guarded.  Both
 share one vectorised pass, whose fold pads each run with identity pairs
 where its own fold would carry an odd pair over, so that each run keeps the
 fold tree, and the bits, that it has alone.
-The default step count follows what the steps must resolve: with the phase
-of tr H taken out, H is a rotation B . sigma with |B| = g(s)/2, so the
-partial sweep gets 96 steps per radian of the rotation angle integral of
-g/2 dt, in closed form.  That angle does not grow with N, while the
-duration does.
+The default step count of the partial and global sweeps comes from
+Magnus-4's leading error term.  With the phase of tr H taken out, H is
+B . sigma with B affine in x, and x is affine in t on both sweeps, so that
+term is a closed form in the sweep's ends (``schedule_step_count``).
 Two baseline schedules are provided for comparison: a global linear sweep of
 the full interval and a local-adiabatic sweep whose rate tracks the squared
 gap.
@@ -47,14 +46,12 @@ from .model import (
     STATE_NORM_TOL,
     ReducedState,
     SearchInstance,
-    evolution_window,
     initial_state,
     require_integer,
 )
 from .spectrum import (
     _gap_squared,
     eigenvector_components,
-    gap_integral,
     min_gap,
     one_round_time,
 )
@@ -103,12 +100,13 @@ MAX_ROUNDS = 10**7
 _FIRST_DRAWS = 16
 _MAX_DRAWS = 8192
 
-# Magnus-4 steps per radian of a partial round's rotation angle.  On 400
-# multipliers c in [0.25, 256] at each N = r^2 (r = 2..11, 16, 32, 2^10,
-# 2^20, 2^31) and M in {1, r, N/2, N}, the default count then lands within
-# 4.9e-10 of the success probability at four times the steps; 64 per radian
-# missed it by up to 1e-9, where the count leaves its floor of 100.
-_STEPS_PER_RADIAN = 96
+# The bound h^4 E on the propagator error that a default partial or global
+# count keeps to (``schedule_step_count``).  On 400 multipliers c in
+# [0.25, 256] at each N = r^2 (r = 2..11, 16, 32, 2^10, 2^20, 2^31) and M in
+# {1, r, N/2, N}, the count then lands within 3.9e-10 (partial) and 3.1e-10
+# (global, counts up to 2.5e5) of the success probability at four times the
+# steps, inside the step-halving estimate's bound.
+_ERROR_BOUND = 5e-10
 
 # Knots of the local-adiabatic t(s) table that make_schedule, and so the CLI
 # and the sweeps, build.
@@ -331,52 +329,59 @@ def make_schedule(instance: SearchInstance, kind: str, time_multiplier: float) -
     return builders[kind](instance, time_multiplier)
 
 
-def _step_count(span: float, steps_per_unit: int) -> int:
-    """steps_per_unit steps per unit of span, never fewer than 100.
+def _step_count(span: float, steps_per_unit: float, floor: int) -> int:
+    """steps_per_unit steps per unit of span, never fewer than ``floor``.
 
     A finite span whose product with steps_per_unit leaves the float range
     still gets its exact count (which evolve then refuses), not an
     OverflowError.
     """
     try:
-        return max(100, math.ceil(steps_per_unit * span))
-    except OverflowError:  # such a span is an integer already
-        return steps_per_unit * int(span)
+        return max(floor, math.ceil(steps_per_unit * span))
+    except OverflowError:  # the ceiling of the exact product of the two floats
+        (p, q), (r, s) = span.as_integer_ratio(), float(steps_per_unit).as_integer_ratio()
+        return -(-p * r // (q * s))
 
 
 def default_step_count(total_time: float) -> int:
     """Fixed-step default: 64 Magnus steps per unit time (the Hamiltonian
     norm is at most 1), never fewer than 100.
 
-    The global_linear and local_adiabatic schedules take this count of
-    their duration; ``schedule_step_count`` counts the partial one by its
-    rotation angle.
+    The local_adiabatic schedule takes this count of its duration;
+    ``schedule_step_count`` counts the partial and global ones from their
+    error bound.
     """
-    return _step_count(total_time, 64)
-
-
-def _rotation_angle(instance: SearchInstance, schedule: Schedule) -> float:
-    """The angle, integral of g(s(t))/2 dt, through which a partial round turns.
-
-    H = I/2 + B . sigma with |B| = g/2, and the I/2 part is one exact phase,
-    so this angle is what the integrator must resolve.  s runs linearly
-    across the window, so the angle is (T / (2 omega)) times the closed-form
-    integral of g over the window: independent of N at a given multiplier.
-    """
-    window = evolution_window(instance)
-    gap_area = gap_integral(instance, window.s_minus, window.s_plus)
-    return 0.5 * (schedule.total_time / window.omega) * gap_area
+    return _step_count(total_time, 64, 100)
 
 
 def schedule_step_count(instance: SearchInstance, schedule: Schedule) -> int:
     """The default step count of a round of ``schedule``.
 
-    96 steps per radian of its rotation angle on the partial schedule, never
-    fewer than 100; ``default_step_count`` of the duration on the other two.
+    ``default_step_count`` of the duration on the local schedule, whose
+    x(t) is only piecewise linear.  The partial and global sweeps run x
+    affinely over [-x1, x1] (x1 = 1/sqrt(N) and 1) at the rate r = 2 x1 / T.
+    With the phase of tr H taken out, A = -i B . sigma, and B = (-(1 - x)
+    sqrt(ab), 0, b + a x)/2 has the constant slope B' = r (sqrt(ab), 0, a)/2,
+    with B x B' = r sqrt(ab)/4 along y and |B|^2 = (b + a x^2)/4.  Magnus-4
+    is exact through its second term there; its local error, with A at the
+    step's midpoint, is h^5 ([A', [A, A']]/240 + [A, [A, [A, A']]]/720)
+    + O(h^7) (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151), and a
+    commutator of Pauli vectors is twice their cross product.  Over the
+    round the errors sum to at most h^4 E,
+
+        E = T r^2 a sqrt(b)/480 + (sqrt(ab)/1440) [b x + a x^3/3] from -x1 to x1,
+
+    and the count is the least n >= 10 with (T/n)^4 E <= _ERROR_BOUND.
     """
-    if schedule.kind == "partial":
-        return _step_count(_rotation_angle(instance, schedule), _STEPS_PER_RADIAN)
-    return default_step_count(schedule.total_time)
+    total = schedule.total_time
+    if schedule.kind == "local_adiabatic":
+        return default_step_count(total)
+    a, b = instance.a, instance.b
+    x1 = 1.0 / math.sqrt(instance.n_items) if schedule.kind == "partial" else 1.0
+    # T^4 E = T^3 (slope + T turn), formed so that no factor leaves the float range.
+    slope = x1 * x1 * a * math.sqrt(b) / 120.0
+    turn = math.sqrt(a * b) / 720.0 * x1 * (b + a * x1 * x1 / 3.0)
+    return _step_count(total**0.75 * (slope + total * turn) ** 0.25, _ERROR_BOUND**-0.25, 10)
 
 
 def _stage_offsets(

@@ -5,9 +5,9 @@ for each into a SweepRecord, optionally attaches a simulated round-success
 value, and fits log(t_expected) against the swept axis by ordinary least
 squares.  One duration multiplier c scales every schedule: a grid point
 lasts c times its schedule's nominal duration (``dynamics.make_schedule``),
-and a simulated point runs ``dynamics.schedule_step_count`` steps: 96 per
-radian of the rotation angle on the partial schedule, 64 per unit time on
-the global and local ones.
+and a simulated point runs ``dynamics.schedule_step_count`` steps: those
+that Magnus-4's leading error term asks for on the partial and global
+schedules, 64 per unit time on the local one.
 Emission is deliberately dumb: a fixed-schema CSV (floats printed with 17
 significant digits so they round-trip losslessly) or a JSON document with
 the records under ``records`` and the fit under ``fit``.

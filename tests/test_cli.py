@@ -263,7 +263,8 @@ class TestScripts:
         assert header == "per-call time at N=4096, M=32 (fastest of 2 x 3 calls)"
         assert [row.split()[0] for row in rows] == [
             "make_instance", "evolution_window", "spectral_point(s=0.3)",
-            "spectral_point(s=0.7)", "bound_report", "run_round(c=1)",
+            "spectral_point(s=0.7)", "bound_report", "schedule_step_count",
+            "run_round(c=1)",
         ]
         for row in rows:
             _, ns, unit = row.split()
@@ -508,18 +509,19 @@ class TestEvolveCommand:
     def test_reports_error_estimate(self, capsys):
         assert run_cli(["evolve", "--n", "64", "--m", "1", "--c", "4"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["steps"] == 220  # 96 per radian of a 2.29 rad rotation
+        assert payload["steps"] == 212  # the least n with (T/n)^4 E <= 5e-10
         assert 0.0 <= payload["error_estimate"] < 1e-9
         assert list(payload)[5:9] == [
             "success_probability", "ground_fidelity", "norm_drift", "error_estimate"
         ]
 
     def test_large_n_round_runs_at_the_step_floor(self, capsys):
-        # The partial round turns by 0.57 rad at c = 1 whatever N is.
+        # At c = 1 and M = 1 the error bound's count does not grow with N:
+        # 68 steps from N = 2^10 on.
         assert run_cli(["evolve", "--n", "4398046511104", "--m", "1"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["steps"] == 100
-        assert payload["error_estimate"] < 1e-10
+        assert payload["steps"] == 68
+        assert payload["error_estimate"] < 5e-10
 
     def test_oversized_run_is_usage_error(self, capsys):
         # The local schedule keeps 64 steps per unit time; at N = 2^42 its
@@ -543,8 +545,8 @@ class TestEvolveCommand:
         assert err == "error: total_time must be positive and finite, got inf\n"
 
     def test_finite_duration_past_the_step_range_is_usage_error(self, capsys):
-        # 96 steps per radian of a 5.6e306 rad rotation pass the float range;
-        # the 309-digit count is named by its order of magnitude.
+        # The error-bound count of a duration of 2e307, about 4.2e308, passes
+        # the float range; the 309-digit count is named by its order of magnitude.
         assert run_cli(["evolve", "--n", "4", "--m", "1", "--c", "1e307"]) == 2
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: at least 10\^308 steps over duration 2e\+307 exceed "

@@ -32,7 +32,6 @@ from padia.dynamics import (
     NormDriftExceeded,
     RepeatStats,
     Schedule,
-    _rotation_angle,
     _stage_offsets,
     default_step_count,
     draw_repeat_stats,
@@ -46,7 +45,7 @@ from padia.dynamics import (
     simulate_until_success,
 )
 from padia.model import ReducedState, evolution_window, initial_state, make_instance
-from padia.spectrum import _gap_squared, eigenvector_components, overlap_beta, overlap_psi
+from padia.spectrum import eigenvector_components, overlap_beta, overlap_psi
 from padia.sweeps import fit_loglog
 
 
@@ -537,12 +536,46 @@ class TestDefaultSteps:
         assert default_step_count(1.7976931348623157e308) > 10**308
 
 
-def trapezoid_angle(instance, schedule, points=20_001):
-    """The rotation angle as the trapezoid sum of g(s(t))/2 dt."""
+def magnus4_error_bound(instance, schedule):
+    """E of the bound h^4 E on Magnus-4's propagator error over a sweep whose
+    offset x runs affinely from x0 to x1 at rate r over T:
+
+        E = T r^2 a sqrt(b)/480 + (sqrt(ab)/1440) [b x + a x^3/3] from x0 to x1.
+    """
+    a, b, total = instance.a, instance.b, schedule.total_time
+    x0, x1 = float(schedule.sample_x(0.0)), float(schedule.sample_x(total))
+    rate = (x1 - x0) / total
+
+    def antiderivative(x):
+        return b * x + a * x**3 / 3.0
+
+    return (total * rate * rate * a * math.sqrt(b) / 480.0
+            + math.sqrt(a * b) / 1440.0 * (antiderivative(x1) - antiderivative(x0)))
+
+
+def commutator(u, v):
+    return u @ v - v @ u
+
+
+def quadrature_error_bound(instance, schedule, points=2001):
+    """The integral over the sweep of |[A', [A, A']]|/240 + |[A, [A, [A, A']]]|/720,
+    A = -i (H - tr(H)/2), by the trapezoid rule on 2 x 2 matrices of H(s)'s
+    entries h_bb = (1-s)a, h_aa = 1 - h_bb, h_ab = -(1-s)sqrt(ab)."""
     t = np.linspace(0.0, schedule.total_time, points)
-    s = 0.5 * (1.0 + np.asarray(schedule.sample_x(t)))
-    half_gap = 0.5 * np.sqrt(_gap_squared(instance.b, s))
-    return float(np.sum((half_gap[1:] + half_gap[:-1]) * 0.5 * np.diff(t)))
+    s = 0.5 * (1.0 + np.asarray(schedule.sample_x(t), dtype=float))
+    h_bb = (1.0 - s) * instance.a
+    h_ab = -(1.0 - s) * math.sqrt(instance.a * instance.b)
+    a_t = np.empty((points, 2, 2), dtype=complex)
+    # tr H = 1, so H - tr(H)/2 has the diagonal (1/2 - h_bb, h_bb - 1/2).
+    a_t[:, 0, 0] = -1j * (0.5 - h_bb)
+    a_t[:, 0, 1] = a_t[:, 1, 0] = -1j * h_ab
+    a_t[:, 1, 1] = -1j * (h_bb - 0.5)
+    # H is affine in s and s in t, so A' is one constant matrix.
+    slope = (a_t[-1] - a_t[0]) / schedule.total_time
+    inner = commutator(a_t, slope)
+    terms = (np.linalg.norm(commutator(slope, inner), 2, axis=(1, 2)) / 240.0
+             + np.linalg.norm(commutator(a_t, commutator(a_t, inner)), 2, axis=(1, 2)) / 720.0)
+    return float(np.sum((terms[1:] + terms[:-1]) * 0.5 * np.diff(t)))
 
 
 class TestScheduleStepCount:
@@ -551,57 +584,103 @@ class TestScheduleStepCount:
         [(64, 1, 1.0), (64, 1, 16.0), (2**16, 16, 64.0), (2**20, 1, 256.0),
          (2**30, 1, 1.0), (4, 1, 0.25), (4, 4, 1.0), (2**20, 2**20, 3.0)],
     )
-    def test_angle_matches_quadrature(self, n, m, c):
+    def test_bound_matches_quadrature(self, n, m, c):
+        # The closed form's cross products against the nested commutators of
+        # the model's 2 x 2 Hamiltonian, on both affine sweeps.
         inst = make_instance(n, m)
-        sched = make_partial_schedule(inst, c)
-        assert _rotation_angle(inst, sched) == pytest.approx(
-            trapezoid_angle(inst, sched), rel=1e-6
-        )
+        for kind in ("partial", "global_linear"):
+            sched = make_schedule(inst, kind, c)
+            assert magnus4_error_bound(inst, sched) == pytest.approx(
+                quadrature_error_bound(inst, sched), rel=1e-6
+            )
+
+    @pytest.mark.parametrize(
+        "kind, n, m, c",
+        [("partial", 4, 1, 1.0), ("partial", 64, 1, 1.0), ("partial", 64, 8, 4.0),
+         ("partial", 256, 4, 4.0), ("partial", 2**20, 1, 1.0), ("partial", 2**40, 1, 1.0),
+         ("partial", 2**20, 2**19, 256.0), ("global_linear", 4, 1, 1.0),
+         ("global_linear", 16, 4, 1.0), ("global_linear", 64, 8, 0.64),
+         ("global_linear", 2**20, 2**19, 1.0)],
+    )
+    def test_bound_holds_against_the_integrator(self, kind, n, m, c):
+        # Short sweeps, where the h^4 term is the error: at the default count
+        # and twice it, the error in p against 16 times the steps is nonzero
+        # and at most h^4 E (0.50-0.97 of it on these cases).
+        inst = make_instance(n, m)
+        sched = make_schedule(inst, kind, c)
+        bound = magnus4_error_bound(inst, sched)
+        psi0 = initial_state(inst)
+        base = schedule_step_count(inst, sched)
+        for steps in (base, 2 * base):
+            p = evolve(inst, sched, steps, psi0).success_probability
+            p_fine = evolve(inst, sched, 16 * steps, psi0).success_probability
+            h = sched.total_time / steps
+            assert 0.0 < abs(p - p_fine) <= h**4 * bound + 1e-15
 
     def test_rule_values(self):
-        # 96 steps per radian, never fewer than 100.
+        # The least n >= 10 with (T/n)^4 E <= the error bound, where the angle
+        # rule (96 steps per radian of a partial round, 64 per unit time of a
+        # global one, at least 100) gave the counts in the last column.
         cases = [
-            (64, 1, 1.0, 100),
-            (64, 1, 16.0, 880),
-            (2**16, 16, 64.0, 776),
-            (2**20, 1, 256.0, 14_105),
-            (2**40, 1, 1.0, 100),
+            ("partial", 64, 1, 1.0, 67, 100),
+            ("partial", 64, 1, 16.0, 745, 880),
+            ("partial", 2**16, 16, 64.0, 475, 776),
+            ("partial", 2**20, 1, 256.0, 11_280, 14_105),
+            ("partial", 2**40, 1, 1.0, 68, 100),
+            ("partial", 2**62, 1, 1.0, 68, 100),
+            ("partial", 4096, 32, 1.0, 10, 100),
+            ("partial", 4, 4, 1.0, 10, 100),
+            ("global_linear", 64, 8, 0.64, 176, 328),
+            ("global_linear", 256, 4, 1.0, 1261, 4096),
+            ("global_linear", 2**16, 1, 1.0, 508_273, 4_194_304),
         ]
-        for n, m, c, steps in cases:
+        for kind, n, m, c, steps, before in cases:
             inst = make_instance(n, m)
-            sched = make_partial_schedule(inst, c)
-            assert schedule_step_count(inst, sched) == steps
-            assert steps == max(100, math.ceil(96.0 * _rotation_angle(inst, sched)))
+            sched = make_schedule(inst, kind, c)
+            assert schedule_step_count(inst, sched) == steps <= before
+            estimate = (magnus4_error_bound(inst, sched) / dynamics._ERROR_BOUND) ** 0.25
+            assert steps == max(10, math.ceil(sched.total_time * estimate))
 
-    def test_partial_angle_does_not_grow_with_n(self):
-        angles = [
-            _rotation_angle(inst, make_partial_schedule(inst, 1.0))
+    def test_partial_count_does_not_grow_with_n(self):
+        counts = [
+            schedule_step_count(inst, make_partial_schedule(inst, 1.0))
             for inst in (make_instance(2**10, 1), make_instance(2**40, 1))
         ]
-        assert angles[0] == pytest.approx(angles[1], rel=1e-2)
+        assert counts == [68, 68]
 
-    @pytest.mark.parametrize("kind", ["global_linear", "local_adiabatic"])
+    # The local table is only piecewise linear in t, so it keeps the duration rule.
+    @pytest.mark.parametrize("kind", ["local_adiabatic"])
     def test_baselines_keep_the_duration_rule(self, kind):
         inst = make_instance(256, 4)
         sched = make_schedule(inst, kind, 1.0)
         assert schedule_step_count(inst, sched) == default_step_count(sched.total_time)
 
     def test_count_past_the_float_range_is_exact(self):
-        # The angle 5.6e306 is finite; 96 times it is not.
+        # T (E / bound)^(1/4) = 4.2e308 at T = 2e307 passes the float range;
+        # the count is still the exact integer, which evolve then refuses.
         inst = make_instance(4, 1)
-        steps = schedule_step_count(inst, make_partial_schedule(inst, 1e307))
-        assert 10**308 < steps < 10**309
+        sched = make_partial_schedule(inst, 1e307)
+        steps = schedule_step_count(inst, sched)
+        assert isinstance(steps, int) and 10**308 < steps < 10**309
+        estimate = (magnus4_error_bound(inst, sched) / dynamics._ERROR_BOUND) ** 0.25
+        assert steps / 2**64 == pytest.approx(sched.total_time / 2**64 * estimate, rel=1e-12)
+
+    def test_vanishing_duration_runs_at_the_floor(self):
+        inst = make_instance(4, 1)
+        assert schedule_step_count(inst, make_partial_schedule(inst, 5e-324)) == 10
 
     def test_long_round_at_large_n(self):
         out = run_round(make_instance(2**20, 1), 256.0)
         assert out.error_estimate <= 1e-10
 
-    # The step-halving estimate bounds the error at the default count.  At
-    # 64 steps per radian the partial error reached about 1e-9 where the
-    # count leaves its floor of 100 (first example); at 96 it stays below
-    # 4.9e-10 on a grid of 400 multipliers per (N, M).  Had the steps sampled
-    # s and formed bz as 1/2 - a u, the examples at N = 2^40 and 2^62 would
-    # miss the second bound (1.3e-11 against 6.3e-12, 1.3e-8 against 8.3e-9).
+    # The step-halving estimate bounds the error at the default count.  On a
+    # grid of 400 multipliers per (N, M) the error stays below 3.9e-10
+    # (partial) and 3.1e-10 (global, up to 2.5e5 steps); the angle rule that
+    # came before kept it below 4.9e-10, and at 64 steps per radian missed by
+    # 1e-9 (first example).  Had the steps sampled s and formed bz as
+    # 1/2 - a u, the examples at N = 2^40 and 2^62 would miss the second
+    # bound at the angle rule's 100 steps (1.3e-11 against 6.3e-12, 1.3e-8
+    # against 8.3e-9).
     @settings(max_examples=60, deadline=None)
     @given(
         root=st.integers(2, 2**31),
@@ -610,6 +689,7 @@ class TestScheduleStepCount:
         kind=st.sampled_from(["partial", "global_linear"]),
     )
     @example(root=3, marked="one", c=2.608930742846019, kind="partial")
+    @example(root=2**10, marked="one", c=256.0, kind="partial")
     @example(root=2**20, marked="one", c=246.76996196859298, kind="partial")
     @example(root=2**31, marked="one", c=256.0, kind="partial")
     @example(root=8, marked="root", c=0.64, kind="global_linear")
