@@ -6,11 +6,9 @@ from .model import (
     NonEmptyMarkedSetRequired,
     SearchInstance,
     EvolutionWindow,
-    ReducedHamiltonian,
     ReducedState,
     make_instance,
     evolution_window,
-    reduced_hamiltonian,
     initial_state,
 )
 from .spectrum import (
@@ -26,7 +24,6 @@ from .spectrum import (
     spectral_point,
     adiabatic_success_probability,
     one_round_time,
-    expected_total_time,
     bound_report,
 )
 from .dynamics import (

@@ -47,12 +47,12 @@ from .oracle import (
 )
 from .spectrum import bound_report, spectral_columns
 from .sweeps import (
+    bound_columns,
     csv_chunks,
     json_chunks,
-    rows_to_columns,
     run_parallel,
     sweep,
-    sweep_records_to_rows,
+    sweep_columns,
 )
 
 __all__ = ["main"]
@@ -262,22 +262,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             cases.append((n, m))
     cases.sort()
     reports = run_parallel(lambda nm: bound_report(make_instance(*nm)), cases, args.workers)
-    columns = {
-        "n": [n for n, _ in cases],
-        "m": [m for _, m in cases],
-        "ov_psi_minus": [rep.ov_psi_at_s_minus for rep in reports],
-        "ov_beta_plus": [rep.ov_beta_at_s_plus for rep in reports],
-        "p_one_round": [rep.p_one_round for rep in reports],
-        "window_factor": [rep.window_factor for rep in reports],
-        "alpha_weight": [rep.alpha_weight for rep in reports],
-        "beta_weight": [rep.beta_weight for rep in reports],
-        "end_ratio": [rep.end_ratio for rep in reports],
-        "bounds_hold": [rep.all_bounds_hold for rep in reports],
-    }
-    _emit_table([columns], args)
-    violations = [
-        (n, m, rep.failures) for (n, m), rep in zip(cases, reports) if not rep.all_bounds_hold
-    ]
+    triples = [(n, m, rep) for (n, m), rep in zip(cases, reports)]
+    _emit_table([bound_columns(triples)], args)
+    violations = [(n, m, rep.failures) for n, m, rep in triples if not rep.all_bounds_hold]
     for n, m, failures in violations:
         print(f"bound violation at N={n}, M={m}: {', '.join(failures)}", file=sys.stderr)
     return 1 if violations else 0
@@ -323,7 +310,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         simulate=args.simulate,
         workers=args.workers,
     )
-    _emit_table([rows_to_columns(sweep_records_to_rows(records))], args, {"fit": fit._asdict()})
+    _emit_table([sweep_columns(records)], args, {"fit": fit._asdict()})
     if args.output == "csv":
         print(
             f"fit [{fit.axis}]: slope={fit.slope:.6f} intercept={fit.intercept:.6f} "

@@ -145,14 +145,11 @@ def _check_drift(label: str, value: float, steps: int, total_time: float) -> Non
         )
 
 
-# Steps integrated per vectorised chunk.  Memory stays O(chunk) for any run
+# Steps of a round per vectorised chunk.  Memory stays O(chunk) for any run
 # length, while the numpy call overhead is spread over thousands of steps.
-_CHUNK_STEPS = 8192
-
-# Steps of a round per chunk.  The chunk also holds the matching 2560 steps
-# of its step-halving twin, 7680 <= _CHUNK_STEPS pairs in all; both counts are
-# multiples of 2^8, the fold passes the twin's share takes, so a full chunk
-# needs no identity padding.
+# The chunk also holds the matching 2560 steps of its step-halving twin,
+# 7680 pairs in all; both counts are multiples of 2^8, the fold passes the
+# twin's share takes, so a full chunk needs no identity padding.
 _TWIN_CHUNK = 5120
 
 # The two-point Gauss-Legendre nodes as fractions of a step, and the
@@ -227,7 +224,8 @@ def make_partial_schedule(instance: SearchInstance, time_multiplier: float) -> S
     """Linear sweep of the window [s_minus, s_plus] over c * sqrt(N)/M.
 
     time_multiplier scales the nominal one-round duration; the adiabatic
-    regime is reached as it grows.
+    regime is reached as it grows.  A duration so short that the sweep rate
+    2/(sqrt(N) T) overflows is refused with ValueError.
     """
     _require_positive_finite("time_multiplier", time_multiplier)
     total_time = time_multiplier * one_round_time(instance)
@@ -236,6 +234,11 @@ def make_partial_schedule(instance: SearchInstance, time_multiplier: float) -> S
     # window's half-width to the last bit.
     x_plus = 1.0 / math.sqrt(instance.n_items)
     x_rate = 2.0 * x_plus / total_time
+    if not math.isfinite(x_rate):
+        raise ValueError(
+            f"a partial round of duration {total_time:g} is too short to sweep "
+            "its window: the sweep rate overflows"
+        )
 
     def sample_x(t):
         return x_rate * t - x_plus

@@ -6,7 +6,7 @@ the marked items, |alpha> of the unmarked ones, and |Psi> the uniform
 superposition of everything.  Every state orthogonal to span{|alpha>, |beta>}
 is an eigenstate of H(s) with eigenvalue 1, so the interesting dynamics lives
 entirely in that two-dimensional subspace.  This module defines the problem
-data and the exact 2x2 restriction everything else consumes.
+data, the sweep window and the states of that subspace.
 """
 
 from __future__ import annotations
@@ -20,12 +20,10 @@ __all__ = [
     "NonEmptyMarkedSetRequired",
     "SearchInstance",
     "EvolutionWindow",
-    "ReducedHamiltonian",
     "ReducedState",
     "require_integer",
     "make_instance",
     "evolution_window",
-    "reduced_hamiltonian",
     "initial_state",
 ]
 
@@ -84,19 +82,6 @@ class EvolutionWindow(NamedTuple):
     omega: float
 
 
-class ReducedHamiltonian(NamedTuple):
-    """Real symmetric 2x2 restriction of H(s) in the ordered basis (|alpha>, |beta>).
-
-    Satisfies h_aa + h_bb = 1 and h_aa*h_bb - h_ab**2 = s(1-s)*a for every
-    valid instance; both identities are enforced by tests, not at runtime.
-    """
-
-    h_aa: float
-    h_ab: float
-    h_bb: float
-    s: float
-
-
 class ReducedState(NamedTuple):
     """State in the invariant subspace: complex amplitudes on |alpha> and |beta>."""
 
@@ -149,23 +134,6 @@ def evolution_window(instance: SearchInstance) -> EvolutionWindow:
     s_minus = 0.5 - half_width
     s_plus = 0.5 + half_width
     return EvolutionWindow(s_minus, s_plus, s_plus - s_minus)
-
-
-def reduced_hamiltonian(instance: SearchInstance, s: float) -> ReducedHamiltonian:
-    """Project H(s) onto span{|alpha>, |beta>}.
-
-    Entries: h_aa = 1 - (1-s)a, h_ab = -(1-s)sqrt(ab), h_bb = (1-s)a.
-    """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must lie in [0, 1], got {s}")
-    one_minus_s = 1.0 - s
-    h_bb = one_minus_s * instance.a  # equals 1 - (1-s)b - s
-    return ReducedHamiltonian(
-        h_aa=1.0 - h_bb,
-        h_ab=-one_minus_s * math.sqrt(instance.a * instance.b),
-        h_bb=h_bb,
-        s=s,
-    )
 
 
 def initial_state(instance: SearchInstance) -> ReducedState:

@@ -49,7 +49,6 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .dynamics import (
-    _CHUNK_STEPS,
     Schedule,
     _check_drift,
     _check_step_cap,
@@ -113,6 +112,11 @@ _SOLVE_BLOCK = 64
 # norm guard.
 _MAX_RK4_DT = 0.04
 _MAX_RK4_SPLIT = 4
+
+# Steps full_evolve samples per chunk of the schedule: its offsets take
+# O(chunk) memory for any run length, while the sampler's numpy call
+# overhead is spread over thousands of steps.
+_CHUNK_STEPS = 8192
 
 
 class CapacityExceeded(ValueError):

@@ -64,7 +64,6 @@ __all__ = [
     "spectral_columns",
     "adiabatic_success_probability",
     "one_round_time",
-    "expected_total_time",
     "bound_report",
 ]
 
@@ -350,11 +349,6 @@ def adiabatic_success_probability(instance: SearchInstance) -> float:
 def one_round_time(instance: SearchInstance) -> float:
     """Duration of one sweep: omega / g_min^2 = sqrt(N)/M."""
     return math.sqrt(instance.n_items) / instance.n_marked
-
-
-def expected_total_time(instance: SearchInstance) -> float:
-    """Expected repeat-until-success cost: one_round_time / P."""
-    return one_round_time(instance) / adiabatic_success_probability(instance)
 
 
 def bound_report(instance: SearchInstance) -> BoundReport:

@@ -10,7 +10,10 @@ that Magnus-4's leading error term asks for on the partial and global
 schedules, 64 per unit time on the local one.
 Emission is deliberately dumb: a fixed-schema CSV (floats printed with 17
 significant digits so they round-trip losslessly) or a JSON document with
-the records under ``records`` and the fit under ``fit``.
+the records under ``records`` and the fit under ``fit``.  A table is its
+records' fields under one header: ``sweep_columns`` lists every field of a
+SweepRecord in field order, ``bound_columns`` lists (N, M) and the first
+eight fields of a BoundReport.
 
 Tables are written column-wise and streamed: ``csv_chunks`` and
 ``json_chunks`` take a table as an iterable of column blocks (mappings of
@@ -24,7 +27,7 @@ computes ``spectral_columns`` on ``BLOCK_ROWS`` grid points per block) keeps
 the whole command's peak memory from growing with the row count; its input
 grid is the one array left that does.  Joined, the chunks are
 byte-identical to the row-by-row rendering (``json.dumps(payload,
-indent=2)`` for JSON); ``rows_to_csv`` joins the CSV chunks of a row list.
+indent=2)`` for JSON).
 """
 
 from __future__ import annotations
@@ -53,11 +56,12 @@ __all__ = [
     "make_sweep_record",
     "sweep",
     "run_parallel",
+    "sweep_columns",
+    "bound_columns",
     "sweep_records_to_rows",
     "spectral_points_to_rows",
     "bound_reports_to_rows",
     "rows_to_csv",
-    "rows_to_columns",
     "csv_chunks",
     "json_chunks",
 ]
@@ -227,24 +231,30 @@ def format_float(value: float) -> str:
     return f"{value:.17g}"
 
 
+# The column names of a sweep table, one per SweepRecord field in field order,
+# and of a bounds table: (N, M), then the first eight BoundReport fields.
+_SWEEP_HEADER = (
+    "n", "m", "schedule", "g_min", "t_prime", "p_adiabatic", "t_expected",
+    "ov_psi_minus", "ov_beta_plus", "bounds_hold", "sim_success",
+)
+_BOUND_HEADER = (
+    "n", "m", "ov_psi_minus", "ov_beta_plus", "p_one_round", "window_factor",
+    "alpha_weight", "beta_weight", "end_ratio", "bounds_hold",
+)
+
+
+def sweep_columns(records: Iterable[SweepRecord]) -> dict[str, tuple]:
+    """The sweep table's columns: each SweepRecord field under its header name."""
+    return dict(zip(_SWEEP_HEADER, zip(*records)))
+
+
+def bound_columns(triples: Iterable[tuple[int, int, BoundReport]]) -> dict[str, tuple]:
+    """The bounds table's columns of (N, M, report) triples."""
+    return dict(zip(_BOUND_HEADER, zip(*((n, m, *report[:8]) for n, m, report in triples))))
+
+
 def sweep_records_to_rows(records: Iterable[SweepRecord]) -> list[dict]:
-    """Rows keyed exactly like the CSV header (and the JSON mirror)."""
-    return [
-        {
-            "n": r.n_items,
-            "m": r.n_marked,
-            "schedule": r.schedule_kind,
-            "g_min": r.g_min,
-            "t_prime": r.t_prime,
-            "p_adiabatic": r.p_adiabatic,
-            "t_expected": r.t_expected,
-            "ov_psi_minus": r.ov_psi_minus,
-            "ov_beta_plus": r.ov_beta_plus,
-            "bounds_hold": r.bounds_hold,
-            "sim_success": r.sim_success,
-        }
-        for r in records
-    ]
+    return [dict(zip(_SWEEP_HEADER, record)) for record in records]
 
 
 def spectral_points_to_rows(points: Iterable[SpectralPoint]) -> list[dict]:
@@ -252,21 +262,7 @@ def spectral_points_to_rows(points: Iterable[SpectralPoint]) -> list[dict]:
 
 
 def bound_reports_to_rows(reports: Iterable[tuple[int, int, BoundReport]]) -> list[dict]:
-    return [
-        {
-            "n": n,
-            "m": m,
-            "ov_psi_minus": rep.ov_psi_at_s_minus,
-            "ov_beta_plus": rep.ov_beta_at_s_plus,
-            "p_one_round": rep.p_one_round,
-            "window_factor": rep.window_factor,
-            "alpha_weight": rep.alpha_weight,
-            "beta_weight": rep.beta_weight,
-            "end_ratio": rep.end_ratio,
-            "bounds_hold": rep.all_bounds_hold,
-        }
-        for n, m, rep in reports
-    ]
+    return [dict(zip(_BOUND_HEADER, (n, m, *report[:8]))) for n, m, report in reports]
 
 
 def _cell(value) -> str:
@@ -283,13 +279,6 @@ def _json_cell(value) -> str:
     """One record value as json.dumps(payload, indent=2) writes it, three
     levels deep (payload, records list, row)."""
     return json.dumps(value, indent=2).replace("\n", "\n      ")
-
-
-def rows_to_columns(rows: Sequence[dict]) -> dict[str, list]:
-    """Columns of rows that share one key order (the first row's)."""
-    if not rows:
-        return {}
-    return {key: [row[key] for row in rows] for key in rows[0]}
 
 
 def _float_array(column) -> np.ndarray | None:
@@ -423,4 +412,5 @@ def json_chunks(
 
 def rows_to_csv(rows: Sequence[dict]) -> str:
     """Render rows (all sharing one key order) as CSV with a header line."""
-    return "".join(csv_chunks([rows_to_columns(rows)]))
+    columns = {key: [row[key] for row in rows] for key in rows[0]} if rows else {}
+    return "".join(csv_chunks([columns]))

@@ -506,6 +506,15 @@ class TestEvolveCommand:
             result.stderr,
         )
 
+    def test_round_too_short_to_sweep_is_a_usage_error(self):
+        result = run_fresh(["evolve", "--n", "4", "--m", "1", "--c", "5e-324"])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: a partial round of duration 9.88131e-324 is too short to sweep "
+            "its window: the sweep rate overflows\n"
+        )
+
     def test_reports_error_estimate(self, capsys):
         assert run_cli(["evolve", "--n", "64", "--m", "1", "--c", "4"]) == 0
         payload = json.loads(capsys.readouterr().out)

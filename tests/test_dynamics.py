@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from padia import dynamics
 from padia.dynamics import (
-    _CHUNK_STEPS,
     _GAUSS_HIGH,
     _GAUSS_LOW,
     _TWIN_CHUNK,
@@ -45,6 +44,7 @@ from padia.dynamics import (
     simulate_until_success,
 )
 from padia.model import ReducedState, evolution_window, initial_state, make_instance
+from padia.oracle import _CHUNK_STEPS
 from padia.spectrum import eigenvector_components, overlap_beta, overlap_psi
 from padia.sweeps import fit_loglog
 
@@ -274,7 +274,7 @@ def next_prime(n):
             return n
 
 
-# Step counts around the chunk boundaries of the vectorised integrator.
+# Step counts around the chunk boundaries of the dense RK4's sampler.
 CHUNK_EDGE_STEPS = (
     10,
     11,
@@ -358,6 +358,18 @@ class TestPartialSchedule:
     def test_rejects_nonpositive_multiplier(self):
         with pytest.raises(ValueError):
             make_partial_schedule(make_instance(4, 1), 0.0)
+
+    @pytest.mark.parametrize("n, c", [(4, 5e-324), (4, 1e-309), (16, 5e-324)])
+    def test_round_too_short_to_sweep_is_refused(self, n, c):
+        # x runs over 2/sqrt(N) in T = c sqrt(N)/M, a rate of 2M/(c N) that
+        # overflows here.
+        inst = make_instance(n, 1)
+        total = c * math.sqrt(n)
+        message = rf"^a partial round of duration {re.escape(f'{total:g}')} is too short"
+        with pytest.raises(ValueError, match=message):
+            make_partial_schedule(inst, c)
+        with pytest.raises(ValueError, match=message):
+            run_round(inst, c)
 
     @pytest.mark.parametrize("n", [4, 100, 2**40, 3 * 2**60])
     def test_offset_runs_across_the_window(self, n):
@@ -666,8 +678,11 @@ class TestScheduleStepCount:
         assert steps / 2**64 == pytest.approx(sched.total_time / 2**64 * estimate, rel=1e-12)
 
     def test_vanishing_duration_runs_at_the_floor(self):
+        # The partial sweep rate at c = 1e-300 is 5e299; at 5e-324 it
+        # overflows and the schedule is refused, while the global one runs.
         inst = make_instance(4, 1)
-        assert schedule_step_count(inst, make_partial_schedule(inst, 5e-324)) == 10
+        assert schedule_step_count(inst, make_partial_schedule(inst, 1e-300)) == 10
+        assert schedule_step_count(inst, make_global_schedule(inst, 5e-324)) == 10
 
     def test_long_round_at_large_n(self):
         out = run_round(make_instance(2**20, 1), 256.0)

@@ -1,4 +1,4 @@
-"""Instance construction, the sweep window, and the 2x2 reduction."""
+"""Instance construction, the sweep window, and the reduced states."""
 
 import math
 
@@ -13,7 +13,6 @@ from padia.model import (
     evolution_window,
     initial_state,
     make_instance,
-    reduced_hamiltonian,
 )
 
 # Large enough to stress floating point, small enough to stay exact in int64.
@@ -25,9 +24,6 @@ def instances(draw):
     n = draw(st.integers(min_value=2, max_value=N_MAX))
     m = draw(st.integers(min_value=1, max_value=n))
     return make_instance(n, m)
-
-
-unit_interval = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
 class TestMakeInstance:
@@ -161,39 +157,6 @@ class TestEvolutionWindow:
         assert abs(win.s_minus + win.s_plus - 1.0) < 1e-14
         assert abs(win.omega - 1.0 / math.sqrt(inst.n_items)) < 1e-14
         assert 0.0 < win.s_minus < 0.5 < win.s_plus < 1.0
-
-
-class TestReducedHamiltonian:
-    def test_midpoint_example(self):
-        h = reduced_hamiltonian(make_instance(4, 1), 0.5)
-        assert h.h_aa == pytest.approx(0.625, abs=1e-15)
-        assert h.h_ab == pytest.approx(-0.21650635094610966, abs=1e-15)
-        assert h.h_bb == pytest.approx(0.375, abs=1e-15)
-        det = h.h_aa * h.h_bb - h.h_ab**2
-        assert det == pytest.approx(0.1875, abs=1e-15)
-
-    @pytest.mark.parametrize("n,m", [(4, 1), (10, 3), (7, 7)])
-    def test_final_hamiltonian(self, n, m):
-        h = reduced_hamiltonian(make_instance(n, m), 1.0)
-        assert (h.h_aa, h.h_ab, h.h_bb) == (1.0, 0.0, 0.0)
-
-    @pytest.mark.parametrize("s", [0.0, 0.3, 0.8])
-    def test_all_marked_is_diagonal(self, s):
-        h = reduced_hamiltonian(make_instance(6, 6), s)
-        assert h.h_ab == 0.0
-        assert h.h_bb == 0.0
-
-    @pytest.mark.parametrize("s", [-0.1, 1.2, math.inf])
-    def test_domain_error(self, s):
-        with pytest.raises(ValueError):
-            reduced_hamiltonian(make_instance(4, 1), s)
-
-    @given(instances(), unit_interval)
-    @settings(max_examples=300)
-    def test_trace_and_determinant_identities(self, inst, s):
-        h = reduced_hamiltonian(inst, s)
-        assert abs(h.h_aa + h.h_bb - 1.0) < 1e-12
-        assert abs(h.h_aa * h.h_bb - h.h_ab**2 - s * (1.0 - s) * inst.a) < 1e-12
 
 
 class TestInitialState:

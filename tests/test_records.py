@@ -14,7 +14,6 @@ from padia import (
     EvolutionWindow,
     FitResult,
     FullInstance,
-    ReducedHamiltonian,
     ReducedState,
     RepeatStats,
     RoundOutcome,
@@ -33,14 +32,12 @@ from padia import (
     make_instance,
     make_schedule,
     make_sweep_record,
-    reduced_hamiltonian,
     spectral_point,
 )
 
 FIELDS = {
     SearchInstance: ("n_items", "n_marked", "a", "b"),
     EvolutionWindow: ("s_minus", "s_plus", "omega"),
-    ReducedHamiltonian: ("h_aa", "h_ab", "h_bb", "s"),
     ReducedState: ("amp_alpha", "amp_beta"),
     SpectralPoint: ("s", "e0", "e1", "gap", "ov_psi_0", "ov_beta_0"),
     BoundReport: (
@@ -120,7 +117,6 @@ def test_results_have_their_record_type():
     results = {
         SearchInstance: inst,
         EvolutionWindow: evolution_window(inst),
-        ReducedHamiltonian: reduced_hamiltonian(inst, 0.5),
         ReducedState: initial_state(inst),
         SpectralPoint: spectral_point(inst, 0.5),
         BoundReport: bound_report(inst),

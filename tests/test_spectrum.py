@@ -23,7 +23,6 @@ from padia.spectrum import (
     bound_report,
     eigenvalues,
     eigenvector_components,
-    expected_total_time,
     gap,
     gap_integral,
     min_gap,
@@ -33,6 +32,7 @@ from padia.spectrum import (
     spectral_columns,
     spectral_point,
 )
+from padia.sweeps import make_sweep_record
 
 N_MAX = 2**60
 
@@ -218,13 +218,14 @@ class TestEigenvectors:
     @given(instances(), open_interval, st.sampled_from([0, 1]))
     @settings(max_examples=300)
     def test_eigen_residual(self, inst, s, k):
-        from padia.model import reduced_hamiltonian
-
-        h = reduced_hamiltonian(inst, s)
+        # H(s) restricted to (|alpha>, |beta>), written out independently.
+        h_bb = (1.0 - s) * inst.a
+        h_aa = 1.0 - h_bb
+        h_ab = -(1.0 - s) * math.sqrt(inst.a * inst.b)
         e = eigenvalues(inst, s)[k]
         c_alpha, c_beta = eigenvector_components(inst, s, k)
-        r1 = h.h_aa * c_alpha + h.h_ab * c_beta - e * c_alpha
-        r2 = h.h_ab * c_alpha + h.h_bb * c_beta - e * c_beta
+        r1 = h_aa * c_alpha + h_ab * c_beta - e * c_alpha
+        r2 = h_ab * c_alpha + h_bb * c_beta - e * c_beta
         assert abs(r1) < 1e-9 and abs(r2) < 1e-9
 
 
@@ -449,17 +450,19 @@ class TestRoundQuantities:
         g_min, _ = min_gap(inst)
         assert one_round_time(inst) == pytest.approx(win.omega / g_min**2, rel=1e-12)
 
+    # The expected total time is the sweep table's t_expected, one round over P.
     def test_expected_total_time(self):
         inst = make_instance(100, 1)
-        assert expected_total_time(make_instance(9, 9)) == one_round_time(make_instance(9, 9))
-        assert expected_total_time(inst) == pytest.approx(
+        all_marked = make_instance(9, 9)
+        assert make_sweep_record(all_marked).t_expected == one_round_time(all_marked)
+        assert make_sweep_record(inst).t_expected == pytest.approx(
             10.0 / adiabatic_success_probability(inst), rel=1e-15
         )
 
     @pytest.mark.parametrize("n,m", [(2, 1), (64, 1), (4096, 64), (2**24, 2**12), (2**40, 5)])
     def test_total_time_within_constant_of_one_round(self, n, m):
         inst = make_instance(n, m)
-        assert expected_total_time(inst) <= 24.0 * one_round_time(inst)
+        assert make_sweep_record(inst).t_expected <= 24.0 * one_round_time(inst)
 
 
 class TestBoundReport:

@@ -8,19 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padia import sweeps
+from padia import cli, sweeps
 from padia.model import make_instance
-from padia.spectrum import adiabatic_success_probability, one_round_time
+from padia.spectrum import BoundReport, adiabatic_success_probability, bound_report, one_round_time
 from padia.sweeps import (
+    _BOUND_HEADER,
+    _SWEEP_HEADER,
     DegenerateFit,
+    SweepRecord,
+    bound_columns,
+    bound_reports_to_rows,
     csv_chunks,
     fit_loglog,
     json_chunks,
     make_sweep_record,
-    rows_to_columns,
     rows_to_csv,
     run_parallel,
     sweep,
+    sweep_columns,
     sweep_records_to_rows,
 )
 
@@ -29,6 +34,11 @@ SWEEP_CSV_HEADER = (
     "n,m,schedule,g_min,t_prime,p_adiabatic,t_expected,"
     "ov_psi_minus,ov_beta_plus,bounds_hold,sim_success"
 )
+
+
+def rows_to_columns(rows):
+    """Columns of rows that share one key order (the first row's)."""
+    return {key: [row[key] for row in rows] for key in rows[0]} if rows else {}
 
 
 def columns_to_csv(columns) -> str:
@@ -325,11 +335,69 @@ class TestEmission:
         rows = sweep_records_to_rows(records)
         extra = {"fit": {"slope": fit.slope, "intercept": fit.intercept,
                          "r_squared": fit.r_squared, "axis": fit.axis}}
-        assert columns_to_json(rows_to_columns(rows), extra) == reference_json(rows, extra)
+        assert columns_to_json(sweep_columns(records), extra) == reference_json(rows, extra)
 
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError):
             columns_to_csv({"a": [1.0, 2.0], "b": [1.0]})
+
+
+class TestTableSchema:
+    """Each table's header is defined once, in field order of its record."""
+
+    SWEEP_FIELDS = (
+        ("n", "n_items"), ("m", "n_marked"), ("schedule", "schedule_kind"),
+        ("g_min", "g_min"), ("t_prime", "t_prime"), ("p_adiabatic", "p_adiabatic"),
+        ("t_expected", "t_expected"), ("ov_psi_minus", "ov_psi_minus"),
+        ("ov_beta_plus", "ov_beta_plus"), ("bounds_hold", "bounds_hold"),
+        ("sim_success", "sim_success"),
+    )
+    BOUND_FIELDS = (
+        ("ov_psi_minus", "ov_psi_at_s_minus"), ("ov_beta_plus", "ov_beta_at_s_plus"),
+        ("p_one_round", "p_one_round"), ("window_factor", "window_factor"),
+        ("alpha_weight", "alpha_weight"), ("beta_weight", "beta_weight"),
+        ("end_ratio", "end_ratio"), ("bounds_hold", "all_bounds_hold"),
+    )
+
+    def test_sweep_header_lines_up_with_the_record(self):
+        assert len(_SWEEP_HEADER) == len(SweepRecord._fields)
+        assert tuple(zip(_SWEEP_HEADER, SweepRecord._fields)) == self.SWEEP_FIELDS
+        assert ",".join(_SWEEP_HEADER) == SWEEP_CSV_HEADER
+
+    def test_bound_header_lines_up_with_the_report(self):
+        assert _BOUND_HEADER[:2] == ("n", "m")
+        assert len(_BOUND_HEADER) == 10
+        assert tuple(zip(_BOUND_HEADER[2:], BoundReport._fields[:8])) == self.BOUND_FIELDS
+
+    @staticmethod
+    def emitted_table(monkeypatch, argv):
+        """The one block of columns that ``padia <argv>`` hands to its writer."""
+        tables = []
+        monkeypatch.setattr(cli, "_emit_table", lambda table, *_: tables.append(list(table)))
+        assert cli.main(argv) == 0
+        [[columns]] = tables
+        return columns
+
+    def test_sweep_rows_transpose_to_the_cli_columns(self, monkeypatch):
+        grid = [64, 128, 256, 512, 1024]
+        records, _ = sweep("n", 1, grid)
+        argv = ["sweep", "--axis", "n", "--fixed", "1", "--grid", ",".join(map(str, grid))]
+        columns = self.emitted_table(monkeypatch, argv)
+        assert columns == sweep_columns(records)
+        assert {key: list(column) for key, column in columns.items()} == rows_to_columns(
+            sweep_records_to_rows(records)
+        )
+
+    def test_bound_rows_transpose_to_the_cli_columns(self, monkeypatch):
+        cases = [(n, m) for n in (4, 16, 64) for m in range(1, n + 1) if n % m == 0]
+        triples = [(n, m, bound_report(make_instance(n, m))) for n, m in cases]
+        columns = self.emitted_table(
+            monkeypatch, ["bounds", "--n-list", "4,16,64", "--m-rule", "all-divisors"]
+        )
+        assert columns == bound_columns(triples)
+        assert {key: list(column) for key, column in columns.items()} == rows_to_columns(
+            bound_reports_to_rows(triples)
+        )
 
 
 class TestBlocks:
