@@ -7,10 +7,10 @@ them).  The table commands (spectrum,
 bounds, sweep) take ``--output csv|json`` and ``--out``; JSON documents put
 the rows under ``records`` and, for sweeps, the power-law fit under ``fit``.
 ``evolve`` always writes JSON, to stdout or ``--out``; ``certify`` prints a
-text report to stdout.  Every table is built column-wise and written in
-fixed blocks of rows (``spectrum`` also computes its columns a block at a
-time); an ``--out`` regular file is replaced atomically.  A standard output
-that is closed early (``padia spectrum ... | head``) is reported like an
+text report to stdout.  Every table is built column-wise and written one
+block of rows per piece of text (``spectrum`` computes ``BLOCK_ROWS`` rows a
+block); an ``--out`` regular file is replaced atomically.  A standard output
+that is closed, early or from the start, or full is reported like an
 ``--out`` that cannot be written.
 """
 
@@ -29,7 +29,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import sweeps
 from .dynamics import (
     NormDriftExceeded,
     check_max_rounds,
@@ -66,6 +65,9 @@ _CERTIFY_MAX_POINTS = 10**4
 # At 3-5 microseconds a row, a spectrum table of this many points takes under
 # a minute; more is refused up front rather than run for hours.
 MAX_POINTS = 10**7
+# Grid points per spectrum block, computed and written as one piece of text:
+# enough to hide the per-block cost, few enough to keep a block under a megabyte.
+BLOCK_ROWS = 2048
 
 # Tuples: the parser is reused, so every call gets the same default object.
 _DEFAULT_BOUNDS_N = tuple(4**k for k in range(1, 13))  # 2^2 .. 2^24
@@ -152,11 +154,14 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     and written in place.  A path that cannot be opened, written or renamed
     into place (a directory, a missing parent, a busy mount point) raises
     ``_UnwritableOut``, and no temporary file is left.  So does a standard
-    output that cannot be written (a pipe whose reader has gone); fd 1 is
-    then pointed at the null device, so the flush at interpreter exit
-    neither prints an "Exception ignored" line nor changes the exit status.
+    output closed at start-up or one that cannot be written (a pipe whose
+    reader has gone, a full device); in the latter case fd 1 is pointed at
+    the null device, so the flush at exit neither prints an "Exception
+    ignored" line nor changes the exit status.
     """
     if out_path is None:
+        if sys.stdout is None:
+            raise _UnwritableOut("cannot write <stdout>: it is closed")
         try:
             with _writing("<stdout>"):
                 sys.stdout.writelines(chunks)
@@ -199,8 +204,8 @@ def _emit_table(
 
     A whole table is one block, ``[columns]``.  The first block is checked
     before anything is written; each later block is computed and checked when
-    the text reaches it, and every block goes out in pieces of at most
-    ``sweeps.BLOCK_ROWS`` rows.
+    the text reaches it.  Every nonempty block goes out as one piece of text,
+    so the producer alone sets the block size.
     """
     chunks = json_chunks(table, extra) if args.output == "json" else csv_chunks(table)
     _emit(chunks, args.out)
@@ -249,7 +254,7 @@ def _m_values(n: int, rule: str) -> list[int]:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     instance = make_instance(args.n, args.m)
     # The grid is the one whole-table array; the columns exist a block at a time.
-    grid, step = np.linspace(0.0, 1.0, args.points), sweeps.BLOCK_ROWS
+    grid, step = np.linspace(0.0, 1.0, args.points), BLOCK_ROWS
     blocks = (spectral_columns(instance, grid[i:i + step]) for i in range(0, args.points, step))
     _emit_table(blocks, args)
     return 0
@@ -337,18 +342,16 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     errors = run_parallel(job, cases, args.workers)
     worst = max(errors)
     worst_case = cases[errors.index(worst)]
-    print(
+    report = [
         f"certified {len(cases)} (N, M) cases up to N={args.n_max} "
-        f"on a {args.points}-point s grid"
-    )
-    print(
-        f"worst |dense - closed-form| discrepancy: {worst:.3e} "
-        f"at (N, M) = {worst_case}"
-    )
+        f"on a {args.points}-point s grid\n",
+        f"worst |dense - closed-form| discrepancy: {worst:.3e} at (N, M) = {worst_case}\n",
+    ]
     if worst > CERTIFY_TOLERANCE:
+        _emit(report, None)
         print(f"FAIL: above tolerance {CERTIFY_TOLERANCE:.0e}", file=sys.stderr)
         return 1
-    print(f"PASS: within tolerance {CERTIFY_TOLERANCE:.0e}")
+    _emit([*report, f"PASS: within tolerance {CERTIFY_TOLERANCE:.0e}\n"], None)
     return 0
 
 

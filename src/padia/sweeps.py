@@ -20,14 +20,12 @@ Tables are written column-wise and streamed: ``csv_chunks`` and
 equal-length columns with one key order; a whole table is ``[columns]``).
 They check each block's column lengths and pick one printf spec per column
 of it, the first block when they are called and every later one when the
-text reaches it, then yield the text in pieces of at most ``BLOCK_ROWS``
-rows.  Each piece slices every column and fills one per-row template.  A
-producer that yields its columns a block at a time (``padia spectrum``
-computes ``spectral_columns`` on ``BLOCK_ROWS`` grid points per block) keeps
-the whole command's peak memory from growing with the row count; its input
-grid is the one array left that does.  Joined, the chunks are
-byte-identical to the row-by-row rendering (``json.dumps(payload,
-indent=2)`` for JSON).
+text reaches it, then write each nonempty block as one piece of text.  So
+the producer alone sets the block size: one that yields its columns a block
+at a time (``padia spectrum``) keeps the whole command's peak memory from
+growing with the row count; its input grid is the one array left that does.
+Joined, the chunks are byte-identical to the row-by-row rendering
+(``json.dumps(payload, indent=2)`` for JSON).
 """
 
 from __future__ import annotations
@@ -68,11 +66,6 @@ __all__ = [
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-# Rows formatted per chunk by csv_chunks/json_chunks: large enough that the
-# per-block overhead vanishes, small enough that a block's text and arguments
-# stay well under a megabyte.
-BLOCK_ROWS = 2048
 
 
 class DegenerateFit(ValueError):
@@ -281,99 +274,82 @@ def _json_cell(value) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n      ")
 
 
-def _float_array(column) -> np.ndarray | None:
-    """The column as a float64 array if every value is a float, else None."""
-    if isinstance(column, np.ndarray):
-        return column if column.dtype == np.float64 else None
-    if all(isinstance(value, float) for value in column):
-        return np.asarray(column, dtype=np.float64)
-    return None
+def _is_float_column(column, finite_only: bool) -> bool:
+    """Whether every value of the column is a float (with ``finite_only``, a finite one)."""
+    floats = (column.dtype == np.float64 if isinstance(column, np.ndarray)
+              else all(isinstance(value, float) for value in column))
+    return floats and (not finite_only or bool(np.isfinite(column).all()))
 
 
 def _plan(
     columns: Mapping[str, Sequence], keys: list[str], float_spec: str, finite_only: bool
-) -> tuple[int, list[str], list[tuple[np.ndarray | None, Sequence]]]:
-    """Row count, one printf spec per column and each column's source, of one block.
+) -> tuple[int, list[str], Mapping[str, Sequence]]:
+    """Row count, one printf spec per column, and the block itself.
 
     This is the eager pass over a block: it checks that the block has the
     table's ``keys`` in their order and columns of one length, and picks each
     column's spec.  A float column (with ``finite_only``, one without NaN or
-    infinities in this block) is printed under ``float_spec`` from its
-    float64 array; any other column keeps ``None`` there and is formatted
-    cell by cell under ``%s``.  Choosing per block prints what choosing per
-    table would: ``_cell(x)`` is ``"%.17g" % x`` for every float, and
-    ``_json_cell(x)`` is ``repr(x)`` for every finite one.
+    infinities in this block) is printed under ``float_spec``; any other
+    column is formatted cell by cell under ``%s``.  Choosing per block prints
+    what choosing per table would: ``_cell(x)`` is ``"%.17g" % x`` for every
+    float, and ``_json_cell(x)`` is ``repr(x)`` for every finite one.
     """
     if list(columns) != keys:
         raise ValueError(f"block keys {list(columns)} differ from the first block's {keys}")
-    specs, sources = [], []
-    for column in columns.values():
-        floats = _float_array(column)
-        if floats is not None and (not finite_only or np.isfinite(floats).all()):
-            specs.append(float_spec)
-            sources.append((floats, column))
-        else:
-            specs.append("%s")
-            sources.append((None, column))
+    specs = [float_spec if _is_float_column(column, finite_only) else "%s"
+             for column in columns.values()]
     lengths = {len(column) for column in columns.values()}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
-    return (lengths.pop() if lengths else 0), specs, sources
+    return (lengths.pop() if lengths else 0), specs, columns
 
 
 def _plans(
     table: Iterable[Mapping[str, Sequence]], float_spec: str, finite_only: bool
-) -> tuple[list[str], Iterator[tuple[int, list[str], list]]]:
-    """The table's keys (its first block's) and the ``_plan`` of each block.
+) -> tuple[list[str], Iterator[tuple[int, list[str], Mapping[str, Sequence]]]]:
+    """The table's keys (its first block's) and the ``_plan`` of each nonempty block.
 
-    The first block is planned now, so a malformed one-block table raises
-    before any text exists; each later block is planned when the iterator
-    reaches it.  A table without blocks has no keys and no rows.
+    Every block is planned: the first now, so a malformed one-block table
+    raises before any text exists; each later one when the iterator reaches
+    it.  A table without blocks has no keys and no rows.
     """
     blocks = iter(table)
     first = next(blocks, {})
     keys = list(first)
     rest = (_plan(block, keys, float_spec, finite_only) for block in blocks)
-    return keys, itertools.chain([_plan(first, keys, float_spec, finite_only)], rest)
+    plans = itertools.chain([_plan(first, keys, float_spec, finite_only)], rest)
+    return keys, (plan for plan in plans if plan[0])
 
 
-def _blocks(
-    n_rows: int, sources: list[tuple[np.ndarray | None, Sequence]], cell: Callable[[object], str]
-) -> Iterator[tuple[int, tuple]]:
-    """Row count and row-major arguments of each piece of ``BLOCK_ROWS`` rows."""
-    for start in range(0, n_rows, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n_rows)
-        parts = []
-        for floats, column in sources:
-            if floats is not None:
-                parts.append(floats[start:stop].tolist())
-            else:
-                cells = column[start:stop]
-                if isinstance(cells, np.ndarray):
-                    cells = cells.tolist()
-                parts.append([cell(value) for value in cells])
-        yield stop - start, tuple(itertools.chain.from_iterable(zip(*parts)))
+def _row_values(block: Mapping[str, Sequence], specs: list[str], cell: Callable) -> tuple:
+    """The block's printf arguments in row order: ``cell`` of each value of a
+    ``%s`` column, the values of a float column as Python floats."""
+    parts = [
+        [cell(value) for value in (column.tolist() if isinstance(column, np.ndarray) else column)]
+        if spec == "%s" else np.asarray(column, dtype=np.float64).tolist()
+        for column, spec in zip(block.values(), specs)
+    ]
+    return tuple(itertools.chain.from_iterable(zip(*parts)))
 
 
 def csv_chunks(table: Iterable[Mapping[str, Sequence]]) -> Iterator[str]:
-    """A table of column blocks as CSV with a header line, in pieces of rows.
+    """A table of column blocks as CSV with a header line, one item per block.
 
     ``table`` yields blocks: mappings of equal-length columns, with the same
     keys in the same order in every block (a whole table is ``[columns]``).
     Floats carry 17 significant digits (``format_float``); a table without
     rows yields nothing.  The first block is checked when this is called;
-    the returned iterator formats at most ``BLOCK_ROWS`` rows per item.
+    the returned iterator yields the text of each nonempty block as one item.
     """
     keys, plans = _plans(table, "%.17g", finite_only=False)
     header = ",".join(keys) + "\n"
 
     def chunks() -> Iterator[str]:
         prefix = header
-        for n_rows, specs, sources in plans:
+        for n_rows, specs, block in plans:
             row = ",".join(specs) + "\n"
-            for k, values in _blocks(n_rows, sources, _cell):
-                yield prefix + (row * k) % values
-                prefix = ""
+            yield prefix + (row * n_rows) % _row_values(block, specs, _cell)
+            prefix = ""
 
     return chunks()
 
@@ -381,15 +357,15 @@ def csv_chunks(table: Iterable[Mapping[str, Sequence]]) -> Iterator[str]:
 def json_chunks(
     table: Iterable[Mapping[str, Sequence]], extra: dict | None = None
 ) -> Iterator[str]:
-    """A table of column blocks as ``{"records": [...], **extra}``, in pieces of rows.
+    """A table of column blocks as ``{"records": [...], **extra}``, one item per block.
 
     ``table`` is read as by ``csv_chunks``.  Joined, the text equals
     ``json.dumps(payload, indent=2) + "\\n"`` for the payload holding one
     dict per row.  Finite float columns are written with ``float.__repr__``;
     a block's column holding NaN or an infinity is written cell by cell, as
     ``NaN``/``Infinity``/``-Infinity``.  The first block is checked and
-    ``extra`` is rendered when this is called; the returned iterator formats
-    at most ``BLOCK_ROWS`` records per item.
+    ``extra`` is rendered when this is called; the returned iterator yields
+    the records of each nonempty block as one item, then the closing text.
     """
     keys, plans = _plans(table, "%r", finite_only=True)
     names = [f"      {json.dumps(key).replace('%', '%%')}: " for key in keys]
@@ -400,11 +376,11 @@ def json_chunks(
 
     def chunks() -> Iterator[str]:
         separator = '{\n  "records": [\n'
-        for n_rows, specs, sources in plans:
+        for n_rows, specs, block in plans:
             row = "    {\n" + ",\n".join(name + spec for name, spec in zip(names, specs)) + "\n    }"
-            for k, values in _blocks(n_rows, sources, _json_cell):
-                yield separator + ",\n".join([row] * k) % values
-                separator = ",\n"
+            values = _row_values(block, specs, _json_cell)
+            yield separator + ",\n".join([row] * n_rows) % values
+            separator = ",\n"
         yield ("\n  ]" if separator == ",\n" else '{\n  "records": []') + tail
 
     return chunks()

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from padia import cli, dynamics, spectrum, sweeps
+from padia import cli, dynamics, spectrum
 from padia.dynamics import (
     default_step_count,
     evolve,
@@ -156,8 +156,21 @@ class TestTableBytes:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n, m, points", [(64, 1, 101), (2**60, 1, 33)])
     def test_spectrum_across_blocks(self, n, m, points, fmt, capsys, monkeypatch):
-        monkeypatch.setattr(sweeps, "BLOCK_ROWS", 7)
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
         self.test_spectrum(n, m, points, fmt, capsys)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_spectrum_block_is_one_piece(self, fmt, monkeypatch):
+        # 5000 points are blocks of 2048, 2048 and 904 rows: three pieces of
+        # text, and JSON's closing piece.
+        pieces = []
+        monkeypatch.setattr(cli, "_emit", lambda chunks, out_path: pieces.extend(chunks))
+        assert run_cli(["spectrum", "--n", "64", "--m", "1", "--points", "5000",
+                        "--output", fmt]) == 0
+        if fmt == "csv":
+            assert [piece.count("\n") for piece in pieces] == [1 + 2048, 2048, 904]
+        else:
+            assert [piece.count('"s": ') for piece in pieces] == [2048, 2048, 904, 0]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_bounds(self, fmt, capsys):
@@ -264,7 +277,7 @@ class TestScripts:
         assert [row.split()[0] for row in rows] == [
             "make_instance", "evolution_window", "spectral_point(s=0.3)",
             "spectral_point(s=0.7)", "bound_report", "schedule_step_count",
-            "run_round(c=1)",
+            "run_round(c=1)", "csv_chunks(block)", "json_chunks(block)",
         ]
         for row in rows:
             _, ns, unit = row.split()
@@ -742,6 +755,30 @@ class TestParser:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestUnwritableStdout:
+    """A standard output that cannot be written is a usage error, in one line."""
+
+    @staticmethod
+    def run(argv, **streams):
+        return subprocess.run([sys.executable, "-m", "padia", *argv], stderr=subprocess.PIPE,
+                              text=True, env=fresh_env(), timeout=120, **streams)
+
+    @pytest.mark.parametrize("command", sorted(TestParser.VALID))
+    def test_closed_from_the_start(self, command):
+        # With fd 1 closed at start-up, Python sets sys.stdout to None.
+        result = self.run(TestParser.VALID[command], preexec_fn=lambda: os.close(1))
+        assert result.returncode == 2
+        assert result.stderr == "error: cannot write <stdout>: it is closed\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("command", sorted(TestParser.VALID))
+    def test_full_device(self, command):
+        with open("/dev/full", "w") as full:
+            result = self.run(TestParser.VALID[command], stdout=full)
+        assert result.returncode == 2
+        assert result.stderr == f"error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n"
 
 
 class TestParserReuse:

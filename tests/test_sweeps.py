@@ -1,5 +1,6 @@
 """Power-law fitting, sweep records, and lossless emission."""
 
+import itertools
 import json
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padia import cli, sweeps
+from padia import cli
 from padia.model import make_instance
 from padia.spectrum import BoundReport, adiabatic_success_probability, bound_report, one_round_time
 from padia.sweeps import (
@@ -295,21 +296,29 @@ class TestEmission:
         assert columns_to_json(columns, extra) == reference_json(rows, extra)
         assert columns_to_json(rows_to_columns(rows)) == reference_json(rows)
 
-    @given(
-        tables(),
-        st.booleans(),
-        st.integers(min_value=1, max_value=3),
-        st.one_of(st.none(), extras),
-    )
+    @given(tables(), st.booleans(), st.data(), st.one_of(st.none(), extras))
     @settings(max_examples=300, deadline=None)
-    def test_blocks_join_to_the_row_loop(self, table, arrays, block_rows, extra):
+    def test_blocks_join_to_the_row_loop(self, table, arrays, data, extra):
         columns, rows = table
         if arrays:
             columns = as_arrays(columns)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sweeps, "BLOCK_ROWS", block_rows)
-            assert columns_to_csv(columns) == reference_csv(rows)
-            assert columns_to_json(columns, extra) == reference_json(rows, extra)
+        cuts = sorted(data.draw(st.lists(st.integers(min_value=0, max_value=len(rows)),
+                                         max_size=3)))
+        blocks = split_columns(columns, cuts)
+        assert "".join(csv_chunks(blocks)) == reference_csv(rows)
+        assert "".join(json_chunks(blocks, extra)) == reference_json(rows, extra)
+
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_float64_values_print_as_python_floats(self, container):
+        values = [0.1, -2.5e-300, 1 / 3, 5e-324, 1.7976931348623157e308]
+        columns = {"x": container(np.float64(value) for value in values)}
+        assert all(isinstance(value, np.float64) for value in columns["x"])
+        assert columns_to_csv(columns) == "x\n" + "".join(f"{value:.17g}\n" for value in values)
+        assert columns_to_json(columns) == (
+            '{\n  "records": [\n'
+            + ",\n".join(f'    {{\n      "x": {value!r}\n    }}' for value in values)
+            + "\n  ]\n}\n"
+        )
 
     @given(st.lists(any_floats, max_size=12), st.lists(any_floats, max_size=12))
     @settings(max_examples=200, deadline=None)
@@ -408,10 +417,9 @@ class TestBlocks:
         st.data(),
         st.sampled_from([math.nan, math.inf, -math.inf]),
         st.booleans(),
-        st.integers(min_value=1, max_value=4),
     )
     @settings(max_examples=300, deadline=None)
-    def test_special_float_in_one_block(self, n_rows, data, special, arrays, block_rows):
+    def test_special_float_in_one_block(self, n_rows, data, special, arrays):
         finite = st.floats(allow_nan=False, allow_infinity=False)
         columns = {
             "x": data.draw(st.lists(finite, min_size=n_rows, max_size=n_rows)),
@@ -422,10 +430,23 @@ class TestBlocks:
             columns = {key: np.array(column) for key, column in columns.items()}
         cuts = sorted(data.draw(st.lists(st.integers(min_value=0, max_value=n_rows), max_size=4)))
         blocks = split_columns(columns, cuts)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sweeps, "BLOCK_ROWS", block_rows)
-            assert "".join(csv_chunks(blocks)) == columns_to_csv(columns)
-            assert "".join(json_chunks(blocks, {"k": 1})) == columns_to_json(columns, {"k": 1})
+        assert "".join(csv_chunks(blocks)) == columns_to_csv(columns)
+        assert "".join(json_chunks(blocks, {"k": 1})) == columns_to_json(columns, {"k": 1})
+
+    @pytest.mark.parametrize("sizes", [[5000], [2048, 2049, 1], [0, 3000, 0, 7]])
+    def test_a_block_is_never_cut(self, sizes):
+        rows = [{"s": i / 7, "k": i} for i in range(sum(sizes))]
+        columns = rows_to_columns(rows)
+        blocks = split_columns(columns, list(itertools.accumulate(sizes))[:-1])
+        nonempty = [size for size in sizes if size]
+        csv_pieces = list(csv_chunks(blocks))
+        assert [piece.count("\n") for piece in csv_pieces] == [
+            size + (i == 0) for i, size in enumerate(nonempty)
+        ]
+        json_pieces = list(json_chunks(blocks))
+        assert [piece.count('"s": ') for piece in json_pieces] == [*nonempty, 0]
+        assert "".join(csv_pieces) == reference_csv(rows)
+        assert "".join(json_pieces) == reference_json(rows)
 
     @given(tables(), st.data(), st.one_of(st.none(), extras))
     @settings(max_examples=200, deadline=None)
@@ -436,6 +457,11 @@ class TestBlocks:
         blocks = split_columns(columns, cuts)  # repeated and end cuts make empty blocks
         assert "".join(csv_chunks(blocks)) == reference_csv(rows)
         assert "".join(json_chunks(blocks, extra)) == reference_json(rows, extra)
+        # One item per nonempty block; JSON adds one closing item (the end of
+        # the records, ``extra`` and the brace).
+        nonempty = sum(1 for block in blocks if len(next(iter(block.values()))))
+        assert len(list(csv_chunks(blocks))) == nonempty
+        assert len(list(json_chunks(blocks, extra))) == nonempty + 1
 
     @pytest.mark.parametrize("blocks", [
         [],
