@@ -49,7 +49,6 @@ from .sweeps import (
     bound_columns,
     csv_chunks,
     json_chunks,
-    run_parallel,
     sweep,
     sweep_columns,
 )
@@ -261,13 +260,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    cases = []
-    for n in args.n_list:
-        for m in sorted(set(_m_values(n, args.m_rule))):
-            cases.append((n, m))
-    cases.sort()
-    reports = run_parallel(lambda nm: bound_report(make_instance(*nm)), cases, args.workers)
-    triples = [(n, m, rep) for (n, m), rep in zip(cases, reports)]
+    cases = sorted((n, m) for n in args.n_list for m in _m_values(n, args.m_rule))
+    triples = [(n, m, bound_report(make_instance(n, m))) for n, m in cases]
     _emit_table([bound_columns(triples)], args)
     violations = [(n, m, rep.failures) for n, m, rep in triples if not rep.all_bounds_hold]
     for n, m, failures in violations:
@@ -313,7 +307,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         schedule_kind=_SCHEDULE_KINDS[args.schedule],
         time_multiplier=args.c,
         simulate=args.simulate,
-        workers=args.workers,
     )
     _emit_table([sweep_columns(records)], args, {"fit": fit._asdict()})
     if args.output == "csv":
@@ -326,6 +319,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    # Imported here: concurrent.futures costs a few ms at start-up, and only
+    # certify, whose cases spend their time in BLAS, gains from threads.
+    from concurrent.futures import ThreadPoolExecutor
+
     s_grid = np.linspace(0.0, 1.0, args.points)
     cases = []
     n = 2
@@ -339,7 +336,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         full = make_full_instance(n_items, range(m))
         return certify_reduction(full, s_grid)
 
-    errors = run_parallel(job, cases, args.workers)
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        errors = list(pool.map(job, cases))
     worst = max(errors)
     worst_case = cases[errors.index(worst)]
     report = [
@@ -374,8 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=1,
-        help="worker threads of bounds, sweep and certify; spectrum and evolve "
-        "ignore it (default: 1)",
+        help="worker threads of certify; the other commands accept it and ignore it "
+        "(default: 1)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)

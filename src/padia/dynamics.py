@@ -643,7 +643,6 @@ def draw_repeat_stats(
 def simulate_until_success(
     instance: SearchInstance,
     time_multiplier: float,
-    steps: int | None = None,
     seed: int = 0,
     max_rounds: int = 10_000,
 ) -> RepeatStats:
@@ -651,12 +650,12 @@ def simulate_until_success(
 
     Rounds are identical, so the dynamics is integrated once and the round
     outcomes are then drawn as Bernoulli trials with that success
-    probability.  max_rounds is checked before the round is integrated.
+    probability.  The round runs ``schedule_step_count`` steps;
+    max_rounds is checked before it is integrated.
     """
     check_max_rounds(max_rounds)
     schedule = make_partial_schedule(instance, time_multiplier)
-    if steps is None:
-        steps = schedule_step_count(instance, schedule)
+    steps = schedule_step_count(instance, schedule)
     outcome = evolve(instance, schedule, steps, initial_state(instance))
     return draw_repeat_stats(
         outcome.success_probability, schedule.total_time, seed, max_rounds

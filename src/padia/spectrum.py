@@ -332,7 +332,7 @@ def spectral_columns(instance: SearchInstance, s_values) -> dict[str, np.ndarray
     beta = _ground_is_beta(instance, s)
     ov_psi[beta] = b
     ov_beta[beta] = 1.0
-    return {"s": s, "e0": e0, "e1": e1, "gap": g, "ov_psi_0": ov_psi, "ov_beta_0": ov_beta}
+    return dict(zip(SpectralPoint._fields, (s, e0, e1, g, ov_psi, ov_beta)))
 
 
 def adiabatic_success_probability(instance: SearchInstance) -> float:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,7 +53,6 @@ __all__ = [
     "fit_loglog",
     "make_sweep_record",
     "sweep",
-    "run_parallel",
     "sweep_columns",
     "bound_columns",
     "sweep_records_to_rows",
@@ -63,10 +62,6 @@ __all__ = [
     "csv_chunks",
     "json_chunks",
 ]
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
 
 class DegenerateFit(ValueError):
     """The abscissa carries no information (all x values equal)."""
@@ -164,20 +159,6 @@ def make_sweep_record(
     )
 
 
-def run_parallel(
-    fn: Callable[[_T], _R], items: Sequence[_T], workers: int = 1
-) -> list[_R]:
-    """Map over items on a bounded thread pool, preserving input order."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    # Imported here: concurrent.futures costs a few ms at start-up, and only
-    # a pool uses it.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def sweep(
     axis: str,
     fixed_value: int,
@@ -190,7 +171,8 @@ def sweep(
     """Sweep N (axis='n', fixed M) or M (axis='m', fixed N) over a grid.
 
     Returns records sorted by (n, m) together with the log-log fit of
-    t_expected against the swept axis.
+    t_expected against the swept axis.  The grid points run one after
+    another: ``workers`` is accepted and ignored.
     """
     if axis not in ("n", "m"):
         raise ValueError(f"axis must be 'n' or 'm', got {axis!r}")
@@ -200,16 +182,10 @@ def sweep(
         instances = [make_instance(n, fixed_value) for n in grid]
     else:
         instances = [make_instance(fixed_value, m) for m in grid]
-
-    def job(instance: SearchInstance) -> SweepRecord:
-        return make_sweep_record(
-            instance,
-            schedule_kind=schedule_kind,
-            time_multiplier=time_multiplier,
-            simulate=simulate,
-        )
-
-    records = run_parallel(job, instances, workers)
+    records = [
+        make_sweep_record(instance, schedule_kind, time_multiplier, simulate)
+        for instance in instances
+    ]
     records.sort(key=lambda r: (r.n_items, r.n_marked))
     xs = [float(r.n_items if axis == "n" else r.n_marked) for r in records]
     ys = [r.t_expected for r in records]

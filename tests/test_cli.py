@@ -28,6 +28,7 @@ from padia.dynamics import (
     run_round,
 )
 from padia.model import initial_state, make_instance
+from padia.oracle import ConvergenceFailure
 from padia.spectrum import (
     BoundReport,
     adiabatic_success_probability,
@@ -688,6 +689,59 @@ class TestCertifyCommand:
             run_cli(["certify", "--n-max", "1"])
         assert exc.value.code == 2
         assert "--n-max: expected an integer in [2, 1024], got 1" in capsys.readouterr().err
+
+    @staticmethod
+    def failing_in_one_case(failure):
+        """A ``certify_reduction`` that meets ``failure`` at (N, M) = (8, 2) only."""
+
+        def certify(full, s_grid):
+            if (full.n_items, len(full.marked_set)) == (8, 2):
+                return failure()
+            return 0.0
+
+        return certify
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_discrepancy_above_tolerance_fails(self, workers, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "certify_reduction", self.failing_in_one_case(lambda: 1e-6))
+        assert run_cli(["certify", "--n-max", "16", "--points", "3",
+                        "--workers", workers]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "certified 13 (N, M) cases up to N=16 on a 3-point s grid\n"
+            "worst |dense - closed-form| discrepancy: 1.000e-06 at (N, M) = (8, 2)\n"
+        )
+        assert captured.err == "FAIL: above tolerance 1e-09\n"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_convergence_failure_is_one_error_line(self, workers, monkeypatch, capsys):
+        def fail():
+            raise ConvergenceFailure("eigensolve did not converge")
+
+        monkeypatch.setattr(cli, "certify_reduction", self.failing_in_one_case(fail))
+        assert run_cli(["certify", "--n-max", "16", "--points", "3",
+                        "--workers", workers]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: eigensolve did not converge\n"
+
+
+class TestWorkers:
+    """Only certify runs its cases on a pool; no command's output depends on
+    the worker count."""
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--n-max", "16", "--points", "3"],
+        ["bounds", "--m-rule", "all-divisors"],
+        ["sweep", "--axis", "n", "--fixed", "1", "--simulate"],
+    ], ids=["certify", "bounds", "sweep"])
+    def test_workers_change_no_byte(self, argv, capsys):
+        runs = []
+        for workers in ("1", "2"):
+            code = run_cli([*argv, "--workers", workers])
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][1]
 
 
 class TestParser:

@@ -24,7 +24,6 @@ from padia.sweeps import (
     json_chunks,
     make_sweep_record,
     rows_to_csv,
-    run_parallel,
     sweep,
     sweep_columns,
     sweep_records_to_rows,
@@ -241,10 +240,6 @@ class TestSweep:
             sweep("n", 1, [64, 128])
         with pytest.raises(ValueError):
             sweep("q", 1, [64, 128, 256, 512, 1024])
-
-    def test_run_parallel_preserves_order(self):
-        items = list(range(20))
-        assert run_parallel(lambda x: x * x, items, workers=3) == [x * x for x in items]
 
 
 class TestEmission:
