@@ -38,12 +38,7 @@ from .dynamics import (
     schedule_step_count,
 )
 from .model import initial_state, make_instance
-from .oracle import (
-    CapacityExceeded,
-    ConvergenceFailure,
-    certify_reduction,
-    make_full_instance,
-)
+from .oracle import ConvergenceFailure, certify_reduction, make_full_instance
 from .spectrum import bound_report, spectral_columns
 from .sweeps import (
     bound_columns,
@@ -80,12 +75,6 @@ _TRIAL_DIVISION_LIMIT = 2**22
 
 # The --schedule choices of evolve and sweep, mapped to Schedule.kind.
 _SCHEDULE_KINDS = {"partial": "partial", "global": "global_linear", "local": "local_adiabatic"}
-
-# The one duration setting of evolve and sweep, for every schedule.
-_C_HELP = (
-    "multiplies the schedule's nominal duration: √N/M (partial), N/M (global), "
-    "the ε = 1 local-adiabatic sweep (local) (default: 1)"
-)
 
 
 def _int_range(low: int, high: int | None = None):
@@ -270,8 +259,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    if args.repeat:
-        check_max_rounds(args.max_rounds)
+    check_max_rounds(args.max_rounds)
     instance = make_instance(args.n, args.m)
     schedule = make_schedule(instance, _SCHEDULE_KINDS[args.schedule], args.c)
     steps = args.steps if args.steps is not None else schedule_step_count(instance, schedule)
@@ -282,11 +270,9 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         "schedule": schedule.kind,
         "total_time": schedule.total_time,
         "steps": steps,
-        "success_probability": outcome.success_probability,
-        "ground_fidelity": outcome.ground_fidelity,
-        "norm_drift": outcome.norm_drift,
-        "error_estimate": outcome.error_estimate,
+        **outcome._asdict(),
     }
+    del payload["final_state"]
     if args.repeat:
         stats = draw_repeat_stats(
             outcome.success_probability, schedule.total_time, args.seed, args.max_rounds
@@ -362,11 +348,25 @@ def _build_parser() -> argparse.ArgumentParser:
             "narrow window of the interpolating Hamiltonian around its minimum gap."
         ),
     )
-    table = argparse.ArgumentParser(add_help=False)
+    # Each flag that several commands take is defined once, on a parent parser.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output path (default: stdout)")
+    table = argparse.ArgumentParser(add_help=False, parents=[out])
     table.add_argument(
         "--output", choices=("csv", "json"), default="csv", help="table format"
     )
-    table.add_argument("--out", default=None, help="output path (default: stdout)")
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--n", type=_positive_int, required=True, help="number of items")
+    instance.add_argument("--m", type=_positive_int, required=True, help="number of marked items")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--schedule", choices=tuple(_SCHEDULE_KINDS), default="partial")
+    run.add_argument(
+        "--c",
+        type=_positive_float,
+        default=1.0,
+        help="multiplies the schedule's nominal duration: √N/M (partial), N/M (global), "
+        "the ε = 1 local-adiabatic sweep (local) (default: 1)",
+    )
     pool = argparse.ArgumentParser(add_help=False)
     pool.add_argument(
         "--workers",
@@ -379,10 +379,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_spec = sub.add_parser(
-        "spectrum", parents=[table, pool], help="eigenvalues, gap, and overlaps on an s grid"
+        "spectrum",
+        parents=[table, pool, instance],
+        help="eigenvalues, gap, and overlaps on an s grid",
     )
-    p_spec.add_argument("--n", type=_positive_int, required=True, help="number of items")
-    p_spec.add_argument("--m", type=_positive_int, required=True, help="number of marked items")
     p_spec.add_argument(
         "--points",
         type=_int_range(2, MAX_POINTS),
@@ -409,11 +409,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(handler=_cmd_bounds)
 
     p_evolve = sub.add_parser(
-        "evolve", parents=[pool], help="integrate one round and report the outcome"
+        "evolve",
+        parents=[pool, instance, run, out],
+        help="integrate one round and report the outcome",
     )
-    p_evolve.add_argument("--n", type=_positive_int, required=True)
-    p_evolve.add_argument("--m", type=_positive_int, required=True)
-    p_evolve.add_argument("--c", type=_positive_float, default=1.0, help=_C_HELP)
     p_evolve.add_argument(
         "--steps",
         type=_positive_int,
@@ -421,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="integration steps (default: from Magnus-4's error bound for partial and "
         "global, at least 10; 64 per unit time for local, at least 100)",
     )
-    p_evolve.add_argument("--schedule", choices=tuple(_SCHEDULE_KINDS), default="partial")
     p_evolve.add_argument(
         "--repeat", action="store_true", help="also draw repeat-until-success statistics"
     )
@@ -429,11 +427,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument(
         "--seed", type=_int_range(0), default=0, help="seed of the --repeat draws"
     )
-    p_evolve.add_argument("--out", default=None, help="output path (default: stdout)")
     p_evolve.set_defaults(handler=_cmd_evolve)
 
     p_sweep = sub.add_parser(
-        "sweep", parents=[table, pool], help="scaling sweep with a log-log power-law fit"
+        "sweep", parents=[table, pool, run], help="scaling sweep with a log-log power-law fit"
     )
     p_sweep.add_argument("--axis", choices=("n", "m"), required=True)
     p_sweep.add_argument(
@@ -448,8 +445,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated grid for the swept axis (>= 5 points)",
     )
-    p_sweep.add_argument("--schedule", choices=tuple(_SCHEDULE_KINDS), default="partial")
-    p_sweep.add_argument("--c", type=_positive_float, default=1.0, help=_C_HELP)
     p_sweep.add_argument(
         "--simulate",
         action="store_true",
@@ -487,7 +482,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, CapacityExceeded, _UnwritableOut) as exc:
+    except (ValueError, _UnwritableOut) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NormDriftExceeded, ConvergenceFailure) as exc:

@@ -362,7 +362,7 @@ def schedule_step_count(instance: SearchInstance, schedule: Schedule) -> int:
 
     ``default_step_count`` of the duration on the local schedule, whose
     x(t) is only piecewise linear.  The partial and global sweeps run x
-    affinely over [-x1, x1] (x1 = 1/sqrt(N) and 1) at the rate r = 2 x1 / T.
+    affinely over [-x1, x1] (x1 = -x(0): 1/sqrt(N) and 1) at the rate r = 2 x1 / T.
     With the phase of tr H taken out, A = -i B . sigma, and B = (-(1 - x)
     sqrt(ab), 0, b + a x)/2 has the constant slope B' = r (sqrt(ab), 0, a)/2,
     with B x B' = r sqrt(ab)/4 along y and |B|^2 = (b + a x^2)/4.  Magnus-4
@@ -375,12 +375,15 @@ def schedule_step_count(instance: SearchInstance, schedule: Schedule) -> int:
         E = T r^2 a sqrt(b)/480 + (sqrt(ab)/1440) [b x + a x^3/3] from -x1 to x1,
 
     and the count is the least n >= 10 with (T/n)^4 E <= _ERROR_BOUND.
+    Any other kind raises ValueError.
     """
     total = schedule.total_time
     if schedule.kind == "local_adiabatic":
         return default_step_count(total)
+    if schedule.kind not in ("partial", "global_linear"):
+        raise ValueError(f"no step rule for schedule kind {schedule.kind!r}")
     a, b = instance.a, instance.b
-    x1 = 1.0 / math.sqrt(instance.n_items) if schedule.kind == "partial" else 1.0
+    x1 = -float(schedule.sample_x(0.0))
     # T^4 E = T^3 (slope + T turn), formed so that no factor leaves the float range.
     slope = x1 * x1 * a * math.sqrt(b) / 120.0
     turn = math.sqrt(a * b) / 720.0 * x1 * (b + a * x1 * x1 / 3.0)

@@ -592,6 +592,12 @@ class TestEvolveCommand:
         assert captured.out == ""
         assert captured.err == "error: max_rounds must lie in [1, 10000000], got 10000001\n"
 
+    def test_round_cap_is_checked_without_repeat(self, capsys):
+        assert run_cli(["evolve", "--n", "4", "--m", "1", "--max-rounds", "20000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_rounds must lie in [1, 10000000], got 20000000\n"
+
     def test_round_cap_is_checked_before_integrating(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("integrated before checking --max-rounds")

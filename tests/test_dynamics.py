@@ -677,6 +677,11 @@ class TestScheduleStepCount:
         estimate = (magnus4_error_bound(inst, sched) / dynamics._ERROR_BOUND) ** 0.25
         assert steps / 2**64 == pytest.approx(sched.total_time / 2**64 * estimate, rel=1e-12)
 
+    def test_unknown_kind_has_no_step_rule(self):
+        quench = Schedule("quench", 1.0, lambda t: 0.0 * t)
+        with pytest.raises(ValueError, match="'quench'"):
+            schedule_step_count(make_instance(64, 1), quench)
+
     def test_vanishing_duration_runs_at_the_floor(self):
         # The partial sweep rate at c = 1e-300 is 5e299; at 5e-324 it
         # overflows and the schedule is refused, while the global one runs.

@@ -5,35 +5,29 @@ type, that holds the same values.  So ``result == Kind(...)`` does not check
 the type of a result; ``test_results_have_their_record_type`` does.
 """
 
+import importlib
+
 import pytest
 
-import padia
-from padia import (
-    BoundReport,
-    DenseSpectrum,
-    EvolutionWindow,
-    FitResult,
-    FullInstance,
-    ReducedState,
+from padia.dynamics import (
     RepeatStats,
     RoundOutcome,
     Schedule,
-    SearchInstance,
-    SpectralPoint,
-    SweepRecord,
-    bound_report,
-    dense_spectrum,
     draw_repeat_stats,
-    evolution_window,
     evolve,
-    fit_loglog,
-    initial_state,
-    make_full_instance,
-    make_instance,
     make_schedule,
-    make_sweep_record,
-    spectral_point,
 )
+from padia.model import (
+    EvolutionWindow,
+    ReducedState,
+    SearchInstance,
+    evolution_window,
+    initial_state,
+    make_instance,
+)
+from padia.oracle import DenseSpectrum, FullInstance, dense_spectrum, make_full_instance
+from padia.spectrum import BoundReport, SpectralPoint, bound_report, spectral_point
+from padia.sweeps import FitResult, SweepRecord, fit_loglog, make_sweep_record
 
 FIELDS = {
     SearchInstance: ("n_items", "n_marked", "a", "b"),
@@ -75,10 +69,12 @@ def _record(kind):
 
 
 def test_every_record_is_listed():
+    """Every public tuple type of the six modules, imported or defined there."""
     records = {
         value
-        for value in vars(padia).values()
-        if isinstance(value, type) and issubclass(value, tuple)
+        for name in ("model", "spectrum", "dynamics", "oracle", "sweeps", "cli")
+        for attr, value in vars(importlib.import_module(f"padia.{name}")).items()
+        if not attr.startswith("_") and isinstance(value, type) and issubclass(value, tuple)
     }
     assert records == set(FIELDS)
 
