@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Per-call time of the closed-form layer's scalar calls, of the default step
-count, of one round of the reduced dynamics and of the table writers' text
-for one block, at (N, M) = (4096, 32).
+"""Per-call time of the closed-form layer's scalar calls, of the schedule
+builders and the default step count, of one round of the reduced dynamics and
+of the table writers' text for one block, at (N, M) = (4096, 32).
 
 Usage:
     python scripts/percall.py [--number 20000] [--repeat 7]
@@ -10,7 +10,9 @@ For each call the script times ``--repeat`` runs of ``--number`` calls with
 ``timeit`` and prints the fastest run's time per call in nanoseconds: on a
 shared host the slower runs measure other processes rather than padia.
 ``spectral_point`` is timed on both sides of the avoided crossing, where its
-denominators take different forms.  ``schedule_step_count`` counts the
+denominators take different forms.  ``make_partial_schedule`` and
+``make_global_schedule`` build the c = 1 sweeps, the partial one as every
+``run_round`` does before it integrates.  ``schedule_step_count`` counts the
 steps of the c = 1 partial round from its error bound, and
 ``run_round(c=1)`` runs that round, 10 steps and its step-halving twin, the
 shape of most benchmark rounds; it takes most of the script's time.
@@ -31,7 +33,12 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from padia.cli import BLOCK_ROWS  # noqa: E402
-from padia.dynamics import make_partial_schedule, run_round, schedule_step_count  # noqa: E402
+from padia.dynamics import (  # noqa: E402
+    make_global_schedule,
+    make_partial_schedule,
+    run_round,
+    schedule_step_count,
+)
 from padia.model import evolution_window, make_instance  # noqa: E402
 from padia.spectrum import bound_report, spectral_columns, spectral_point  # noqa: E402
 from padia.sweeps import csv_chunks, json_chunks  # noqa: E402
@@ -50,6 +57,8 @@ def per_call_ns(number: int, repeat: int) -> dict[str, float]:
         "spectral_point(s=0.3)": lambda: spectral_point(inst, 0.3),
         "spectral_point(s=0.7)": lambda: spectral_point(inst, 0.7),
         "bound_report": lambda: bound_report(inst),
+        "make_partial_schedule": lambda: make_partial_schedule(inst, 1.0),
+        "make_global_schedule": lambda: make_global_schedule(inst, 1.0),
         "schedule_step_count": lambda: schedule_step_count(inst, schedule),
         "run_round(c=1)": lambda: run_round(inst, 1.0),
         "csv_chunks(block)": lambda: "".join(csv_chunks([block])),

@@ -25,13 +25,12 @@ two, divided by 15, is reported as the error estimate and guarded.  Both
 share one vectorised pass, whose fold pads each run with identity pairs
 where its own fold would carry an odd pair over, so that each run keeps the
 fold tree, and the bits, that it has alone.
-The default step count of the partial and global sweeps comes from
-Magnus-4's leading error term.  With the phase of tr H taken out, H is
-B . sigma with B affine in x, and x is affine in t on both sweeps, so that
-term is a closed form in the sweep's ends (``schedule_step_count``).
-Two baseline schedules are provided for comparison: a global linear sweep of
-the full interval and a local-adiabatic sweep whose rate tracks the squared
-gap.
+The paper's window sweep, the global baseline and the sudden quench are one
+affine sweep of x over [-x1, x1], x1 = 1/sqrt(N), 1 and 0.  With the phase
+of tr H taken out, H is B . sigma with B affine in x, so Magnus-4's leading
+error term is a closed form in the sweep's ends, which sets their default
+step count (``schedule_step_count``).  The local-adiabatic baseline sweeps
+the full interval at a rate that tracks the squared gap.
 """
 
 from __future__ import annotations
@@ -49,12 +48,7 @@ from .model import (
     initial_state,
     require_integer,
 )
-from .spectrum import (
-    _gap_squared,
-    eigenvector_components,
-    min_gap,
-    one_round_time,
-)
+from .spectrum import _gap_squared, eigenvector_components, one_round_time
 
 __all__ = [
     "NORM_DRIFT_LIMIT",
@@ -174,10 +168,11 @@ class Schedule(NamedTuple):
     """A monotone sweep of s over t in [0, total_time], given by its offset
     x(t) = 2 s(t) - 1 in [-1, 1].
 
-    kind is one of 'partial', 'global_linear', 'local_adiabatic'.
+    kind is 'local_adiabatic' or one of the affine sweeps of [-x1, x1]:
+    'partial', 'global_linear' and 'quench' (x1 = 1/sqrt(N), 1 and 0).
     ``sample_x`` maps t to x and must accept scalars and numpy arrays alike;
     it is all the integrators sample, and s = (1 + x)/2 where s is needed.
-    The partial schedule forms x without passing through a float s: near
+    The affine sweeps form x without passing through a float s: near
     s = 1/2 floats are 1.1e-16 apart, which at large N is a visible fraction
     of its window, so the sampled H would be a staircase.
     """
@@ -220,6 +215,27 @@ def _require_positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+# The kinds that ``_affine_schedule`` builds, all counted by one step rule.
+_AFFINE_KINDS = ("partial", "global_linear", "quench")
+
+
+def _affine_schedule(kind: str, x1: float, total_time: float) -> Schedule:
+    """x = r t - x1, r = 2 x1 / total_time: a linear sweep of [-x1, x1], or
+    the quench at x1 = 0.  ValueError unless T > 0 and T and r are finite."""
+    _require_positive_finite("total_time", total_time)
+    x_rate = 2.0 * x1 / total_time
+    if not math.isfinite(x_rate):
+        raise ValueError(
+            f"a {kind} round of duration {total_time:g} is too short to sweep "
+            "its window: the sweep rate overflows"
+        )
+
+    def sample_x(t):
+        return x_rate * t - x1
+
+    return Schedule(kind=kind, total_time=total_time, sample_x=sample_x)
+
+
 def make_partial_schedule(instance: SearchInstance, time_multiplier: float) -> Schedule:
     """Linear sweep of the window [s_minus, s_plus] over c * sqrt(N)/M.
 
@@ -228,39 +244,20 @@ def make_partial_schedule(instance: SearchInstance, time_multiplier: float) -> S
     2/(sqrt(N) T) overflows is refused with ValueError.
     """
     _require_positive_finite("time_multiplier", time_multiplier)
-    total_time = time_multiplier * one_round_time(instance)
-    _require_positive_finite("total_time", total_time)
-    # x = 2s - 1 runs over [-x_plus, x_plus]; 1/sqrt(N) is twice the
-    # window's half-width to the last bit.
-    x_plus = 1.0 / math.sqrt(instance.n_items)
-    x_rate = 2.0 * x_plus / total_time
-    if not math.isfinite(x_rate):
-        raise ValueError(
-            f"a partial round of duration {total_time:g} is too short to sweep "
-            "its window: the sweep rate overflows"
-        )
-
-    def sample_x(t):
-        return x_rate * t - x_plus
-
-    return Schedule(kind="partial", total_time=total_time, sample_x=sample_x)
+    # 1/sqrt(N) is twice the window's half-width in s to the last bit.
+    x1 = 1.0 / math.sqrt(instance.n_items)
+    return _affine_schedule("partial", x1, time_multiplier * one_round_time(instance))
 
 
 def make_global_schedule(instance: SearchInstance, time_multiplier: float) -> Schedule:
     """Linear sweep of the whole interval [0, 1] over c * N/M.
 
     The full interval has unit width, so the analogue of the one-round
-    duration is 1/g_min^2 = N/M.
+    duration is 1/g_min^2 = N/M.  A round whose rate 2/T overflows is refused.
     """
     _require_positive_finite("time_multiplier", time_multiplier)
-    g_min, _ = min_gap(instance)
-    total_time = time_multiplier / (g_min * g_min)
-    _require_positive_finite("total_time", total_time)
-
-    def sample_x(t):
-        return 2.0 * (t / total_time) - 1.0
-
-    return Schedule(kind="global_linear", total_time=total_time, sample_x=sample_x)
+    n_over_m = instance.n_items / instance.n_marked  # rounded once, not via g_min
+    return _affine_schedule("global_linear", 1.0, time_multiplier * n_over_m)
 
 
 def make_local_schedule(
@@ -314,11 +311,11 @@ def make_local_schedule(
 
 def make_schedule(instance: SearchInstance, kind: str, time_multiplier: float) -> Schedule:
     """The schedule of the given ``Schedule.kind``, lasting time_multiplier
-    times its nominal duration: sqrt(N)/M (partial), N/M (global_linear) or
-    that of the sweep ds/dt = g^2 (local_adiabatic, on ``LOCAL_KNOTS``
-    knots).
+    times its nominal duration: sqrt(N)/M (partial, x1 = 1/sqrt(N)), N/M
+    (global_linear, x1 = 1) or that of the sweep ds/dt = g^2
+    (local_adiabatic, on ``LOCAL_KNOTS`` knots).
 
-    Raises ValueError for an unknown kind.
+    Raises ValueError for an unknown kind, 'quench' (x1 = 0) included.
     """
     # Looked up per call, so that the builders resolve through this
     # module's attributes, where a wrapper installed on them takes effect.
@@ -361,8 +358,8 @@ def schedule_step_count(instance: SearchInstance, schedule: Schedule) -> int:
     """The default step count of a round of ``schedule``.
 
     ``default_step_count`` of the duration on the local schedule, whose
-    x(t) is only piecewise linear.  The partial and global sweeps run x
-    affinely over [-x1, x1] (x1 = -x(0): 1/sqrt(N) and 1) at the rate r = 2 x1 / T.
+    x(t) is only piecewise linear.  The affine sweeps run x over [-x1, x1]
+    (x1 = -x(0): 1/sqrt(N), 1 and 0) at the rate r = 2 x1 / T.
     With the phase of tr H taken out, A = -i B . sigma, and B = (-(1 - x)
     sqrt(ab), 0, b + a x)/2 has the constant slope B' = r (sqrt(ab), 0, a)/2,
     with B x B' = r sqrt(ab)/4 along y and |B|^2 = (b + a x^2)/4.  Magnus-4
@@ -374,13 +371,13 @@ def schedule_step_count(instance: SearchInstance, schedule: Schedule) -> int:
 
         E = T r^2 a sqrt(b)/480 + (sqrt(ab)/1440) [b x + a x^3/3] from -x1 to x1,
 
-    and the count is the least n >= 10 with (T/n)^4 E <= _ERROR_BOUND.
-    Any other kind raises ValueError.
+    and the count is the least n >= 10 with (T/n)^4 E <= _ERROR_BOUND: 10 on
+    the quench, where E = 0.  Any other kind raises ValueError.
     """
     total = schedule.total_time
     if schedule.kind == "local_adiabatic":
         return default_step_count(total)
-    if schedule.kind not in ("partial", "global_linear"):
+    if schedule.kind not in _AFFINE_KINDS:
         raise ValueError(f"no step rule for schedule kind {schedule.kind!r}")
     a, b = instance.a, instance.b
     x1 = -float(schedule.sample_x(0.0))

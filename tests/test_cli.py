@@ -5,6 +5,7 @@ import csv
 import errno
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -277,7 +278,8 @@ class TestScripts:
         assert header == "per-call time at N=4096, M=32 (fastest of 2 x 3 calls)"
         assert [row.split()[0] for row in rows] == [
             "make_instance", "evolution_window", "spectral_point(s=0.3)",
-            "spectral_point(s=0.7)", "bound_report", "schedule_step_count",
+            "spectral_point(s=0.7)", "bound_report", "make_partial_schedule",
+            "make_global_schedule", "schedule_step_count",
             "run_round(c=1)", "csv_chunks(block)", "json_chunks(block)",
         ]
         for row in rows:
@@ -529,6 +531,16 @@ class TestEvolveCommand:
             "its window: the sweep rate overflows\n"
         )
 
+    def test_global_round_too_short_to_sweep_is_a_usage_error(self):
+        result = run_fresh(["evolve", "--n", "4", "--m", "1", "--schedule", "global",
+                            "--c", "5e-324"])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: a global_linear round of duration 1.97626e-323 is too short to sweep "
+            "its window: the sweep rate overflows\n"
+        )
+
     def test_reports_error_estimate(self, capsys):
         assert run_cli(["evolve", "--n", "64", "--m", "1", "--c", "4"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -716,6 +728,37 @@ class TestCertifyCommand:
         assert captured.out == (
             "certified 13 (N, M) cases up to N=16 on a 3-point s grid\n"
             "worst |dense - closed-form| discrepancy: 1.000e-06 at (N, M) = (8, 2)\n"
+        )
+        assert captured.err == "FAIL: above tolerance 1e-09\n"
+
+    @staticmethod
+    def failing_at(failures):
+        """A ``certify_reduction`` that returns ``failures[(N, M)]`` there, 0 elsewhere."""
+
+        def certify(full, s_grid):
+            return failures.get((full.n_items, len(full.marked_set)), 0.0)
+
+        return certify
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("failures, worst, others", [
+        ({(2, 1): math.nan}, "nan at (N, M) = (2, 1)", []),
+        ({(8, 2): math.nan}, "nan at (N, M) = (8, 2)", []),
+        ({(8, 2): math.nan, (16, 4): 1e-6}, "nan at (N, M) = (8, 2)", [(16, 4)]),
+        ({(2, 1): 1e-6, (16, 4): 1e-3}, "1.000e-03 at (N, M) = (16, 4)", [(2, 1)]),
+    ], ids=["nan-first", "nan-later", "nan-and-above", "two-above"])
+    def test_nan_discrepancy_fails(self, failures, worst, others, workers, monkeypatch,
+                                   capsys):
+        # A NaN is not within tolerance: it fails the run and is named as the
+        # worst case, and every other case above tolerance is named after it.
+        monkeypatch.setattr(cli, "certify_reduction", self.failing_at(failures))
+        assert run_cli(["certify", "--n-max", "16", "--points", "3",
+                        "--workers", workers]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "certified 13 (N, M) cases up to N=16 on a 3-point s grid\n"
+            f"worst |dense - closed-form| discrepancy: {worst}\n"
+            + "".join(f"also above tolerance at (N, M) = {case}\n" for case in others)
         )
         assert captured.err == "FAIL: above tolerance 1e-09\n"
 

@@ -391,16 +391,91 @@ class TestGlobalSchedule:
 
     @pytest.mark.parametrize("kind", ["global_linear", "local_adiabatic"])
     def test_offset_is_the_plain_expression(self, kind):
-        # x is 2 s - 1 of the plain s: t/T, or the knot table interpolated.
+        # x is the affine r t - 1 with r = 2/T, or 2 s - 1 of the knot table
+        # interpolated.
         inst = make_instance(64, 4)
         sched = make_schedule(inst, kind, 2.0)
         ts = np.linspace(0.0, sched.total_time, 101)
         if kind == "global_linear":
-            s = ts / sched.total_time
+            x = 2.0 / sched.total_time * ts - 1.0
         else:
             _, t_knots, s_knots = plain_local_table(inst, 2.0, dynamics.LOCAL_KNOTS)
-            s = np.interp(ts, t_knots, s_knots)
-        assert np.array_equal(sched.sample_x(ts), 2.0 * s - 1.0)
+            x = 2.0 * np.interp(ts, t_knots, s_knots) - 1.0
+        assert np.array_equal(sched.sample_x(ts), x)
+
+    @pytest.mark.parametrize("n, m", [(4, 2), (1024, 2), (1024, 3), (16, 4), (2**62, 3)])
+    @pytest.mark.parametrize("c", [1.0, 0.3, 7.0])
+    def test_duration_is_c_times_n_over_m(self, n, m, c):
+        # N/M is rounded once, then multiplied by c; c/g_min^2, with
+        # g_min = sqrt(M/N), misses it by an ulp at all but (16, 4).
+        assert make_global_schedule(make_instance(n, m), c).total_time == c * (n / m)
+
+    @pytest.mark.parametrize("n, c", [(4, 5e-324), (4, 1e-309), (64, 5e-324)])
+    def test_round_too_short_to_sweep_is_refused(self, n, c):
+        # x runs over 2 in T = c N/M, a rate that overflows here.
+        message = rf"^a global_linear round of duration {re.escape(f'{c * n:g}')} is too short"
+        with pytest.raises(ValueError, match=message):
+            make_global_schedule(make_instance(n, 1), c)
+
+
+class TestAffineSchedule:
+    """The partial and global builders, and the quench, are one affine sweep."""
+
+    @pytest.mark.parametrize("n, m", [(4, 1), (64, 8), (1024, 3), (2**40, 2**20), (2**62, 1)])
+    @pytest.mark.parametrize("c", [0.25, 1.0, 3.7])
+    def test_public_builders_are_the_affine_one(self, n, m, c):
+        inst = make_instance(n, m)
+        for build, kind, x1, unit in (
+            (make_partial_schedule, "partial", 1.0 / math.sqrt(n), math.sqrt(n) / m),
+            (make_global_schedule, "global_linear", 1.0, n / m),
+        ):
+            sched, affine = build(inst, c), dynamics._affine_schedule(kind, x1, c * unit)
+            assert (sched.kind, sched.total_time) == (kind, affine.total_time)
+            ts = np.linspace(0.0, c * unit, 257)
+            assert np.array_equal(sched.sample_x(ts), affine.sample_x(ts))
+            assert sched.sample_x(0.0) == -x1
+
+    def test_quench_holds_the_midpoint(self):
+        quench = dynamics._affine_schedule("quench", 0.0, 3.0)
+        assert quench.kind == "quench"
+        assert np.array_equal(quench.sample_x(np.linspace(0.0, 3.0, 7)), np.zeros(7))
+        assert quench.sample_x(3.0) == 0.0
+
+    @pytest.mark.parametrize("total", [0.0, -1.0, math.inf, math.nan])
+    def test_quench_refuses_a_bad_duration(self, total):
+        with pytest.raises(ValueError, match="total_time must be positive and finite"):
+            dynamics._affine_schedule("quench", 0.0, total)
+
+    @pytest.mark.parametrize("n, m, total", [(64, 1, 1.0), (2**62, 1, 1e10), (16, 16, 5e-324)])
+    def test_quench_runs_at_the_step_floor(self, n, m, total):
+        inst = make_instance(n, m)
+        quench = dynamics._affine_schedule("quench", 0.0, total)
+        assert schedule_step_count(inst, quench) == 10
+
+    # The sudden switch to H(1/2), held for T, is Farhi & Gutmann's analog
+    # search (PRA 57, 2403 (1998)) from an overlap b with the marked set:
+    # p(T) = b + a sin^2(sqrt(b) T / 2).  H is constant, so Magnus-4 is exact
+    # but for rounding at the step rule's 10 steps.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        root=st.integers(2, 2**31),
+        marked=st.sampled_from(["one", "root", "half", "all"]),
+        fraction=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    @example(root=2**31, marked="one", fraction=1.0)
+    @example(root=2, marked="one", fraction=1.0)
+    @example(root=2**31, marked="half", fraction=0.5)
+    def test_quench_matches_the_closed_form(self, root, marked, fraction):
+        n = root * root
+        m = {"one": 1, "root": root, "half": n // 2, "all": n}[marked]
+        inst = make_instance(n, m)
+        total = fraction * 20.0 * math.sqrt(n / m)
+        quench = dynamics._affine_schedule("quench", 0.0, total)
+        steps = schedule_step_count(inst, quench)
+        assert steps == 10
+        p = evolve(inst, quench, steps, initial_state(inst)).success_probability
+        closed = inst.b + inst.a * math.sin(math.sqrt(inst.b) * total / 2.0) ** 2
+        assert abs(p - closed) <= 1e-13
 
 
 class TestLocalSchedule:
@@ -678,16 +753,16 @@ class TestScheduleStepCount:
         assert steps / 2**64 == pytest.approx(sched.total_time / 2**64 * estimate, rel=1e-12)
 
     def test_unknown_kind_has_no_step_rule(self):
-        quench = Schedule("quench", 1.0, lambda t: 0.0 * t)
-        with pytest.raises(ValueError, match="'quench'"):
-            schedule_step_count(make_instance(64, 1), quench)
+        cubic = Schedule("cubic", 1.0, lambda t: t**3 - 1.0)
+        with pytest.raises(ValueError, match="'cubic'"):
+            schedule_step_count(make_instance(64, 1), cubic)
 
     def test_vanishing_duration_runs_at_the_floor(self):
-        # The partial sweep rate at c = 1e-300 is 5e299; at 5e-324 it
-        # overflows and the schedule is refused, while the global one runs.
+        # Both sweep rates at c = 1e-300 are 5e299; at 5e-324 both overflow
+        # and the schedules are refused.
         inst = make_instance(4, 1)
         assert schedule_step_count(inst, make_partial_schedule(inst, 1e-300)) == 10
-        assert schedule_step_count(inst, make_global_schedule(inst, 5e-324)) == 10
+        assert schedule_step_count(inst, make_global_schedule(inst, 1e-300)) == 10
 
     def test_long_round_at_large_n(self):
         out = run_round(make_instance(2**20, 1), 256.0)
