@@ -14,8 +14,9 @@ denominators take different forms.  ``make_partial_schedule`` and
 ``make_global_schedule`` build the c = 1 sweeps, the partial one as every
 ``run_round`` does before it integrates.  ``schedule_step_count`` counts the
 steps of the c = 1 partial round from its error bound, and
-``run_round(c=1)`` runs that round, 10 steps and its step-halving twin, the
-shape of most benchmark rounds; it takes most of the script's time.
+``run_round(c=1)`` runs that round, 10 steps with no step-halving twin (its
+error estimate is the bound), the shape of most benchmark rounds; it takes
+most of the script's time.
 ``csv_chunks(block)`` and ``json_chunks(block)`` write the text of one
 ``spectral_columns`` block of ``cli.BLOCK_ROWS`` = 2048 points, the block
 ``padia spectrum`` computes and writes as one piece; a call formats 2048

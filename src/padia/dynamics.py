@@ -19,18 +19,21 @@ its offset x = 2s - 1, chunk by chunk, by a sampler that the dense oracle's
 RK4 shares.  For a given (schedule, steps) every run on the same numpy build
 gives the same bits.
 
-Unitarity makes the norm drift blind to a coarse grid, so every round also
-runs a step-halving twin with half the steps, and the difference of the
-two, divided by 15, is reported as the error estimate and guarded.  Both
-share one vectorised pass, whose fold pads each run with identity pairs
-where its own fold would carry an odd pair over, so that each run keeps the
-fold tree, and the bits, that it has alone.
-The paper's window sweep, the global baseline and the sudden quench are one
-affine sweep of x over [-x1, x1], x1 = 1/sqrt(N), 1 and 0.  With the phase
-of tr H taken out, H is B . sigma with B affine in x, so Magnus-4's leading
-error term is a closed form in the sweep's ends, which sets their default
-step count (``schedule_step_count``).  The local-adiabatic baseline sweeps
-the full interval at a rate that tracks the squared gap.
+Unitarity makes the norm drift blind to a coarse grid, so every round
+carries an error estimate, which is guarded like the drift.  The paper's
+window sweep, the global baseline and the sudden quench are one affine sweep
+of x over [-x1, x1], x1 = 1/sqrt(N), 1 and 0.  With the phase of tr H taken
+out, H is B . sigma with B affine in x, so Magnus-4's leading error term is
+a closed form in the sweep's ends, known before any step is taken.  It sets
+their default step count (``schedule_step_count``), and, plus a rounding
+allowance, it is their error estimate: a count whose estimate is too large
+is refused before it is integrated, and the round runs alone.  The
+local-adiabatic baseline sweeps the full interval at a rate that tracks the
+squared gap, through a table with no such bound; its round runs with a
+step-halving twin at half the steps, and the difference of the two, divided
+by 15, is its estimate.  Both share one vectorised pass, whose fold pads
+each run with identity pairs where its own fold would carry an odd pair
+over, so that each run keeps the fold tree, and the bits, that it has alone.
 """
 
 from __future__ import annotations
@@ -72,13 +75,12 @@ __all__ = [
     "simulate_until_success",
 ]
 
-# A final-state norm, or a step-halving error estimate, farther than this
-# from 1 or from 0 means the step count was too coarse for the requested
-# duration.
+# A final-state norm, or an error estimate, farther than this from 1 or
+# from 0 means the step count was too coarse for the requested duration.
 NORM_DRIFT_LIMIT = 1e-6
 
-# evolve refuses longer runs up front: 10^8 steps, with the half-step run for
-# the error estimate, take of the order of 10 s.
+# evolve refuses longer runs up front: 10^8 steps take of the order of 10 s,
+# half as long again on the local schedule, whose twin runs beside them.
 MAX_STEPS = 10**8
 
 # draw_repeat_stats refuses more rounds up front, so that a run whose success
@@ -99,7 +101,7 @@ _MAX_DRAWS = 8192
 # [0.25, 256] at each N = r^2 (r = 2..11, 16, 32, 2^10, 2^20, 2^31) and M in
 # {1, r, N/2, N}, the count then lands within 3.9e-10 (partial) and 3.1e-10
 # (global, counts up to 2.5e5) of the success probability at four times the
-# steps, inside the step-halving estimate's bound.
+# steps.
 _ERROR_BOUND = 5e-10
 
 # Knots of the local-adiabatic t(s) table that make_schedule, and so the CLI
@@ -141,9 +143,10 @@ def _check_drift(label: str, value: float, steps: int, total_time: float) -> Non
 
 # Steps of a round per vectorised chunk.  Memory stays O(chunk) for any run
 # length, while the numpy call overhead is spread over thousands of steps.
-# The chunk also holds the matching 2560 steps of its step-halving twin,
-# 7680 pairs in all; both counts are multiples of 2^8, the fold passes the
-# twin's share takes, so a full chunk needs no identity padding.
+# On the local schedule the chunk also holds the matching 2560 steps of its
+# step-halving twin, 7680 pairs in all; both counts are multiples of 2^8, the
+# fold passes the twin's share takes, so a full chunk needs no identity
+# padding.
 _TWIN_CHUNK = 5120
 
 # The two-point Gauss-Legendre nodes as fractions of a step, and the
@@ -161,7 +164,7 @@ _IDENTITY = (1.0 + 0.0j, 0.0j)
 
 class NormDriftExceeded(RuntimeError):
     """Integration lost unitarity, or its error estimate exceeded
-    NORM_DRIFT_LIMIT; increase steps."""
+    NORM_DRIFT_LIMIT (on an affine sweep, before any step); increase steps."""
 
 
 class Schedule(NamedTuple):
@@ -169,7 +172,10 @@ class Schedule(NamedTuple):
     x(t) = 2 s(t) - 1 in [-1, 1].
 
     kind is 'local_adiabatic' or one of the affine sweeps of [-x1, x1]:
-    'partial', 'global_linear' and 'quench' (x1 = 1/sqrt(N), 1 and 0).
+    'partial', 'global_linear' and 'quench' (x1 = 1/sqrt(N), 1 and 0).  A
+    schedule of an affine kind must sweep x at a constant rate, as the
+    builders below do: its step count and its error estimate are read off
+    x(0) and total_time.
     ``sample_x`` maps t to x and must accept scalars and numpy arrays alike;
     it is all the integrators sample, and s = (1 + x)/2 where s is needed.
     The affine sweeps form x without passing through a float s: near
@@ -188,10 +194,16 @@ class RoundOutcome(NamedTuple):
     success_probability is |amp_beta|^2 of the final state over its squared
     norm, i.e. the chance a computational-basis measurement lands in the
     marked set.  ground_fidelity is the squared overlap with the
-    instantaneous ground state at the end of the schedule.  error_estimate is
-    max|amplitude difference| / 15 between the run and its twin at half the
-    steps, integrated in the same pass, the step-halving estimate of the
-    error of a fourth-order scheme.
+    instantaneous ground state at the end of the schedule.  error_estimate
+    bounds the error of the final amplitudes.  On the affine sweeps
+    ('partial', 'global_linear', 'quench') it is Magnus-4's closed-form bound
+    h^4 E plus a rounding allowance, both known before the round is
+    integrated.  On 'local_adiabatic' it is max|amplitude difference| / 15
+    between the run and its twin at half the steps, integrated in the same
+    pass, the step-halving estimate of a fourth-order scheme's error; the
+    kinks of the local t(s) table break that order, and there the estimate
+    can under-report the true error by about 10x (9.6x at N = 256, M = 4
+    on a 2,001-knot table).
     """
 
     final_state: ReducedState
@@ -354,37 +366,63 @@ def default_step_count(total_time: float) -> int:
     return _step_count(total_time, 64, 100)
 
 
+def _bound_root(instance: SearchInstance, schedule: Schedule) -> float:
+    """(T^4 E)^(1/4) of an affine sweep: at n steps, Magnus-4's propagator
+    error over the round is at most (root / n)^4 = h^4 E.
+
+    The sweep runs x over [-x1, x1] (x1 = |x(0)|: 1/sqrt(N), 1 and 0) at the
+    rate r = 2 x1 / T.  With the phase of tr H taken out, A = -i B . sigma,
+    and B = (-(1 - x) sqrt(ab), 0, b + a x)/2 has the constant slope
+    B' = r (sqrt(ab), 0, a)/2, with B x B' = r sqrt(ab)/4 along y and
+    |B|^2 = (b + a x^2)/4.  Magnus-4 is exact through its second term there;
+    its local error, with A at the step's midpoint, is h^5 ([A', [A, A']]/240
+    + [A, [A, [A, A']]]/720) + O(h^7) (Blanes, Casas, Oteo & Ros, Phys. Rep.
+    470 (2009) 151), and a commutator of Pauli vectors is twice their cross
+    product.  Over the round the errors sum to at most h^4 E,
+
+        E = T r^2 a sqrt(b)/480 + (sqrt(ab)/1440) [b x + a x^3/3] from -x1 to x1,
+
+    and E = 0 on the quench.  The O(h^7) remainder has no closed form here:
+    the bound is checked against runs at 16 times the steps, down to 1/8 of
+    the default count (``tests/test_dynamics.py``).
+    """
+    total = schedule.total_time
+    a, b = instance.a, instance.b
+    x1 = abs(float(schedule.sample_x(0.0)))
+    # T^4 E = T^3 (slope + T turn), formed so that no factor leaves the float range.
+    slope = x1 * x1 * a * math.sqrt(b) / 120.0
+    turn = math.sqrt(a * b) / 720.0 * x1 * (b + a * x1 * x1 / 3.0)
+    return total**0.75 * (slope + total * turn) ** 0.25
+
+
+def _rounding_allowance(steps: int) -> float:
+    """The rounding that an affine round of ``steps`` steps may add to its
+    amplitudes on top of ``_bound_root``'s bound: 1e-13 plus 1e-17 a step.
+
+    Against runs at 16 times the steps, the error above the bound reached
+    3.1e-14 at 10 to 80 steps and 5.0e-14 at 10,240 to 40,960, over 3,705
+    partial, global and quench rounds (N = r^2, r from 2 to 2^20, M in
+    {1, r, N/2, N}, c from 0.25 to 256, counts from 1/8 to 8 times the
+    default, and four times over, up to 6.6e4); the fold's pairwise
+    products keep it from growing with the count that far, and the term per
+    step covers the chunks' renormalisations beyond.
+    """
+    return 1e-13 + 1e-17 * steps
+
+
 def schedule_step_count(instance: SearchInstance, schedule: Schedule) -> int:
     """The default step count of a round of ``schedule``.
 
     ``default_step_count`` of the duration on the local schedule, whose
-    x(t) is only piecewise linear.  The affine sweeps run x over [-x1, x1]
-    (x1 = -x(0): 1/sqrt(N), 1 and 0) at the rate r = 2 x1 / T.
-    With the phase of tr H taken out, A = -i B . sigma, and B = (-(1 - x)
-    sqrt(ab), 0, b + a x)/2 has the constant slope B' = r (sqrt(ab), 0, a)/2,
-    with B x B' = r sqrt(ab)/4 along y and |B|^2 = (b + a x^2)/4.  Magnus-4
-    is exact through its second term there; its local error, with A at the
-    step's midpoint, is h^5 ([A', [A, A']]/240 + [A, [A, [A, A']]]/720)
-    + O(h^7) (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151), and a
-    commutator of Pauli vectors is twice their cross product.  Over the
-    round the errors sum to at most h^4 E,
-
-        E = T r^2 a sqrt(b)/480 + (sqrt(ab)/1440) [b x + a x^3/3] from -x1 to x1,
-
-    and the count is the least n >= 10 with (T/n)^4 E <= _ERROR_BOUND: 10 on
+    x(t) is only piecewise linear.  On the affine sweeps, the least n >= 10
+    whose bound (T/n)^4 E (``_bound_root``) is at most _ERROR_BOUND: 10 on
     the quench, where E = 0.  Any other kind raises ValueError.
     """
-    total = schedule.total_time
     if schedule.kind == "local_adiabatic":
-        return default_step_count(total)
+        return default_step_count(schedule.total_time)
     if schedule.kind not in _AFFINE_KINDS:
         raise ValueError(f"no step rule for schedule kind {schedule.kind!r}")
-    a, b = instance.a, instance.b
-    x1 = -float(schedule.sample_x(0.0))
-    # T^4 E = T^3 (slope + T turn), formed so that no factor leaves the float range.
-    slope = x1 * x1 * a * math.sqrt(b) / 120.0
-    turn = math.sqrt(a * b) / 720.0 * x1 * (b + a * x1 * x1 / 3.0)
-    return _step_count(total**0.75 * (slope + total * turn) ** 0.25, _ERROR_BOUND**-0.25, 10)
+    return _step_count(_bound_root(instance, schedule), _ERROR_BOUND**-0.25, 10)
 
 
 def _stage_offsets(
@@ -507,34 +545,43 @@ def _ordered_product(pairs: np.ndarray) -> tuple[complex, complex]:
 
 
 def _propagate(
-    instance: SearchInstance, schedule: Schedule, steps: int, initial: ReducedState
+    instance: SearchInstance, schedule: Schedule, runs: tuple[int, ...], initial: ReducedState
 ) -> list[tuple[complex, complex]]:
-    """The states after ``steps`` Magnus-4 steps from ``initial`` and after
-    the ``steps // 2`` of its step-halving twin, integrated in one pass.
+    """The states after each run of Magnus-4 steps from ``initial``,
+    integrated in one pass: ``runs`` holds the step counts, ``(steps,)`` for
+    a round alone or ``(steps, steps // 2)`` for a round and its
+    step-halving twin.
 
-    A chunk stacks up to _TWIN_CHUNK steps of the round and the twin's steps
-    over the same stretch, each run's slice padded with identity pairs to a
-    multiple of 2^p, and folds it for the p passes of the twin's own fold.
-    Each run then finishes its fold and renormalises its propagator (unitary
-    but for rounding), applied with the phase e^{-iT/2} of tr H = 1 at the end.
+    A chunk stacks up to _TWIN_CHUNK steps of the round and each later run's
+    steps over the same stretch, each run's slice padded with identity pairs
+    to a multiple of 2^p, and folds it for the p passes of the shortest run's
+    own fold.  Each run then finishes its fold and renormalises its
+    propagator (unitary but for rounding), applied with the phase e^{-iT/2}
+    of tr H = 1 at the end.
     """
-    dts = schedule.total_time / steps, schedule.total_time / (steps // 2)
+    steps = runs[0]
+    # A run takes one step for every ``share`` steps of the round.
+    shares = [steps // count for count in runs]
+    dts = [schedule.total_time / count for count in runs]
     sqrt_ab = math.sqrt(instance.a * instance.b)
-    totals = [_IDENTITY, _IDENTITY]
+    totals = [_IDENTITY] * len(runs)
     for first in range(0, steps, _TWIN_CHUNK):
-        sizes = min(_TWIN_CHUNK, steps - first), min(_TWIN_CHUNK, steps - first) // 2
-        passes = (max(sizes[1] - 1, 0) // _FOLD_TAIL).bit_length()
+        chunk = min(_TWIN_CHUNK, steps - first)
+        sizes = [chunk // share for share in shares]
+        passes = (max(sizes[-1] - 1, 0) // _FOLD_TAIL).bit_length()
         folded = [-(-size >> passes) for size in sizes]
-        spans = [(first, sizes[0], dts[0]), (first // 2, sizes[1], dts[1])]
+        spans = [(first // share, size, dt) for share, size, dt in zip(shares, sizes, dts)]
         x_low, x_high = _stage_offsets(schedule, (_GAUSS_LOW, _GAUSS_HIGH), spans)
-        runs = [(size, n << passes, dt) for size, n, dt in zip(sizes, folded, dts)]
-        pairs = _step_pairs(instance.a, instance.b, sqrt_ab, x_low, x_high, runs)
+        widths = [(size, n << passes, dt) for size, n, dt in zip(sizes, folded, dts)]
+        pairs = _step_pairs(instance.a, instance.b, sqrt_ab, x_low, x_high, widths)
         pairs = _fold(pairs, pairs.shape[-1] >> passes)
-        for run, (n, at) in enumerate(zip(folded, (0, folded[0]))):
+        at = 0
+        for run, n in enumerate(folded):
             if n:
                 alpha, beta = _pair_product(_ordered_product(pairs[:, at : at + n]), totals[run])
                 norm = math.hypot(abs(alpha), abs(beta))
                 totals[run] = alpha / norm, beta / norm
+            at += n
     phase = cmath.exp(-0.5j * schedule.total_time)
     x, y = complex(initial.amp_alpha), complex(initial.amp_beta)
     return [
@@ -551,29 +598,46 @@ def evolve(
 ) -> RoundOutcome:
     """Integrate one round of the given schedule from ``initial``.
 
-    Runs ``steps`` Magnus-4 steps and, in the same vectorised pass, the
-    ``steps // 2`` of its step-halving twin, for the error estimate
+    On the affine sweeps the round runs ``steps`` Magnus-4 steps alone, and
+    its error estimate is the closed-form bound (T/steps)^4 E of
+    ``_bound_root`` plus ``_rounding_allowance(steps)``, formed before any
+    step.  On any other kind, the local schedule included, the same pass
+    also runs the ``steps // 2`` of its step-halving twin, for the estimate
     max|amplitude difference| / 15; each run gives the bits it gives alone.
 
     Raises ValueError for a step count that is not an integer (``bool``
     excluded, as in ``make_instance``) or lies outside [10, MAX_STEPS], and
-    NormDriftExceeded when the final norm strays from 1, or the error
-    estimate exceeds, NORM_DRIFT_LIMIT (NaN included): the signature of an
-    insufficient step count.
+    NormDriftExceeded when the error estimate exceeds NORM_DRIFT_LIMIT (on
+    an affine sweep before integrating), or the final norm strays from 1 by
+    more than it (NaN included): the signature of an insufficient step count.
     """
     steps = _checked_steps(steps)
-    _check_step_cap(steps, schedule.total_time)
+    total = schedule.total_time
+    _check_step_cap(steps, total)
     if not abs(initial.norm() - 1.0) <= STATE_NORM_TOL:  # NaN fails this test too
         raise ValueError("initial state must be normalized")
+    affine = schedule.kind in _AFFINE_KINDS
+    if affine:
+        # Squared twice, so that a bound past the float range is inf, not an OverflowError.
+        ratio = _bound_root(instance, schedule) / steps
+        error_estimate = (ratio * ratio) * (ratio * ratio) + _rounding_allowance(steps)
+        if not error_estimate <= NORM_DRIFT_LIMIT:
+            raise NormDriftExceeded(
+                f"Magnus-4 error bound {error_estimate:.3e} at {steps} steps over duration "
+                f"{total:g} exceeds {NORM_DRIFT_LIMIT:g}; increase steps"
+            )
+    runs = (steps,) if affine else (steps, steps // 2)
     # A huge duration can turn the step angles to inf/NaN; the guards below
     # report it.
     with np.errstate(over="ignore", invalid="ignore"):
-        (x, y), (x_half, y_half) = _propagate(instance, schedule, steps, initial)
-    error_estimate = max(abs(x - x_half), abs(y - y_half)) / 15.0
+        (x, y), *twin = _propagate(instance, schedule, runs, initial)
     drift = abs(math.hypot(abs(x), abs(y)) - 1.0)
-    _check_drift("norm drifted by", drift, steps, schedule.total_time)
-    _check_drift("error estimate is", error_estimate, steps, schedule.total_time)
-    s_end = 0.5 * (1.0 + float(schedule.sample_x(schedule.total_time)))
+    _check_drift("norm drifted by", drift, steps, total)
+    if twin:
+        x_half, y_half = twin[0]
+        error_estimate = max(abs(x - x_half), abs(y - y_half)) / 15.0
+        _check_drift("error estimate is", error_estimate, steps, total)
+    s_end = 0.5 * (1.0 + float(schedule.sample_x(total)))
     c_alpha, c_beta = eigenvector_components(instance, s_end, 0)
     p_alpha, p_beta = abs(x) ** 2, abs(y) ** 2
     return RoundOutcome(

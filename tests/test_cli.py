@@ -497,28 +497,50 @@ class TestEvolveCommand:
         assert json.loads(first)["repeat"]["rounds_used"] >= 1
 
     def test_norm_drift_exit_code(self, capsys):
-        # The unitary propagator keeps the norm; the step-halving estimate
-        # is what refuses this grid.
+        # The unitary propagator keeps the norm; the error bound is what
+        # refuses this grid, before any step.
         assert run_cli(["evolve", "--n", "64", "--m", "1", "--c", "64",
                         "--steps", "10"]) == 1
-        assert "error estimate" in capsys.readouterr().err
+        assert "Magnus-4 error bound" in capsys.readouterr().err
+
+    def test_local_round_keeps_the_step_halving_estimate(self, capsys):
+        assert run_cli(["evolve", "--n", "64", "--m", "1", "--schedule", "local",
+                        "--c", "1e9", "--steps", "10"]) == 1
+        assert re.fullmatch(r"error: error estimate is \S+ after 10 steps over duration "
+                            r"\S+; increase steps\n", capsys.readouterr().err)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nan_state_exit_code(self, capsys):
-        assert run_cli(["evolve", "--n", "64", "--m", "1", "--c", "1e9",
-                        "--steps", "10"]) == 1
-        assert "error estimate" in capsys.readouterr().err
+        # The local schedule has no bound to refuse it up front, so the
+        # round is integrated and its state turns NaN.
+        assert run_cli(["evolve", "--n", "64", "--m", "1", "--schedule", "local",
+                        "--c", "1e200", "--steps", "10"]) == 1
+        assert "norm drifted by nan" in capsys.readouterr().err
 
     def test_blown_up_run_prints_only_the_error(self):
         # numpy warnings go to the real stderr of a fresh process, which the
         # in-process capture above would not show.
-        result = run_fresh(["evolve", "--n", "64", "--m", "1", "--c", "1e9", "--steps", "10"])
+        result = run_fresh(["evolve", "--n", "64", "--m", "1", "--schedule", "local",
+                            "--c", "1e200", "--steps", "10"])
         assert result.returncode == 1
-        # The estimate's digits depend on libm's sin/cos at angles near 4e8.
         assert re.fullmatch(
-            r"error: error estimate is \S+ after 10 steps over duration 8e\+09; "
-            r"increase steps\n",
+            r"error: norm drifted by nan after 10 steps over duration \S+; increase steps\n",
+            result.stderr,
+        )
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["--n", "64", "--c", "1e9", "--steps", "10"], r"\S+ at 10 steps over duration 8e\+09"),
+        # The step-halving twin accepted this count with an estimate of 8.4e-9.
+        (["--n", "1024", "--schedule", "global", "--c", "4", "--steps", "5000"],
+         r"6\.554e-06 at 5000 steps over duration 4096"),
+    ])
+    def test_over_coarse_count_is_refused_by_the_bound(self, argv, shown):
+        result = run_fresh(["evolve", "--m", "1", *argv])
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert re.fullmatch(
+            rf"error: Magnus-4 error bound {shown} exceeds 1e-06; increase steps\n",
             result.stderr,
         )
 

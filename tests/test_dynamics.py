@@ -250,13 +250,29 @@ def single_run_propagate(instance, schedule, steps, initial):
     return phase * (alpha * x + beta * y), phase * (alpha.conjugate() * y - beta.conjugate() * x)
 
 
+AFFINE_KINDS = ("partial", "global_linear", "quench")
+
+
+def affine_estimate(instance, schedule, steps):
+    """The error estimate of an affine round: Magnus-4's bound (T/steps)^4 E,
+    the square of a square as evolve forms it, plus the rounding allowance."""
+    ratio = dynamics._bound_root(instance, schedule) / steps
+    return (ratio * ratio) * (ratio * ratio) + dynamics._rounding_allowance(steps)
+
+
 def check_against_single_runs(instance, schedule, steps, initial):
-    """evolve against the round and its twin run apart: the same bits while
-    the round fits in one shared chunk, amplitudes within 1e-14 beyond."""
+    """evolve against single runs: an affine round against the round run
+    alone, with the bound as its estimate; a local one against the round and
+    its twin run apart, with their difference over 15.  The same bits while
+    the round fits in one chunk, amplitudes within 1e-14 beyond."""
     out = evolve(instance, schedule, steps, initial)
     x, y = single_run_propagate(instance, schedule, steps, initial)
-    x_half, y_half = single_run_propagate(instance, schedule, steps // 2, initial)
-    error_estimate = max(abs(x - x_half), abs(y - y_half)) / 15.0
+    if schedule.kind in AFFINE_KINDS:
+        error_estimate = affine_estimate(instance, schedule, steps)
+        assert out.error_estimate == error_estimate
+    else:
+        x_half, y_half = single_run_propagate(instance, schedule, steps // 2, initial)
+        error_estimate = max(abs(x - x_half), abs(y - y_half)) / 15.0
     if steps <= _TWIN_CHUNK:
         assert out.final_state == ReducedState(x, y)
         assert out.success_probability == abs(y) ** 2 / (abs(x) ** 2 + abs(y) ** 2)
@@ -306,6 +322,8 @@ def comparison_case(kind, steps, dt=CASE_DT):
         sched = make_partial_schedule(inst, total / 0.5)  # sqrt(N)/M = 1/2
     elif kind == "global_linear":
         sched = make_global_schedule(inst, total / 4.0)  # N/M = 4
+    elif kind == "quench":
+        sched = dynamics._affine_schedule("quench", 0.0, total)
     elif kind == "local_adiabatic":
         c = total / local_total_time_closed_form(64, 16)
         sched = make_local_schedule(inst, c, 10_001)
@@ -765,11 +783,21 @@ class TestScheduleStepCount:
         assert schedule_step_count(inst, make_global_schedule(inst, 1e-300)) == 10
 
     def test_long_round_at_large_n(self):
-        out = run_round(make_instance(2**20, 1), 256.0)
-        assert out.error_estimate <= 1e-10
+        # 11,280 steps, where the count sets the bound to 5e-10; the error
+        # itself, against four times the steps, stays below 1e-10.
+        inst = make_instance(2**20, 1)
+        out = run_round(inst, 256.0)
+        steps = schedule_step_count(inst, make_partial_schedule(inst, 256.0))
+        finer = run_round(inst, 256.0, steps=4 * steps).final_state
+        true_error = max(
+            abs(out.final_state.amp_alpha - finer.amp_alpha),
+            abs(out.final_state.amp_beta - finer.amp_beta),
+        )
+        assert true_error <= 1e-10
+        assert out.error_estimate <= 5e-10 + dynamics._rounding_allowance(steps)
 
-    # The step-halving estimate bounds the error at the default count.  On a
-    # grid of 400 multipliers per (N, M) the error stays below 3.9e-10
+    # The error estimate, the bound itself, bounds the error at the default
+    # count.  On a grid of 400 multipliers per (N, M) the error stays below 3.9e-10
     # (partial) and 3.1e-10 (global, up to 2.5e5 steps); the angle rule that
     # came before kept it below 4.9e-10, and at 64 steps per radian missed by
     # 1e-9 (first example).  Had the steps sampled s and formed bz as
@@ -801,6 +829,91 @@ class TestScheduleStepCount:
         difference = abs(out.success_probability - finer.success_probability)
         assert difference <= 1e-9
         assert difference <= 1.5 * out.error_estimate + 1e-13
+
+
+class TestAffineErrorBound:
+    # The bound plus the rounding allowance is the error estimate of every
+    # affine round that evolve accepts, down to 1/8 of the default count,
+    # against the same round at 16 times the steps.  On a grid of about 930
+    # rounds whose bound is above 1e-13 the error reached 0.975 of the bound
+    # (the first example: 10 steps of h = 25.6), and 0.920 on global sweeps.
+    @settings(max_examples=80, deadline=None)
+    @given(
+        root=st.integers(2, 2**20),
+        marked=st.sampled_from(["one", "root", "half", "all"]),
+        c=st.floats(0.25, 256.0),
+        kind=st.sampled_from(AFFINE_KINDS),
+        fraction=st.sampled_from([1.0, 0.5, 0.25, 0.125]),
+    )
+    @example(root=2**20, marked="root", c=256.0, kind="partial", fraction=1.0)
+    @example(root=2**20, marked="one", c=256.0, kind="partial", fraction=0.125)
+    @example(root=8, marked="root", c=256.0, kind="global_linear", fraction=0.125)
+    @example(root=5, marked="one", c=256.0, kind="quench", fraction=1.0)
+    @example(root=2, marked="all", c=256.0, kind="global_linear", fraction=0.25)
+    def test_true_error_is_within_the_estimate(self, root, marked, c, kind, fraction):
+        n = root * root
+        m = {"one": 1, "root": root, "half": n // 2, "all": n}[marked]
+        inst = make_instance(n, m)
+        if kind == "quench":
+            sched = dynamics._affine_schedule("quench", 0.0, c * math.sqrt(n / m))
+        else:
+            sched = make_schedule(inst, kind, c)
+        steps = max(10, math.ceil(fraction * schedule_step_count(inst, sched)))
+        assume(16 * steps <= 10**6)
+        psi0 = initial_state(inst)
+        estimate = affine_estimate(inst, sched, steps)
+        if estimate > NORM_DRIFT_LIMIT:
+            with pytest.raises(NormDriftExceeded):
+                evolve(inst, sched, steps, psi0)
+            return
+        out = evolve(inst, sched, steps, psi0)
+        ref = evolve(inst, sched, 16 * steps, psi0).final_state
+        true_error = max(
+            abs(out.final_state.amp_alpha - ref.amp_alpha),
+            abs(out.final_state.amp_beta - ref.amp_beta),
+        )
+        assert out.error_estimate == estimate
+        assert true_error <= out.error_estimate
+
+    def test_over_coarse_count_is_refused_before_integrating(self, monkeypatch):
+        def no_steps(*args):
+            raise AssertionError("integrated a refused round")
+
+        monkeypatch.setattr(dynamics, "_step_pairs", no_steps)
+        inst = make_instance(64, 1)
+        for sched in (make_partial_schedule(inst, 64.0), make_global_schedule(inst, 4.0)):
+            with pytest.raises(NormDriftExceeded, match=r"^Magnus-4 error bound \S+ at 10 steps"):
+                evolve(inst, sched, 10, initial_state(inst))
+
+    def test_refusal_names_the_bound_and_the_count(self):
+        # At (1024, 1, c = 4) the global bound at 5,000 steps is 6.6e-6; the
+        # step-halving twin put the error at 8.4e-9 and accepted the count.
+        inst = make_instance(1024, 1)
+        sched = make_global_schedule(inst, 4.0)
+        with pytest.raises(NormDriftExceeded) as exc:
+            evolve(inst, sched, 5000, initial_state(inst))
+        assert str(exc.value) == (
+            f"Magnus-4 error bound {affine_estimate(inst, sched, 5000):.3e} at 5000 steps "
+            "over duration 4096 exceeds 1e-06; increase steps"
+        )
+        assert affine_estimate(inst, sched, 5000) == pytest.approx(6.55e-6, rel=1e-3)
+
+    def test_bound_past_the_float_range_is_refused(self):
+        # (root / steps)^4 overflows; the estimate is inf, not an OverflowError.
+        inst = make_instance(4, 1)
+        sched = make_partial_schedule(inst, 1e300)
+        with pytest.raises(NormDriftExceeded, match="bound inf at 10 steps"):
+            evolve(inst, sched, 10, initial_state(inst))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("total", [1e300, 1.7e308])
+    def test_blown_up_quench_raises_norm_drift(self, total):
+        # The quench's bound is 0, so the round is integrated; its step angles
+        # overflow and the norm guard reports the NaN state, with no warning.
+        inst = make_instance(64, 1)
+        sched = dynamics._affine_schedule("quench", 0.0, total)
+        with pytest.raises(NormDriftExceeded, match="^norm drifted by nan after 10 steps"):
+            evolve(inst, sched, 10, initial_state(inst))
 
 
 class TestEvolve:
@@ -938,20 +1051,42 @@ class TestEvolve:
             done += count + count // 2
         assert done == steps + twin
 
+    # The name is kept from when every round shared its pass with a twin;
+    # only the local round still does.  An affine round runs alone.
     @pytest.mark.parametrize("steps", (10, 11, 17, 33, 34, 100, 101, 255) + TWIN_EDGE_STEPS)
-    @pytest.mark.parametrize("kind", ["partial", "global_linear", "local_adiabatic"])
+    @pytest.mark.parametrize("kind", ["partial", "global_linear", "local_adiabatic", "quench"])
     def test_shared_pass_matches_two_single_runs(self, kind, steps):
         inst, sched, psi0 = comparison_case(kind, steps)
         check_against_single_runs(inst, sched, steps, psi0)
 
     @settings(max_examples=30, deadline=None)
     @given(
-        kind=st.sampled_from(["partial", "global_linear", "local_adiabatic"]),
+        kind=st.sampled_from(["partial", "global_linear", "local_adiabatic", "quench"]),
         steps=st.integers(10, 3 * _CHUNK_STEPS),
     )
     def test_shared_pass_matches_two_single_runs_at_any_count(self, kind, steps):
         inst, sched, psi0 = comparison_case(kind, steps)
         check_against_single_runs(inst, sched, steps, psi0)
+
+    @pytest.mark.parametrize("kind", ["partial", "global_linear", "quench", "local_adiabatic"])
+    def test_only_the_local_round_runs_a_twin(self, kind):
+        # The integrator samples x at the two Gauss points of each step of
+        # each run: the round's alone on an affine sweep, the round's and
+        # its twin's on the local one.  The bound reads x(0), and the ground
+        # fidelity x(T), on top.
+        steps = 101
+        inst, sched, psi0 = comparison_case(kind, steps)
+        points = []
+
+        def counting_sample_x(t):
+            points.append(np.size(t))
+            return sched.sample_x(t)
+
+        evolve(inst, sched._replace(sample_x=counting_sample_x), steps, psi0)
+        if kind == "local_adiabatic":
+            assert sum(points) == 2 * (steps + steps // 2) + 1
+        else:
+            assert sum(points) == 2 * steps + 2
 
     @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
     def test_agrees_with_rk4_at_fine_steps(self, kind):
@@ -984,8 +1119,9 @@ class TestEvolve:
         ],
     )
     def test_error_estimate_bounds_true_error(self, builder, n, m, c, steps):
-        # Step halving estimates the error of a fourth-order scheme to within
-        # its higher-order terms; 10% covers them here.
+        # The estimate is Magnus-4's bound h^4 E plus the rounding allowance;
+        # it bounds the error against 16 times the steps, and 10% would
+        # cover higher-order terms it missed.
         inst = make_instance(n, m)
         sched = builder(inst, c)
         psi0 = initial_state(inst)
@@ -1043,7 +1179,8 @@ class TestEvolve:
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.parametrize("c", [1e6, 1e9])
     def test_blown_up_state_raises_norm_drift(self, c):
-        # 1e6: the squared amplitudes overflow; 1e9: the state turns NaN.
+        # Both rounds are refused before integrating, by their error bound;
+        # TestAffineErrorBound integrates a quench whose state turns NaN.
         inst = make_instance(64, 1)
         sched = make_partial_schedule(inst, c)
         with pytest.raises(NormDriftExceeded):
