@@ -31,9 +31,17 @@ is refused before it is integrated, and the round runs alone.  The
 local-adiabatic baseline sweeps the full interval at a rate that tracks the
 squared gap, through a table with no such bound; its round runs with a
 step-halving twin at half the steps, and the difference of the two, divided
-by 15, is its estimate.  Both share one vectorised pass, whose fold pads
-each run with identity pairs where its own fold would carry an odd pair
-over, so that each run keeps the fold tree, and the bits, that it has alone.
+by 15, is its estimate.
+
+The kind picks one of two passes.  An affine round takes the one-run pass:
+per chunk it samples the two Gauss points, fills the three rows of the
+Magnus-4 exponents as one stack scaled by one coefficient column, forms the
+pairs and folds them.  The local round and its twin share the other pass,
+which stacks both runs' steps in each chunk and pads each run with identity
+pairs where its own fold would carry an odd pair over, so that each run
+keeps the fold tree, and the bits, that it has alone.  Both passes share
+the stage sampler, the pairs kernel and the fold, and both give the bits of
+the run integrated on its own.
 """
 
 from __future__ import annotations
@@ -141,12 +149,13 @@ def _check_drift(label: str, value: float, steps: int, total_time: float) -> Non
         )
 
 
-# Steps of a round per vectorised chunk.  Memory stays O(chunk) for any run
-# length, while the numpy call overhead is spread over thousands of steps.
-# On the local schedule the chunk also holds the matching 2560 steps of its
-# step-halving twin, 7680 pairs in all; both counts are multiples of 2^8, the
-# fold passes the twin's share takes, so a full chunk needs no identity
-# padding.
+# Steps of a round per vectorised chunk, in both passes.  Memory stays
+# O(chunk) for any run length, while the numpy call overhead is spread over
+# thousands of steps.  In the local round's pass the chunk also holds the
+# matching 2560 steps of its step-halving twin, 7680 pairs in all; both
+# counts are multiples of 2^8, the fold passes the twin's share takes, so a
+# full chunk needs no identity padding.  An affine round's chunk holds its
+# 5120 steps alone.
 _TWIN_CHUNK = 5120
 
 # The two-point Gauss-Legendre nodes as fractions of a step, and the
@@ -197,10 +206,12 @@ class RoundOutcome(NamedTuple):
     instantaneous ground state at the end of the schedule.  error_estimate
     bounds the error of the final amplitudes.  On the affine sweeps
     ('partial', 'global_linear', 'quench') it is Magnus-4's closed-form bound
-    h^4 E plus a rounding allowance, both known before the round is
-    integrated.  On 'local_adiabatic' it is max|amplitude difference| / 15
-    between the run and its twin at half the steps, integrated in the same
-    pass, the step-halving estimate of a fourth-order scheme's error; the
+    h^4 E plus a rounding allowance that grows with the step count and the
+    round's rotation angle, all known before the round is integrated, alone,
+    in the one-run pass.  On 'local_adiabatic' it is max|amplitude
+    difference| / 15 between the run and its twin at half the steps,
+    integrated in a second pass that the two runs share, the step-halving
+    estimate of a fourth-order scheme's error; the
     kinks of the local t(s) table break that order, and there the estimate
     can under-report the true error by about 10x (9.6x at N = 256, M = 4
     on a 2,001-knot table).
@@ -366,9 +377,11 @@ def default_step_count(total_time: float) -> int:
     return _step_count(total_time, 64, 100)
 
 
-def _bound_root(instance: SearchInstance, schedule: Schedule) -> float:
-    """(T^4 E)^(1/4) of an affine sweep: at n steps, Magnus-4's propagator
-    error over the round is at most (root / n)^4 = h^4 E.
+def _affine_bounds(instance: SearchInstance, schedule: Schedule) -> tuple[float, float]:
+    """(root, angle) of an affine sweep.  root = (T^4 E)^(1/4): at n steps,
+    Magnus-4's propagator error over the round is at most (root / n)^4 =
+    h^4 E.  angle = T |B|max = T sqrt(b + a x1^2)/2 bounds the rotation
+    angle of the round, on which its rounding grows (``_rounding_allowance``).
 
     The sweep runs x over [-x1, x1] (x1 = |x(0)|: 1/sqrt(N), 1 and 0) at the
     rate r = 2 x1 / T.  With the phase of tr H taken out, A = -i B . sigma,
@@ -392,12 +405,15 @@ def _bound_root(instance: SearchInstance, schedule: Schedule) -> float:
     # T^4 E = T^3 (slope + T turn), formed so that no factor leaves the float range.
     slope = x1 * x1 * a * math.sqrt(b) / 120.0
     turn = math.sqrt(a * b) / 720.0 * x1 * (b + a * x1 * x1 / 3.0)
-    return total**0.75 * (slope + total * turn) ** 0.25
+    root = total**0.75 * (slope + total * turn) ** 0.25
+    return root, 0.5 * total * math.sqrt(b + a * x1 * x1)
 
 
-def _rounding_allowance(steps: int) -> float:
-    """The rounding that an affine round of ``steps`` steps may add to its
-    amplitudes on top of ``_bound_root``'s bound: 1e-13 plus 1e-17 a step.
+def _rounding_allowance(steps: int, angle: float) -> float:
+    """The rounding that an affine round of ``steps`` steps and rotation
+    ``angle`` (``_affine_bounds``) may add to its amplitudes on top of its
+    bound: 1e-13, plus 1e-17 a step, plus the double epsilon 2^-52 times the
+    angle.
 
     Against runs at 16 times the steps, the error above the bound reached
     3.1e-14 at 10 to 80 steps and 5.0e-14 at 10,240 to 40,960, over 3,705
@@ -405,9 +421,14 @@ def _rounding_allowance(steps: int) -> float:
     {1, r, N/2, N}, c from 0.25 to 256, counts from 1/8 to 8 times the
     default, and four times over, up to 6.6e4); the fold's pairwise
     products keep it from growing with the count that far, and the term per
-    step covers the chunks' renormalisations beyond.
+    step covers the chunks' renormalisations beyond.  Such a reference
+    shares the rounding of each step's angle, which the angle term covers:
+    against the quench's closed form at 50 digits, over 384 rounds (twelve
+    (N, M) from (4, 1) to (2^40, 2^20), T from 1e2 to 1e9, 10 to 10^4
+    steps), the error above the first two terms stayed within 0.71 of
+    2^-52 times the angle; at (64, 1), T = 8e7 and 10 steps it is 5.6e-10.
     """
-    return 1e-13 + 1e-17 * steps
+    return 1e-13 + 1e-17 * steps + 2.0**-52 * angle
 
 
 def schedule_step_count(instance: SearchInstance, schedule: Schedule) -> int:
@@ -415,14 +436,15 @@ def schedule_step_count(instance: SearchInstance, schedule: Schedule) -> int:
 
     ``default_step_count`` of the duration on the local schedule, whose
     x(t) is only piecewise linear.  On the affine sweeps, the least n >= 10
-    whose bound (T/n)^4 E (``_bound_root``) is at most _ERROR_BOUND: 10 on
-    the quench, where E = 0.  Any other kind raises ValueError.
+    whose bound (T/n)^4 E (``_affine_bounds``) is at most _ERROR_BOUND: 10
+    on the quench, where E = 0.  Any other kind raises ValueError.
     """
     if schedule.kind == "local_adiabatic":
         return default_step_count(schedule.total_time)
     if schedule.kind not in _AFFINE_KINDS:
         raise ValueError(f"no step rule for schedule kind {schedule.kind!r}")
-    return _step_count(_bound_root(instance, schedule), _ERROR_BOUND**-0.25, 10)
+    root, _ = _affine_bounds(instance, schedule)
+    return _step_count(root, _ERROR_BOUND**-0.25, 10)
 
 
 def _stage_offsets(
@@ -442,13 +464,11 @@ def _stage_offsets(
     return np.asarray(schedule.sample_x(times), dtype=float)
 
 
-def _step_pairs(
-    a: float, b: float, sqrt_ab: float, x_low: np.ndarray, x_high: np.ndarray, runs: list
-) -> np.ndarray:
-    """The Magnus-4 steps of one or more runs as a (2, K) complex stack.
-
-    x_low and x_high (overwritten) hold the runs' Gauss-point offsets back to
-    back; each run's (steps, width, h) fills a slice of ``width`` columns.
+def _step_rows(
+    rows: np.ndarray, instance: SearchInstance, h: float, x_low: np.ndarray, x_high: np.ndarray
+) -> None:
+    """Fill the (3, K) ``rows`` with w = (w_x, w_y, w_z) of K Magnus-4 steps
+    of size h, whose Gauss-point offsets are x_low and x_high.
 
     With x = 2s - 1 and u = 1 - s = (1 - x)/2, H(s) = I/2 + bx sigma_x +
     bz sigma_z, bx = -u sqrt(ab), bz = 1/2 - u a = (b + a x)/2, and the
@@ -460,38 +480,36 @@ def _step_pairs(
         v = (h bx(u_mean), -gamma, h bz(u_mean)),
         gamma = (sqrt(3) h^2 / 12) (u1 - u2) sqrt(ab),
 
-    so exp(Omega) = e^{-ih/2} (cos theta - i sin(theta)/theta v . sigma),
-    theta = |v|.  The phase e^{-ih/2} is left to the caller.  The rest is
-    the unit quaternion q = (cos theta, sin(theta)/theta v), stored as its
-    Cayley-Klein pair alpha = q0 - i q3, beta = -q2 - i q1, which stands
-    for the matrix [[alpha, beta], [-conj(beta), conj(alpha)]].  The code
-    builds w = -v, so that alpha = cos theta + i s w_z, beta = s w_y + i s w_x
-    with s = sin(theta)/theta.  bz is formed from x as (b + a x)/2, so that
-    near s = 1/2 it does not cancel 1/2 against a u; x_sum is twice the
-    mean x of the two Gauss points.  Unfilled columns hold identity pairs.
+    and w = -v.  The rows are filled as 2 - x_sum, x_high - x_low and x_sum,
+    x_sum being twice the mean x of the two Gauss points, and scaled by one
+    coefficient column; bz is formed from x as (b + a x)/2, so that near
+    s = 1/2 it does not cancel 1/2 against a u.
     """
-    # Every temporary is overwritten in place or dropped once spent, so that a
-    # long round's chunks have few pages to fault in.
-    x_sum = x_low + x_high
-    x_diff = np.subtract(x_high, x_low, out=x_high)
-    x_rest = np.subtract(2.0, x_sum, out=x_low)
-    total = sum(width for _, width, _ in runs)
-    wx, wy, wz = np.empty(total), np.empty(total), np.empty(total)
-    source = target = 0
-    for size, width, h in runs:
-        taken, put = slice(source, source + size), slice(target, target + size)
-        np.multiply(0.25 * h * sqrt_ab, x_rest[taken], out=wx[put])
-        np.multiply(0.5 * _COMMUTATOR * h * h * sqrt_ab, x_diff[taken], out=wy[put])
-        z = np.multiply(-0.25 * h * a, x_sum[taken], out=wz[put])
-        z -= 0.5 * h * b
-        if width > size:
-            pad = slice(target + size, target + width)
-            wx[pad] = wy[pad] = wz[pad] = 0.0
-        source, target = source + size, target + width
-    del x_sum
-    theta = wx * wx
-    theta += wy * wy
-    theta += wz * wz
+    a, b = instance.a, instance.b
+    sqrt_ab = math.sqrt(a * b)
+    x_sum = np.add(x_low, x_high, out=rows[2])
+    np.subtract(x_high, x_low, out=rows[1])
+    np.subtract(2.0, x_sum, out=rows[0])
+    coefficients = [[0.25 * h * sqrt_ab], [0.5 * _COMMUTATOR * h * h * sqrt_ab], [-0.25 * h * a]]
+    rows *= np.array(coefficients)
+    rows[2] -= 0.5 * h * b
+
+
+def _step_pairs(rows: np.ndarray) -> np.ndarray:
+    """The Magnus-4 steps of the (3, K) ``rows`` of ``_step_rows`` as a
+    (2, K) complex stack of Cayley-Klein pairs.
+
+    exp(Omega) = e^{-ih/2} (cos theta + i sin(theta)/theta w . sigma),
+    theta = |w|.  The phase e^{-ih/2} is left to the caller.  The rest is
+    the unit quaternion q = (cos theta, -sin(theta)/theta w), stored as its
+    Cayley-Klein pair alpha = q0 - i q3, beta = -q2 - i q1, which stands for
+    the matrix [[alpha, beta], [-conj(beta), conj(alpha)]]: alpha =
+    cos theta + i s w_z, beta = s w_y + i s w_x with s = sin(theta)/theta.
+    A column of zeros gives the identity pair.
+    """
+    wx, wy, wz = rows
+    # A sum over the first axis adds row after row: (wx^2 + wy^2) + wz^2.
+    theta = (rows * rows).sum(axis=0)
     np.sqrt(theta, out=theta)
     scale = np.divide(np.sin(theta), theta, out=np.ones_like(theta), where=theta > 0.0)
     pairs = np.empty((2, theta.size), dtype=complex)
@@ -544,26 +562,54 @@ def _ordered_product(pairs: np.ndarray) -> tuple[complex, complex]:
     return alpha, beta
 
 
-def _propagate(
-    instance: SearchInstance, schedule: Schedule, runs: tuple[int, ...], initial: ReducedState
-) -> list[tuple[complex, complex]]:
-    """The states after each run of Magnus-4 steps from ``initial``,
-    integrated in one pass: ``runs`` holds the step counts, ``(steps,)`` for
-    a round alone or ``(steps, steps // 2)`` for a round and its
-    step-halving twin.
+def _unit_product(later: tuple[complex, complex], earlier: tuple[complex, complex]):
+    """later @ earlier, renormalised: a propagator is unitary but for rounding."""
+    alpha, beta = _pair_product(later, earlier)
+    norm = math.hypot(abs(alpha), abs(beta))
+    return alpha / norm, beta / norm
 
-    A chunk stacks up to _TWIN_CHUNK steps of the round and each later run's
-    steps over the same stretch, each run's slice padded with identity pairs
-    to a multiple of 2^p, and folds it for the p passes of the shortest run's
-    own fold.  Each run then finishes its fold and renormalises its
-    propagator (unitary but for rounding), applied with the phase e^{-iT/2}
-    of tr H = 1 at the end.
+
+def _propagate(
+    instance: SearchInstance, schedule: Schedule, steps: int
+) -> tuple[complex, complex]:
+    """The propagator of ``steps`` Magnus-4 steps of one run, without the
+    phase of tr H, as its Cayley-Klein pair: the pass of an affine round.
+
+    Each chunk of up to _TWIN_CHUNK steps samples its Gauss points, forms
+    and folds its pairs, and multiplies its product onto the propagator.
     """
-    steps = runs[0]
+    h = schedule.total_time / steps
+    total = _IDENTITY
+    for first in range(0, steps, _TWIN_CHUNK):
+        count = min(_TWIN_CHUNK, steps - first)
+        x_low, x_high = _stage_offsets(schedule, (_GAUSS_LOW, _GAUSS_HIGH), [(first, count, h)])
+        rows = np.empty((3, count))
+        _step_rows(rows, instance, h, x_low, x_high)
+        # Dropped before the pairs are formed: held over to the next chunk,
+        # they cost an 11,280-step round 68 page faults a call, as glibc
+        # trims the heap and maps it back.
+        del x_low, x_high
+        total = _unit_product(_ordered_product(_step_pairs(rows)), total)
+    return total
+
+
+def _propagate_with_twin(
+    instance: SearchInstance, schedule: Schedule, steps: int
+) -> list[tuple[complex, complex]]:
+    """The propagators, as ``_propagate`` gives them, of ``steps`` steps and
+    of the ``steps // 2`` of the step-halving twin, integrated in one pass:
+    the pass of the local round.
+
+    A chunk stacks up to _TWIN_CHUNK steps of the round and the twin's steps
+    over the same stretch, each run's slice padded with identity pairs to a
+    multiple of 2^p, and folds it for the p passes of the twin's own fold.
+    Each run then finishes its fold alone, so that each keeps the fold tree,
+    and the bits, that it has alone.
+    """
+    runs = (steps, steps // 2)
     # A run takes one step for every ``share`` steps of the round.
     shares = [steps // count for count in runs]
     dts = [schedule.total_time / count for count in runs]
-    sqrt_ab = math.sqrt(instance.a * instance.b)
     totals = [_IDENTITY] * len(runs)
     for first in range(0, steps, _TWIN_CHUNK):
         chunk = min(_TWIN_CHUNK, steps - first)
@@ -572,22 +618,32 @@ def _propagate(
         folded = [-(-size >> passes) for size in sizes]
         spans = [(first // share, size, dt) for share, size, dt in zip(shares, sizes, dts)]
         x_low, x_high = _stage_offsets(schedule, (_GAUSS_LOW, _GAUSS_HIGH), spans)
-        widths = [(size, n << passes, dt) for size, n, dt in zip(sizes, folded, dts)]
-        pairs = _step_pairs(instance.a, instance.b, sqrt_ab, x_low, x_high, widths)
+        # Zero columns, the identity pairs, pad each run's slice.
+        rows = np.zeros((3, sum(folded) << passes))
+        source = target = 0
+        for size, n, h in zip(sizes, folded, dts):
+            taken = slice(source, source + size)
+            _step_rows(rows[:, target : target + size], instance, h, x_low[taken], x_high[taken])
+            source, target = source + size, target + (n << passes)
+        del x_low, x_high  # as in _propagate
+        pairs = _step_pairs(rows)
         pairs = _fold(pairs, pairs.shape[-1] >> passes)
         at = 0
         for run, n in enumerate(folded):
             if n:
-                alpha, beta = _pair_product(_ordered_product(pairs[:, at : at + n]), totals[run])
-                norm = math.hypot(abs(alpha), abs(beta))
-                totals[run] = alpha / norm, beta / norm
+                totals[run] = _unit_product(_ordered_product(pairs[:, at : at + n]), totals[run])
             at += n
-    phase = cmath.exp(-0.5j * schedule.total_time)
+    return totals
+
+
+def _final_state(
+    propagator: tuple[complex, complex], total_time: float, initial: ReducedState
+) -> tuple[complex, complex]:
+    """``initial`` after the propagator, with the phase e^{-iT/2} of tr H = 1."""
+    alpha, beta = propagator
+    phase = cmath.exp(-0.5j * total_time)
     x, y = complex(initial.amp_alpha), complex(initial.amp_beta)
-    return [
-        (phase * (alpha * x + beta * y), phase * (alpha.conjugate() * y - beta.conjugate() * x))
-        for alpha, beta in totals
-    ]
+    return phase * (alpha * x + beta * y), phase * (alpha.conjugate() * y - beta.conjugate() * x)
 
 
 def evolve(
@@ -598,12 +654,14 @@ def evolve(
 ) -> RoundOutcome:
     """Integrate one round of the given schedule from ``initial``.
 
-    On the affine sweeps the round runs ``steps`` Magnus-4 steps alone, and
-    its error estimate is the closed-form bound (T/steps)^4 E of
-    ``_bound_root`` plus ``_rounding_allowance(steps)``, formed before any
-    step.  On any other kind, the local schedule included, the same pass
-    also runs the ``steps // 2`` of its step-halving twin, for the estimate
-    max|amplitude difference| / 15; each run gives the bits it gives alone.
+    On the affine sweeps the round runs ``steps`` Magnus-4 steps alone, in
+    the one-run pass (``_propagate``), and its error estimate is the
+    closed-form bound (T/steps)^4 E of ``_affine_bounds`` plus
+    ``_rounding_allowance``, formed before any step.  On any other kind, the
+    local schedule included, the round and the ``steps // 2`` of its
+    step-halving twin share the other pass (``_propagate_with_twin``), for
+    the estimate max|amplitude difference| / 15.  Either way each run gives
+    the bits it gives integrated on its own.
 
     Raises ValueError for a step count that is not an integer (``bool``
     excluded, as in ``make_instance``) or lies outside [10, MAX_STEPS], and
@@ -619,22 +677,28 @@ def evolve(
     affine = schedule.kind in _AFFINE_KINDS
     if affine:
         # Squared twice, so that a bound past the float range is inf, not an OverflowError.
-        ratio = _bound_root(instance, schedule) / steps
-        error_estimate = (ratio * ratio) * (ratio * ratio) + _rounding_allowance(steps)
+        root, angle = _affine_bounds(instance, schedule)
+        ratio = root / steps
+        error_estimate = (ratio * ratio) * (ratio * ratio) + _rounding_allowance(steps, angle)
         if not error_estimate <= NORM_DRIFT_LIMIT:
             raise NormDriftExceeded(
                 f"Magnus-4 error bound {error_estimate:.3e} at {steps} steps over duration "
                 f"{total:g} exceeds {NORM_DRIFT_LIMIT:g}; increase steps"
             )
-    runs = (steps,) if affine else (steps, steps // 2)
-    # A huge duration can turn the step angles to inf/NaN; the guards below
-    # report it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        (x, y), *twin = _propagate(instance, schedule, runs, initial)
+        # The accepted estimate holds the rotation angle to at most 4.5e9 (its
+        # rounding allowance), so no step angle can overflow.
+        x, y = _final_state(_propagate(instance, schedule, steps), total, initial)
+    else:
+        # A huge duration can turn the step angles to inf/NaN; the guards
+        # below report it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            (x, y), (x_half, y_half) = (
+                _final_state(propagator, total, initial)
+                for propagator in _propagate_with_twin(instance, schedule, steps)
+            )
     drift = abs(math.hypot(abs(x), abs(y)) - 1.0)
     _check_drift("norm drifted by", drift, steps, total)
-    if twin:
-        x_half, y_half = twin[0]
+    if not affine:
         error_estimate = max(abs(x - x_half), abs(y - y_half)) / 15.0
         _check_drift("error estimate is", error_estimate, steps, total)
     s_end = 0.5 * (1.0 + float(schedule.sample_x(total)))

@@ -280,7 +280,8 @@ class TestScripts:
             "make_instance", "evolution_window", "spectral_point(s=0.3)",
             "spectral_point(s=0.7)", "bound_report", "make_partial_schedule",
             "make_global_schedule", "schedule_step_count",
-            "run_round(c=1)", "csv_chunks(block)", "json_chunks(block)",
+            "run_round(c=1)", "run_round(256,128,c=16)", "evolve(local,c=1)",
+            "csv_chunks(block)", "json_chunks(block)",
         ]
         for row in rows:
             _, ns, unit = row.split()

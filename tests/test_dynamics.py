@@ -256,8 +256,9 @@ AFFINE_KINDS = ("partial", "global_linear", "quench")
 def affine_estimate(instance, schedule, steps):
     """The error estimate of an affine round: Magnus-4's bound (T/steps)^4 E,
     the square of a square as evolve forms it, plus the rounding allowance."""
-    ratio = dynamics._bound_root(instance, schedule) / steps
-    return (ratio * ratio) * (ratio * ratio) + dynamics._rounding_allowance(steps)
+    root, angle = dynamics._affine_bounds(instance, schedule)
+    ratio = root / steps
+    return (ratio * ratio) * (ratio * ratio) + dynamics._rounding_allowance(steps, angle)
 
 
 def check_against_single_runs(instance, schedule, steps, initial):
@@ -787,14 +788,16 @@ class TestScheduleStepCount:
         # itself, against four times the steps, stays below 1e-10.
         inst = make_instance(2**20, 1)
         out = run_round(inst, 256.0)
-        steps = schedule_step_count(inst, make_partial_schedule(inst, 256.0))
+        sched = make_partial_schedule(inst, 256.0)
+        steps = schedule_step_count(inst, sched)
         finer = run_round(inst, 256.0, steps=4 * steps).final_state
         true_error = max(
             abs(out.final_state.amp_alpha - finer.amp_alpha),
             abs(out.final_state.amp_beta - finer.amp_beta),
         )
         assert true_error <= 1e-10
-        assert out.error_estimate <= 5e-10 + dynamics._rounding_allowance(steps)
+        _, angle = dynamics._affine_bounds(inst, sched)
+        assert out.error_estimate <= 5e-10 + dynamics._rounding_allowance(steps, angle)
 
     # The error estimate, the bound itself, bounds the error at the default
     # count.  On a grid of 400 multipliers per (N, M) the error stays below 3.9e-10
@@ -879,9 +882,15 @@ class TestAffineErrorBound:
         def no_steps(*args):
             raise AssertionError("integrated a refused round")
 
+        # Both passes form their pairs with _step_pairs.  The quench's bound
+        # is 0; its rotation angle, 6.25e10, is what refuses it.
         monkeypatch.setattr(dynamics, "_step_pairs", no_steps)
         inst = make_instance(64, 1)
-        for sched in (make_partial_schedule(inst, 64.0), make_global_schedule(inst, 4.0)):
+        for sched in (
+            make_partial_schedule(inst, 64.0),
+            make_global_schedule(inst, 4.0),
+            dynamics._affine_schedule("quench", 0.0, 1e12),
+        ):
             with pytest.raises(NormDriftExceeded, match=r"^Magnus-4 error bound \S+ at 10 steps"):
                 evolve(inst, sched, 10, initial_state(inst))
 
@@ -908,12 +917,56 @@ class TestAffineErrorBound:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("total", [1e300, 1.7e308])
     def test_blown_up_quench_raises_norm_drift(self, total):
-        # The quench's bound is 0, so the round is integrated; its step angles
-        # overflow and the norm guard reports the NaN state, with no warning.
+        # The quench's bound is 0, but its rounding allowance grows with its
+        # rotation angle, so the round is refused before its step angles
+        # could overflow, with no warning.
         inst = make_instance(64, 1)
         sched = dynamics._affine_schedule("quench", 0.0, total)
-        with pytest.raises(NormDriftExceeded, match="^norm drifted by nan after 10 steps"):
+        with pytest.raises(NormDriftExceeded, match=r"^Magnus-4 error bound \S+ at 10 steps"):
             evolve(inst, sched, 10, initial_state(inst))
+
+    # Quench rounds at large rotation angles.  At 10 steps the first two
+    # are the rounds where the allowance without its angle term read 1e-13
+    # against errors of 5.5e-12 and 5.6e-10.
+    @pytest.mark.parametrize(
+        "n, m, total",
+        [
+            (4096, 32, 8e5),
+            (64, 1, 8e7),
+            (4, 1, 1e9),
+            (16, 4, 1e6),
+            (1024, 1, 1e9),
+            (2**20, 2**10, 1e9),
+            (2**40, 2**20, 1e8),
+            (64, 32, 1e7),
+        ],
+    )
+    @pytest.mark.parametrize("steps", [10, 1000])
+    def test_quench_error_is_within_the_estimate_at_large_angles(self, n, m, total, steps):
+        # The quench holds H(1/2) = I/2 + B . sigma, B = (-sqrt(ab), 0, b)/2,
+        # so its state is e^{-iT/2} (cos(T|B|) - i sin(T|B|) B/|B| . sigma)
+        # on the uniform start: a closed form, here at 50 digits.  A reference
+        # at more steps would share the rounding of each step's angle.
+        mp = pytest.importorskip("mpmath")
+        inst = make_instance(n, m)
+        sched = dynamics._affine_schedule("quench", 0.0, total)
+        out = evolve(inst, sched, steps, initial_state(inst))
+        with mp.workdps(50):
+            a, b = mp.mpf(n - m) / n, mp.mpf(m) / n
+            bx, bz = -mp.sqrt(a * b) / 2, b / 2
+            size = mp.sqrt(bx * bx + bz * bz)
+            cos, sin = mp.cos(total * size), mp.sin(total * size)
+            x0, y0 = mp.sqrt(a), mp.sqrt(b)
+            phase = mp.exp(-0.5j * mp.mpf(total))
+            x = phase * (cos * x0 - 1j * sin * (bz * x0 + bx * y0) / size)
+            y = phase * (cos * y0 - 1j * sin * (bx * x0 - bz * y0) / size)
+            true_error = float(
+                max(abs(out.final_state.amp_alpha - x), abs(out.final_state.amp_beta - y))
+            )
+        assert out.error_estimate == affine_estimate(inst, sched, steps)
+        assert true_error <= out.error_estimate
+        if (n, m, total, steps) in ((4096, 32, 8e5, 10), (64, 1, 8e7, 10)):
+            assert true_error > 10 * dynamics._rounding_allowance(steps, 0.0)
 
 
 class TestEvolve:
@@ -1070,23 +1123,26 @@ class TestEvolve:
 
     @pytest.mark.parametrize("kind", ["partial", "global_linear", "quench", "local_adiabatic"])
     def test_only_the_local_round_runs_a_twin(self, kind):
-        # The integrator samples x at the two Gauss points of each step of
-        # each run: the round's alone on an affine sweep, the round's and
-        # its twin's on the local one.  The bound reads x(0), and the ground
-        # fidelity x(T), on top.
-        steps = 101
-        inst, sched, psi0 = comparison_case(kind, steps)
-        points = []
+        # Each pass samples x once a chunk, at the two Gauss points of each
+        # step of each run: the round's alone on an affine sweep, the
+        # round's and its twin's on the local one.  The bound reads x(0),
+        # and the ground fidelity x(T), on top.
+        for steps in (101,) + TWIN_EDGE_STEPS:
+            inst, sched, psi0 = comparison_case(kind, steps)
+            points = []
 
-        def counting_sample_x(t):
-            points.append(np.size(t))
-            return sched.sample_x(t)
+            def counting_sample_x(t, sample_x=sched.sample_x):
+                points.append(np.size(t))
+                return sample_x(t)
 
-        evolve(inst, sched._replace(sample_x=counting_sample_x), steps, psi0)
-        if kind == "local_adiabatic":
-            assert sum(points) == 2 * (steps + steps // 2) + 1
-        else:
-            assert sum(points) == 2 * steps + 2
+            evolve(inst, sched._replace(sample_x=counting_sample_x), steps, psi0)
+            chunks = -(-steps // _TWIN_CHUNK)
+            if kind == "local_adiabatic":
+                assert len(points) == chunks + 1
+                assert sum(points) == 2 * (steps + steps // 2) + 1
+            else:
+                assert len(points) == chunks + 2
+                assert sum(points) == 2 * steps + 2
 
     @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
     def test_agrees_with_rk4_at_fine_steps(self, kind):
